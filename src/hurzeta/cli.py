@@ -17,17 +17,20 @@ import csv
 import io
 import json
 import math
-import os
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .errors import HurzetaError, IllConditionedError, UnsupportedParameterError
+from .errors import (
+    DomainError,
+    HurzetaError,
+    IllConditionedError,
+    UnsupportedParameterError,
+)
 from .genfun import (
     classify_case,
     genfun_closed,
@@ -39,6 +42,7 @@ from .hurwitz import (
     ZetaParams,
     bracket_kernel,
     bracket_scale,
+    check_k,
     hurwitz_series_oracle,
     zeta_auto,
 )
@@ -264,28 +268,19 @@ def envelope_signature(envelope_dict: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Oracles shared by several commands
-# ---------------------------------------------------------------------------
-
-def _oracle_any(k: int, b: complex, tol: float = 1e-13) -> complex:
-    """Series oracle extended to Re(b) <= 0 by splitting off the head terms."""
-    b = complex(b)
-    if b.real > 0.0:
-        return hurwitz_series_oracle(k, b, tol=tol)
-    m = math.floor(-b.real) + 1
-    head = sum((j + b) ** (-k) for j in range(m))
-    return head + hurwitz_series_oracle(k, b + m, tol=tol)
-
-
-# ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
+def _check_k_arg(k) -> int:
+    try:
+        return check_k(k, name="--k")
+    except DomainError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def cmd_eval(cfg: RunConfig) -> tuple[ReportEnvelope, int]:
-    k = cfg.params["k"]
+    k = _check_k_arg(cfg.params["k"])
     b = parse_complex(cfg.params["b"])
-    if k < 2:
-        raise UsageError(f"--k must be >= 2, got {k}")
     if b.imag == 0.0 and float(b.real).is_integer() and b.real < 1.0:
         raise UsageError(
             f"zeta(k, b) has a pole at b = {int(b.real)}: non-positive integer b "
@@ -294,7 +289,7 @@ def cmd_eval(cfg: RunConfig) -> tuple[ReportEnvelope, int]:
     spec = cfg.spec()
     t0 = time.perf_counter()
     value, route, br = zeta_auto(k, b, spec)
-    oracle = _oracle_any(k, b)
+    oracle = hurwitz_series_oracle(k, b, tol=1e-13)
     dt = time.perf_counter() - t0
     disc = abs(value - oracle)
     record = {
@@ -580,30 +575,12 @@ def cmd_validate(cfg: RunConfig) -> tuple[ReportEnvelope, int]:
     return env, 0 if n_pass == len(results) else 3
 
 
-def _max_workers(n_jobs: int) -> int:
-    cap = os.environ.get("HURZETA_MAX_THREADS")
-    if cap is not None:
-        try:
-            cap_val = int(cap)
-        except ValueError as exc:
-            raise UsageError(
-                f"HURZETA_MAX_THREADS must be a positive integer, got {cap!r}"
-            ) from exc
-        if cap_val < 1:
-            raise UsageError(
-                f"HURZETA_MAX_THREADS must be a positive integer, got {cap!r}"
-            )
-        return max(1, min(n_jobs, cap_val))
-    return max(1, min(n_jobs, os.cpu_count() or 1))
-
-
 def cmd_sweep(cfg: RunConfig) -> tuple[ReportEnvelope, int]:
     try:
         ks = [int(s) for s in str(cfg.params["k"]).split(",")]
     except ValueError as exc:
         raise UsageError("--k must be comma-separated integers") from exc
-    if any(k < 2 for k in ks):
-        raise UsageError("--k values must be >= 2")
+    ks = [_check_k_arg(k) for k in ks]
     bs = parse_grid(cfg.params["b"])
     b_im = cfg.params.get("b_im", 0.0)
     grid = [(k, complex(br, b_im)) for k in ks for br in bs]
@@ -612,12 +589,11 @@ def cmd_sweep(cfg: RunConfig) -> tuple[ReportEnvelope, int]:
             raise UsageError(f"grid touches the pole at b = {b.real:g}")
     spec = cfg.spec()
 
-    def cell(item):
-        k, b = item
+    def cell(k, b):
         t1 = time.perf_counter()
         try:
             value, route, _ = zeta_auto(k, b, spec)
-            oracle = _oracle_any(k, b)
+            oracle = hurwitz_series_oracle(k, b, tol=1e-13)
             return {
                 "k": k, "b": b, "status": "ok", "value": value,
                 "oracle": oracle,
@@ -632,8 +608,7 @@ def cmd_sweep(cfg: RunConfig) -> tuple[ReportEnvelope, int]:
             }
 
     t0 = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=_max_workers(len(grid))) as pool:
-        results = list(pool.map(cell, grid))  # ordered by input index
+    results = [cell(k, b) for k, b in grid]
     n_ok = sum(1 for r in results if r["status"] == "ok")
     env = ReportEnvelope(
         tool_version=__version__,
@@ -698,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="one of: " + ", ".join(SUITES))
     _add_common(p)
 
-    p = subs.add_parser("sweep", help="parallel zeta evaluation over a (k, b) grid")
+    p = subs.add_parser("sweep", help="zeta evaluation over a (k, b) grid")
     p.add_argument("--k", required=True, help="comma-separated integer ks")
     p.add_argument("--b", required=True, help="real-part grid start:stop:count")
     p.add_argument("--b-im", type=float, default=0.0,

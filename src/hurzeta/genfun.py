@@ -30,7 +30,7 @@ from .errors import (
     RangeOverflowError,
     UnsupportedParameterError,
 )
-from .hurwitz import hurwitz_series_oracle
+from .hurwitz import check_k, hurwitz_series_oracle
 from .quadrature import QuadratureResult, QuadratureSpec, integrate_cot_weighted
 from .special_functions import BernoulliTable, bernoulli, harmonic_number
 
@@ -273,24 +273,17 @@ def genfun_closed(x: complex, b: complex, spec: QuadratureSpec | None = None,
 def series_coefficient(k: int, b: complex, tol: float = 1e-13) -> complex:
     """``zeta(k, b) - b**-k = sum_{j>=1} (j+b)**(-k)``, by direct summation.
 
-    Computed at the shifted argument (``zeta(k, b+1)`` and friends) so no
+    Computed as the series oracle at ``b + 1`` (``zeta(k, b+1)``) so no
     cancellation against ``b**-k`` ever happens; exact negative-integer ``b``
     skips its singular term per the series convention.
     """
     b = complex(b)
-    if b.imag == 0.0 and float(b.real).is_integer():
-        bi = int(b.real)
-        if bi >= 0:
-            return hurwitz_series_oracle(k, bi + 1.0, tol=tol)
-        # skip j = -bi: remaining terms are zeta(k) + (-1)**k * H_k(|bi|-1)
+    if b.imag == 0.0 and float(b.real).is_integer() and b.real < 0.0:
+        # skip j = -b: remaining terms are zeta(k) + (-1)**k * H_k(|b|-1)
         return hurwitz_series_oracle(k, 1.0, tol=tol) + (-1.0) ** k * harmonic_number(
-            k, -bi - 1
+            k, -int(b.real) - 1
         )
-    if b.real > -1.0:
-        return hurwitz_series_oracle(k, b + 1.0, tol=tol)
-    j0 = math.floor(-b.real) + 1
-    head = sum((j + b) ** (-k) for j in range(1, j0 + 1))
-    return head + hurwitz_series_oracle(k, b + j0 + 1.0, tol=tol)
+    return hurwitz_series_oracle(k, b + 1.0, tol=tol)
 
 
 def genfun_series(x: complex, b: complex, kmax: int,
@@ -302,8 +295,7 @@ def genfun_series(x: complex, b: complex, kmax: int,
     estimate ``A * rho**(kmax+1) / (1 - rho)``, ``rho = |x|/r(b)``, is
     meaningful; it is returned alongside the value.
     """
-    if kmax < 2:
-        raise DomainError("kmax must be >= 2")
+    kmax = check_k(kmax, name="kmax")
     x, b = complex(x), complex(b)
     r = radius_of_convergence(b)
     if not abs(x) < r * (1.0 - margin):
@@ -465,8 +457,7 @@ def zeta_from_genfun(k: int, b: complex, radius: float, nodes: int,
     the radius cross-checks the estimate; disagreement beyond
     ``stability_tol`` relative emits :class:`InstabilityWarning`.
     """
-    if not isinstance(k, int) or k < 2:
-        raise DomainError(f"k must be an integer >= 2, got {k!r}")
+    k = check_k(k)
     b = complex(b)
     r = radius_of_convergence(b)
     if not 0.0 < radius < r:

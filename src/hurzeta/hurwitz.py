@@ -16,6 +16,7 @@ standing invariants.
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -34,6 +35,7 @@ from .special_functions import polylog_nonpos
 
 __all__ = [
     "IM_CAP_DEFAULT",
+    "check_k",
     "ZetaParams",
     "EvalBreakdown",
     "bracket_kernel",
@@ -59,6 +61,30 @@ def _is_integer_valued(b: complex) -> bool:
     return b.imag == 0.0 and float(b.real).is_integer()
 
 
+def _check_b(b) -> complex:
+    """``b`` as a complex; :class:`DomainError` unless finite and off the
+    poles at the non-positive integers."""
+    b = complex(b)
+    if not (math.isfinite(b.real) and math.isfinite(b.imag)):
+        raise DomainError("b must be finite")
+    if _is_integer_valued(b) and b.real < 1.0:
+        raise DomainError(
+            f"zeta(k, b) has a pole at b = {int(b.real)} (non-positive integer)"
+        )
+    return b
+
+
+def check_k(k, minimum: int = 2, name: str = "k") -> int:
+    """``k`` as an ``int``; :class:`DomainError` unless it is an integer
+    ``>= minimum``.  Integer-valued floats such as ``3.0`` are accepted;
+    other floats and strings are not."""
+    if isinstance(k, float) and k.is_integer():
+        k = int(k)
+    if not isinstance(k, numbers.Integral) or k < minimum:
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {k!r}")
+    return int(k)
+
+
 @dataclass(frozen=True)
 class ZetaParams:
     """Validated inputs for the closed-form evaluator.
@@ -73,20 +99,9 @@ class ZetaParams:
 
     @classmethod
     def create(cls, k: int, b: complex, im_cap: float = IM_CAP_DEFAULT) -> "ZetaParams":
-        if isinstance(k, float):
-            if not k.is_integer():
-                raise DomainError(f"k must be an integer >= 2, got {k!r}")
-            k = int(k)
-        if not isinstance(k, int) or k < 2:
-            raise DomainError(f"k must be an integer >= 2, got {k!r}")
-        b = complex(b)
-        if not (math.isfinite(b.real) and math.isfinite(b.imag)):
-            raise DomainError("b must be finite")
+        k = check_k(k)
+        b = _check_b(b)
         if _is_integer_valued(b):
-            if b.real < 1.0:
-                raise DomainError(
-                    f"zeta(k, b) has a pole at b = {int(b.real)} (non-positive integer)"
-                )
             raise UnsupportedParameterError(
                 f"b = {int(b.real)} is a positive integer: q = 1 sits on the "
                 "polylogarithm pole; use the series path (zeta_auto routes it)"
@@ -119,33 +134,42 @@ class EvalBreakdown:
     warnings: list = field(default_factory=list)
 
 
-@functools.lru_cache(maxsize=512)
-def _bracket_data(k: int, b: complex):
-    """Coefficients c_j (highest power of u first) and the endpoint value B(1).
-
-    c_j = (delta_{1j} + Li_{1-j}(q)) / ((j-1)! (k-j)!) for j = 1..k, the
-    coefficient of u**(k-j) in the bracket polynomial; B(1) = q * sum_j c_j.
-    Also returns any conditioning messages raised by the polylog evaluation.
-    """
-    q = complex(np.exp(-2j * math.pi * b))
-    notes = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ConditioningWarning)
-        li = [polylog_nonpos(m, q) for m in range(k)]
-    for w in caught:
-        notes.append(str(w.message))
-    coeffs = np.empty(k, dtype=np.complex128)
-    for j in range(1, k + 1):
+def _coefficients(values) -> list:
+    """``(delta_{1j} + values[j-1]) / ((j-1)! (k-j)!)`` for ``j = 1..k``,
+    ``k = len(values)``.  With ``values[m] = Li_{-m}(q)`` these are the
+    bracket coefficients ``c_j``, highest power of ``u`` first."""
+    k = len(values)
+    out = []
+    for j, v in enumerate(values, start=1):
         try:
             denom = float(math.factorial(j - 1) * math.factorial(k - j))
         except OverflowError:
             raise RangeOverflowError(
                 f"factorial((j-1)!(k-j)!) for k = {k} exceeds double range"
             ) from None
-        delta = 1.0 if j == 1 else 0.0
-        coeffs[j - 1] = (delta + li[j - 1]) / denom
+        out.append(((1.0 if j == 1 else 0.0) + v) / denom)
+    return out
+
+
+@functools.lru_cache(maxsize=512)
+def _bracket_data(k: int, b: complex):
+    """Coefficients c_j, the endpoint value B(1) = q * sum_j c_j, the
+    polylogarithms ``Li_{-m}(q)`` for ``m = 0..k-1`` and any conditioning
+    messages their evaluation raised.
+
+    The polylogarithms are cached as one array, not as k complex objects:
+    with those, the resident size grew steadily (0.12 MiB per 1266
+    distinct (k, b) keys, measured over 25 passes) although the cache
+    itself is bounded.
+    """
+    q = complex(np.exp(-2j * math.pi * b))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ConditioningWarning)
+        li = [polylog_nonpos(m, q) for m in range(k)]
+    notes = tuple(str(w.message) for w in caught)
+    coeffs = np.array(_coefficients(li), dtype=np.complex128)
     b1 = q * complex(coeffs.sum())
-    return coeffs, b1, tuple(notes)
+    return coeffs, b1, np.array(li, dtype=np.complex128), notes
 
 
 def bracket_kernel(params: ZetaParams, u):
@@ -156,7 +180,7 @@ def bracket_kernel(params: ZetaParams, u):
     between the polylogarithms (checked exactly in the tests), not a
     numerical accident.  Accepts a scalar or an ndarray.
     """
-    coeffs, b1, _ = _bracket_data(params.k, params.b)
+    coeffs, b1, _, _ = _bracket_data(params.k, params.b)
     c = -2j * math.pi * params.b
     scalar = np.ndim(u) == 0
     arr = np.atleast_1d(np.asarray(u, dtype=np.float64))
@@ -175,17 +199,11 @@ def bracket_scale(params: ZetaParams) -> float:
     kernel is a difference of quantities this large, so its attainable
     accuracy is ``eps * bracket_scale``, not ``eps * max|kernel|``.
     """
-    _, b1, _ = _bracket_data(params.k, params.b)
-    k, q = params.k, params.q
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConditioningWarning)
-        total = 0.0
-        for j in range(1, k + 1):
-            delta = 1.0 if j == 1 else 0.0
-            total += (delta + abs(polylog_nonpos(j - 1, q))) / float(
-                math.factorial(j - 1) * math.factorial(k - j)
-            )
-    return float(max(1.0, abs(q)) * total + abs(b1))
+    _, b1, li, _ = _bracket_data(params.k, params.b)
+    total = 0.0
+    for c in _coefficients([abs(v) for v in li.tolist()]):
+        total += c
+    return float(max(1.0, abs(params.q)) * total + abs(b1))
 
 
 def _check_power_range(k: int, q: complex):
@@ -220,14 +238,16 @@ def hurwitz_zeta(params: ZetaParams, spec: QuadratureSpec | None = None) -> Eval
     spec = spec or QuadratureSpec()
     k, b, q = params.k, params.b, params.q
     _check_power_range(k, q)
-    _, b1, notes = _bracket_data(k, b)
+    _, b1, li, notes = _bracket_data(k, b)
+    if notes:
+        warnings.warn(notes[0], ConditioningWarning, stacklevel=2)
     diag = list(notes)
 
     ipk = _I_POW[k % 4] * (2.0 * math.pi) ** k  # (2*pi*i)**k, quadrant exact
 
     bk = b.real**k if b.imag == 0.0 else b**k
     t1 = 1.0 / (2.0 * bk)
-    t2 = ipk * polylog_nonpos(k - 1, q) / (4.0 * math.factorial(k - 1))
+    t2 = ipk * complex(li[k - 1]) / (4.0 * math.factorial(k - 1))
     t3 = ipk * b1 / 4.0
     # The kernel inherits rounding at the size of the bracket's uncancelled
     # constituents (see bracket_scale), so that is the gap's noise floor.
@@ -274,24 +294,17 @@ def real_part_formula(k: int, b: float) -> float:
     Li_{1-k}(p)/(4*(k-1)!) + (2*pi)**k * p/4 * sum_j (delta_{1j} +
     Li_{1-j}(p)) / ((j-1)!(k-j)!)`` -- no quadrature involved.
     """
-    if isinstance(k, float):
-        if not k.is_integer():
-            raise DomainError(f"k must be an integer >= 2, got {k!r}")
-        k = int(k)
-    if k < 2:
-        raise DomainError(f"k must be an integer >= 2, got {k!r}")
+    k = check_k(k)
     b = float(b)
     if not b > 0.0:
         raise DomainError("real_part_formula needs real b > 0")
     p = math.exp(-2.0 * math.pi * b)
+    li = [polylog_nonpos(m, p).real for m in range(k)]
     twopik = (2.0 * math.pi) ** k
-    single = twopik * polylog_nonpos(k - 1, p).real / (4.0 * math.factorial(k - 1))
+    single = twopik * li[k - 1] / (4.0 * math.factorial(k - 1))
     acc = 0.0
-    for j in range(1, k + 1):
-        delta = 1.0 if j == 1 else 0.0
-        acc += (delta + polylog_nonpos(j - 1, p).real) / float(
-            math.factorial(j - 1) * math.factorial(k - j)
-        )
+    for c in _coefficients(li):
+        acc += c
     return 1.0 / (2.0 * b**k) + single + twopik * p * acc / 4.0
 
 
@@ -306,23 +319,15 @@ def imag_part_integral(k: int, b: float, spec: QuadratureSpec | None = None) -> 
     reassembles the rotated zeta value exactly -- the pair is the
     cross-check for the combined evaluation.
     """
-    if isinstance(k, float):
-        if not k.is_integer():
-            raise DomainError(f"k must be an integer >= 2, got {k!r}")
-        k = int(k)
-    if k < 2:
-        raise DomainError(f"k must be an integer >= 2, got {k!r}")
+    k = check_k(k)
     b = float(b)
     if not b > 0.0:
         raise DomainError("imag_part_integral needs real b > 0")
     spec = spec or QuadratureSpec()
     p = math.exp(-2.0 * math.pi * b)
-    coeffs = np.empty(k, dtype=np.complex128)
-    for j in range(1, k + 1):
-        delta = 1.0 if j == 1 else 0.0
-        coeffs[j - 1] = (delta + polylog_nonpos(j - 1, p)) / float(
-            math.factorial(j - 1) * math.factorial(k - j)
-        )
+    coeffs = np.array(
+        _coefficients([polylog_nonpos(m, p) for m in range(k)]), dtype=np.complex128
+    )
     b1 = p * complex(coeffs.sum())
     c = complex(-2.0 * math.pi * b)
     hint = float(np.abs(coeffs).sum()) + abs(b1)
@@ -341,19 +346,26 @@ def hurwitz_series_oracle(k: int, b: complex, tol: float = 1e-12,
     Independent of every closed form in this package: plain term summation to
     ``N`` followed by the midpoint integral tail ``(N + 1/2 + b)**(1-k)/(k-1)``,
     whose own error is ~ ``(k/24) * (N + Re b)**(-k-1)``.  ``N`` is chosen so
-    that bound is at most ``tol/4``.  Needs ``Re b > 0``.
+    that bound is at most ``tol/4``.  For ``Re b <= 0`` the first
+    ``m = floor(-Re b) + 1`` terms are added one by one and the rest is
+    summed as above at ``b + m``; non-positive integer ``b`` is a pole.
     """
-    if isinstance(k, float):
-        if not k.is_integer():
-            raise DomainError(f"k must be an integer >= 2, got {k!r}")
-        k = int(k)
-    if k < 2:
-        raise DomainError(f"k must be an integer >= 2, got {k!r}")
-    b = complex(b)
-    if not b.real > 0.0:
-        raise DomainError("series oracle needs Re b > 0")
+    k = check_k(k)
+    b = _check_b(b)
     if not 0 < tol < 1:
         raise ValueError("tol must lie in (0, 1)")
+    if b.real > 0.0:
+        return _tail_corrected_sum(k, b, tol, max_terms)
+    m = math.floor(-b.real) + 1
+    if m > max_terms:
+        raise CapacityError(
+            f"series oracle would need {m} head terms (> max_terms = {max_terms})"
+        )
+    head = sum((j + b) ** (-k) for j in range(m))
+    return head + _tail_corrected_sum(k, b + m, tol, max_terms)
+
+
+def _tail_corrected_sum(k: int, b: complex, tol: float, max_terms: int) -> complex:
     # (k/24) * (N + Re b)**-(k+1) <= tol/4
     n_needed = (k / (6.0 * tol)) ** (1.0 / (k + 1.0)) - b.real
     n = max(50, int(math.ceil(n_needed)))
@@ -377,8 +389,7 @@ def hp_partial_sum(k: int, b: complex, n: int) -> complex:
     diverges logarithmically, which the convergence scans exploit).  A ``b``
     exactly on a pole ``-i*j`` within range is rejected.
     """
-    if not isinstance(k, int) or k < 1:
-        raise DomainError(f"k must be an integer >= 1, got {k!r}")
+    k = check_k(k, minimum=1)
     if n < 0:
         raise DomainError("n must be >= 0")
     b = complex(b)
@@ -404,10 +415,6 @@ def zeta_auto(k: int, b: complex, spec: QuadratureSpec | None = None,
     """
     b = complex(b)
     if _is_integer_valued(b):
-        if b.real < 1.0:
-            raise DomainError(
-                f"zeta(k, b) has a pole at b = {int(b.real)} (non-positive integer)"
-            )
         return hurwitz_series_oracle(k, b, tol=series_tol), "series", None
     params = ZetaParams.create(k, b)
     br = hurwitz_zeta(params, spec)

@@ -1,11 +1,11 @@
-"""Vectorized integrand kernels, in twin numba and numpy implementations.
+"""Vectorized integrand kernels and power sums, in numpy.
 
-Every function here evaluates an integrand (or a partial sum) over a whole
-array of abscissae; the adaptive quadrature driver batches panel nodes into
-a single call, so these loops dominate the runtime.  The numba set is
-compiled lazily on first use and cached; the numpy set is the reference
-implementation and the fallback.  ``IMPLEMENTATIONS`` exposes both so the
-benchmark and the parity tests can compare them directly.
+Every integrand here is evaluated over a whole array of abscissae: the
+adaptive quadrature driver batches the nodes of all pending panels into a
+single call, so one call per refinement round is all the Python overhead a
+kernel costs.  The two power sums add a contiguous run of series terms in one
+vector operation.  Callers reach the kernels as ``kernels.<name>``, so a
+profiler can wrap any of them by replacing that one module attribute.
 
 Conventions
 -----------
@@ -20,14 +20,9 @@ Conventions
   hold identically, and the reduced forms are what is implemented.
 """
 
-import math
-
 import numpy as np
 
-from .backend import NUMBA_AVAILABLE, njit
-
 __all__ = [
-    "IMPLEMENTATIONS",
     "cot_pi",
     "poly_exp_gap",
     "sin_ratio_gap",
@@ -41,17 +36,13 @@ __all__ = [
 ]
 
 
-# ---------------------------------------------------------------------------
-# numpy reference implementations
-# ---------------------------------------------------------------------------
-
-def _cot_pi_np(u):
+def cot_pi(u):
     """cot(pi*u) with exact period-1 argument reduction."""
     r = u - np.floor(u + 0.5)
     return 1.0 / np.tan(np.pi * r)
 
 
-def _poly_exp_gap_np(u, coeffs, c, offset):
+def poly_exp_gap(u, coeffs, c, offset):
     """polyval(coeffs, u) * exp(c*u) - offset  (coeffs highest power first)."""
     p = np.full(u.shape, coeffs[0], dtype=np.complex128)
     for j in range(1, coeffs.shape[0]):
@@ -59,180 +50,48 @@ def _poly_exp_gap_np(u, coeffs, c, offset):
     return p * np.exp(c * u) - offset
 
 
-def _sin_ratio_gap_np(u, a1, s1inv, a2, s2inv):
+def sin_ratio_gap(u, a1, s1inv, a2, s2inv):
     """sin(a1*u)*s1inv - sin(a2*u)*s2inv for complex amplitudes."""
     return np.sin(a1 * u) * s1inv - np.sin(a2 * u) * s2inv
 
 
-def _sin_ratio_ucos_gap_np(u, a, sinv, w):
+def sin_ratio_ucos_gap(u, a, sinv, w):
     """sin(a*u)*sinv - u*cos(w*u); w = 0 degenerates the second term to u."""
     return np.sin(a * u) * sinv - u * np.cos(w * u)
 
 
-def _sinh_ratio_gap_np(u, a1, s1inv, a2, s2inv):
+def sinh_ratio_gap(u, a1, s1inv, a2, s2inv):
     """sinh(a1*u)*s1inv - sinh(a2*u)*s2inv, all real."""
     return np.sinh(a1 * u) * s1inv - np.sinh(a2 * u) * s2inv
 
 
-def _pow_sin_cot_np(u, p, n):
+def pow_sin_cot(u, p, n):
     """u**p * sin(2*pi*n*u) * cot(pi*u), reduced; p, n integers."""
     r = u - np.floor(u + 0.5)
     return u**p * np.sin((2.0 * np.pi * n) * r) / np.tan(np.pi * r)
 
 
-def _one_minus_cos_cot_np(u, n):
+def one_minus_cos_cot(u, n):
     """(1 - cos(2*pi*n*(1-u))) * cot(pi*(1-u)), reduced; n integer."""
     r = u - np.floor(u + 0.5)
     s = np.sin((np.pi * n) * r)
     return -2.0 * s * s / np.tan(np.pi * r)
 
 
-def _decay_one_minus_cos_cot_np(u, kexp, n):
+def decay_one_minus_cos_cot(u, kexp, n):
     """(1-u)**kexp * (1 - cos(2*pi*n*u)) * cot(pi*u), reduced; n integer."""
     r = u - np.floor(u + 0.5)
     s = np.sin((np.pi * n) * r)
     return (1.0 - u) ** kexp * 2.0 * s * s / np.tan(np.pi * r)
 
 
-def _inv_power_sum_np(b, k, j0, j1):
+def inv_power_sum(b, k, j0, j1):
     """sum_{j=j0..j1} (j + b)**(-k), complex b, integer k >= 1."""
     j = np.arange(j0, j1 + 1, dtype=np.float64)
     return complex(np.sum((j + b) ** (-k)))
 
 
-def _rot_inv_power_sum_np(b, k, j0, j1):
+def rot_inv_power_sum(b, k, j0, j1):
     """sum_{j=j0..j1} (1j*j + b)**(-k), complex b, integer k >= 1."""
     j = np.arange(j0, j1 + 1, dtype=np.float64)
     return complex(np.sum((1j * j + b) ** (-k)))
-
-
-_NUMPY_IMPL = {
-    "cot_pi": _cot_pi_np,
-    "poly_exp_gap": _poly_exp_gap_np,
-    "sin_ratio_gap": _sin_ratio_gap_np,
-    "sin_ratio_ucos_gap": _sin_ratio_ucos_gap_np,
-    "sinh_ratio_gap": _sinh_ratio_gap_np,
-    "pow_sin_cot": _pow_sin_cot_np,
-    "one_minus_cos_cot": _one_minus_cos_cot_np,
-    "decay_one_minus_cos_cot": _decay_one_minus_cos_cot_np,
-    "inv_power_sum": _inv_power_sum_np,
-    "rot_inv_power_sum": _rot_inv_power_sum_np,
-}
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (explicit loops; compiled lazily, cached on disk)
-# ---------------------------------------------------------------------------
-
-if NUMBA_AVAILABLE:
-    import cmath
-
-    @njit(cache=True)
-    def _cot_pi_nb(u):
-        out = np.empty(u.shape[0], dtype=np.float64)
-        for i in range(u.shape[0]):
-            r = u[i] - math.floor(u[i] + 0.5)
-            out[i] = 1.0 / math.tan(math.pi * r)
-        return out
-
-    @njit(cache=True)
-    def _poly_exp_gap_nb(u, coeffs, c, offset):
-        out = np.empty(u.shape[0], dtype=np.complex128)
-        m = coeffs.shape[0]
-        for i in range(u.shape[0]):
-            p = coeffs[0]
-            for j in range(1, m):
-                p = p * u[i] + coeffs[j]
-            out[i] = p * cmath.exp(c * u[i]) - offset
-        return out
-
-    @njit(cache=True)
-    def _sin_ratio_gap_nb(u, a1, s1inv, a2, s2inv):
-        out = np.empty(u.shape[0], dtype=np.complex128)
-        for i in range(u.shape[0]):
-            out[i] = cmath.sin(a1 * u[i]) * s1inv - cmath.sin(a2 * u[i]) * s2inv
-        return out
-
-    @njit(cache=True)
-    def _sin_ratio_ucos_gap_nb(u, a, sinv, w):
-        out = np.empty(u.shape[0], dtype=np.complex128)
-        for i in range(u.shape[0]):
-            out[i] = cmath.sin(a * u[i]) * sinv - u[i] * math.cos(w * u[i])
-        return out
-
-    @njit(cache=True)
-    def _sinh_ratio_gap_nb(u, a1, s1inv, a2, s2inv):
-        out = np.empty(u.shape[0], dtype=np.float64)
-        for i in range(u.shape[0]):
-            out[i] = math.sinh(a1 * u[i]) * s1inv - math.sinh(a2 * u[i]) * s2inv
-        return out
-
-    @njit(cache=True)
-    def _pow_sin_cot_nb(u, p, n):
-        out = np.empty(u.shape[0], dtype=np.float64)
-        for i in range(u.shape[0]):
-            r = u[i] - math.floor(u[i] + 0.5)
-            out[i] = u[i] ** p * math.sin(2.0 * math.pi * n * r) / math.tan(math.pi * r)
-        return out
-
-    @njit(cache=True)
-    def _one_minus_cos_cot_nb(u, n):
-        out = np.empty(u.shape[0], dtype=np.float64)
-        for i in range(u.shape[0]):
-            r = u[i] - math.floor(u[i] + 0.5)
-            s = math.sin(math.pi * n * r)
-            out[i] = -2.0 * s * s / math.tan(math.pi * r)
-        return out
-
-    @njit(cache=True)
-    def _decay_one_minus_cos_cot_nb(u, kexp, n):
-        out = np.empty(u.shape[0], dtype=np.float64)
-        for i in range(u.shape[0]):
-            r = u[i] - math.floor(u[i] + 0.5)
-            s = math.sin(math.pi * n * r)
-            out[i] = (1.0 - u[i]) ** kexp * 2.0 * s * s / math.tan(math.pi * r)
-        return out
-
-    @njit(cache=True)
-    def _inv_power_sum_nb(b, k, j0, j1):
-        acc = 0.0 + 0.0j
-        for j in range(j0, j1 + 1):
-            acc += (1.0 / (j + b)) ** k
-        return acc
-
-    @njit(cache=True)
-    def _rot_inv_power_sum_nb(b, k, j0, j1):
-        acc = 0.0 + 0.0j
-        for j in range(j0, j1 + 1):
-            acc += (1.0 / (1j * j + b)) ** k
-        return acc
-
-    _NUMBA_IMPL = {
-        "cot_pi": _cot_pi_nb,
-        "poly_exp_gap": _poly_exp_gap_nb,
-        "sin_ratio_gap": _sin_ratio_gap_nb,
-        "sin_ratio_ucos_gap": _sin_ratio_ucos_gap_nb,
-        "sinh_ratio_gap": _sinh_ratio_gap_nb,
-        "pow_sin_cot": _pow_sin_cot_nb,
-        "one_minus_cos_cot": _one_minus_cos_cot_nb,
-        "decay_one_minus_cos_cot": _decay_one_minus_cos_cot_nb,
-        "inv_power_sum": _inv_power_sum_nb,
-        "rot_inv_power_sum": _rot_inv_power_sum_nb,
-    }
-else:
-    _NUMBA_IMPL = None
-
-IMPLEMENTATIONS = {"numpy": _NUMPY_IMPL, "numba": _NUMBA_IMPL}
-
-_ACTIVE_IMPL = _NUMBA_IMPL if NUMBA_AVAILABLE else _NUMPY_IMPL
-
-cot_pi = _ACTIVE_IMPL["cot_pi"]
-poly_exp_gap = _ACTIVE_IMPL["poly_exp_gap"]
-sin_ratio_gap = _ACTIVE_IMPL["sin_ratio_gap"]
-sin_ratio_ucos_gap = _ACTIVE_IMPL["sin_ratio_ucos_gap"]
-sinh_ratio_gap = _ACTIVE_IMPL["sinh_ratio_gap"]
-pow_sin_cot = _ACTIVE_IMPL["pow_sin_cot"]
-one_minus_cos_cot = _ACTIVE_IMPL["one_minus_cos_cot"]
-decay_one_minus_cos_cot = _ACTIVE_IMPL["decay_one_minus_cos_cot"]
-inv_power_sum = _ACTIVE_IMPL["inv_power_sum"]
-rot_inv_power_sum = _ACTIVE_IMPL["rot_inv_power_sum"]

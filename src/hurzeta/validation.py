@@ -17,6 +17,7 @@ from . import kernels
 from .errors import DomainError
 from .hurwitz import (
     ZetaParams,
+    check_k,
     hp_partial_sum,
     hurwitz_zeta,
     imag_part_integral,
@@ -99,8 +100,7 @@ def theorem1_scan(k: int, n_values, spec: QuadratureSpec | None = None) -> Conve
     fit.  For k >= 2 the deviation decays like C/n and the fitted exponent
     must land in [0.8, 1.2].
     """
-    if not isinstance(k, int) or k < 0:
-        raise DomainError(f"k must be an integer >= 0, got {k!r}")
+    k = check_k(k, minimum=0)
     ns = _check_n_values(n_values, lo=1)
     spec = spec or QuadratureSpec()
     target = 1.0 if k == 0 else 0.5
@@ -261,8 +261,7 @@ def hp_limit_scan(k: int, b: complex, n_values,
     With fewer than 3 n-values no rate is fit; the verdict then checks each
     deviation against 3x the analytic tail bound instead.
     """
-    if not isinstance(k, int) or k < 2:
-        raise DomainError(f"k must be an integer >= 2, got {k!r}")
+    k = check_k(k)
     ns = _check_n_values(n_values, lo=1)
     limit = _hp_limit(k, b)
     observed, devs, notes = [], [], []

@@ -8,6 +8,7 @@ contract scripts will depend on.
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -193,11 +194,22 @@ class TestSweep:
     def test_pole_on_grid_exits_2(self):
         assert run("sweep", "--k", "2", "--b", "0:1:2").returncode == 2
 
-    def test_thread_cap_respected(self):
-        import os
-        env = dict(os.environ, HURZETA_MAX_THREADS="1")
-        p = subprocess.run(BASE + ["sweep", "--k", "2,3", "--b", "0.3:1.3:3",
-                                   "--format", "json"],
-                           capture_output=True, text=True, env=env, timeout=120)
+    def test_bad_k_exits_2(self):
+        assert run("sweep", "--k", "2,1", "--b", "0.3").returncode == 2
+
+    def test_records_come_back_in_grid_order(self):
+        p = run("sweep", "--k", "3,2", "--b", "0.3:1.3:3", "--b-im", "0.25",
+                "--format", "json")
         assert p.returncode == 0
-        assert len(json.loads(p.stdout)["results"]) == 6
+        cells = [(r["k"], r["b"]["re"], r["b"]["im"])
+                 for r in json.loads(p.stdout)["results"]]
+        # k-major: every b for the first k, then every b for the next
+        assert cells == [(k, re, 0.25) for k in (3, 2) for re in (0.3, 0.8, 1.3)]
+
+
+def test_stale_backend_variable_is_ignored():
+    # a stale setting from older versions must not break start-up
+    env = dict(os.environ, HURZETA_BACKEND="bogus")
+    p = subprocess.run(BASE + ["eval", "--k", "2", "--b", "1.25"],
+                       capture_output=True, text=True, env=env, timeout=120)
+    assert p.returncode == 0, p.stderr

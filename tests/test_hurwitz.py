@@ -9,16 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import catalan_constant, hurwitz_direct, rotated_direct
+import hurzeta.hurwitz
 from hurzeta import (
     ZetaParams,
     bracket_kernel,
     bracket_scale,
     eulerian_row,
+    genfun_series,
+    hp_limit_scan,
+    hp_partial_sum,
     hurwitz_series_oracle,
     hurwitz_zeta,
     imag_part_integral,
     real_part_formula,
     zeta_auto,
+    zeta_from_genfun,
 )
 from hurzeta.errors import (
     ConditioningWarning,
@@ -221,3 +226,58 @@ class TestErrorContract:
     def test_near_integer_b_warns(self):
         with pytest.warns(ConditioningWarning):
             hurwitz_zeta(ZetaParams.create(2, 1.0 + 1e-13))
+
+
+# Every entry point that takes an order k, with its minimum and a call
+# that is valid at k = 3.
+K_ENTRY_POINTS = {
+    "ZetaParams.create": (2, lambda k: ZetaParams.create(k, 0.3)),
+    "real_part_formula": (2, lambda k: real_part_formula(k, 0.3)),
+    "imag_part_integral": (2, lambda k: imag_part_integral(k, 0.3)),
+    "hurwitz_series_oracle": (2, lambda k: hurwitz_series_oracle(k, 0.3)),
+    "zeta_from_genfun": (2, lambda k: zeta_from_genfun(k, 0.7, 0.25, 32)),
+    "genfun_series": (2, lambda kmax: genfun_series(0.2, 0.77, kmax)),
+    "hp_limit_scan": (2, lambda k: hp_limit_scan(k, 1.25, (10, 100, 1000))),
+    "hp_partial_sum": (1, lambda k: hp_partial_sum(k, 0.7, 10)),
+}
+
+
+class TestOrderValidation:
+    @pytest.mark.parametrize("entry", sorted(K_ENTRY_POINTS))
+    def test_rejects_non_orders_and_accepts_integral_float(self, entry):
+        minimum, call = K_ENTRY_POINTS[entry]
+        for bad in (minimum - 1, 2.5, "3"):
+            with pytest.raises(DomainError):
+                call(bad)
+        call(3.0)
+
+
+class TestOracleExtended:
+    @pytest.mark.parametrize("k,b", [(2, -1.3), (3, -0.5 + 0.2j), (4, -2.7 - 1j)])
+    def test_non_positive_real_part_matches_direct_sum(self, k, b):
+        # split off the terms with Re(j + b) <= 0 so the reference sum
+        # starts where hurwitz_direct accepts it
+        m = math.floor(-b.real) + 1
+        ref = sum((1.0 / (j + b)) ** k for j in range(m)) + hurwitz_direct(k, b + m)
+        assert abs(hurwitz_series_oracle(k, b) - ref) <= 1e-11 * (1 + abs(ref))
+
+    @pytest.mark.parametrize("b", [0.0, -1.0, -4.0])
+    def test_pole_at_non_positive_integer(self, b):
+        with pytest.raises(DomainError):
+            hurwitz_series_oracle(3, b)
+
+
+def test_closed_form_makes_k_polylog_calls(monkeypatch):
+    calls = []
+    real = hurzeta.hurwitz.polylog_nonpos
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hurzeta.hurwitz, "polylog_nonpos", counting)
+    for k in (2, 5, 12):
+        hurzeta.hurwitz._bracket_data.cache_clear()
+        calls.clear()
+        hurwitz_zeta(ZetaParams.create(k, 0.3 + 0.2j))
+        assert len(calls) == k

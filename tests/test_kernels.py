@@ -1,84 +1,27 @@
-"""Numerical kernels: backend parity and a few analytic anchors.
+"""Numerical kernels: the kernel set and a few analytic anchors."""
 
-Every kernel exists twice (pure numpy and numba-jitted); the public
-functions dispatch on HURZETA_BACKEND.  The parity tests drive both
-registered implementations directly so a stale or drifting jit build
-cannot hide behind the dispatcher; they skip where numba does not import.
-"""
-
-import math
-import zlib
+import inspect
 
 import numpy as np
 import pytest
 
 from hurzeta import kernels
 
-
-def _draw_args(name, rng):
-    u = rng.uniform(0.02, 0.98, size=11)
-    if name == "cot_pi":
-        return (u,)
-    if name == "poly_exp_gap":
-        k = rng.integers(2, 7)
-        coeffs = rng.normal(size=k) + 1j * rng.normal(size=k)
-        b = complex(rng.uniform(0.2, 3.0), rng.uniform(-1.0, 1.0))
-        offset = complex(rng.normal(), rng.normal())
-        return (u, coeffs, -2j * np.pi * b, offset)
-    if name in ("sin_ratio_gap", "sinh_ratio_gap"):
-        trig = np.sinh if name == "sinh_ratio_gap" else np.sin
-        a1 = complex(rng.uniform(0.5, 2.5), rng.uniform(-0.4, 0.4))
-        a2 = complex(rng.uniform(0.5, 2.5), rng.uniform(-0.4, 0.4))
-        if name == "sinh_ratio_gap":
-            a1, a2 = a1.real, a2.real  # real decay arguments
-        return (u, a1, 1.0 / trig(a1), a2, 1.0 / trig(a2))
-    if name == "sin_ratio_ucos_gap":
-        a = complex(rng.uniform(0.5, 2.5), rng.uniform(-0.4, 0.4))
-        w = rng.uniform(1.0, 12.0)
-        return (u, a, 1.0 / np.sin(a), w)
-    if name == "pow_sin_cot":
-        return (u, float(rng.integers(0, 5)), int(rng.integers(1, 200)))
-    if name == "one_minus_cos_cot":
-        return (u, int(rng.integers(1, 200)))
-    if name == "decay_one_minus_cos_cot":
-        return (u, float(rng.integers(1, 5)), int(rng.integers(1, 200)))
-    if name == "inv_power_sum":
-        b = complex(rng.uniform(0.2, 3.0), rng.uniform(-1.0, 1.0))
-        return (b, int(rng.integers(2, 9)), 0, int(rng.integers(5, 60)))
-    if name == "rot_inv_power_sum":
-        return (float(rng.uniform(0.2, 3.0)), int(rng.integers(2, 9)), 0,
-                int(rng.integers(5, 60)))
-    raise AssertionError(f"unhandled kernel {name}")
+KERNELS = {
+    "cot_pi", "poly_exp_gap", "sin_ratio_gap", "sin_ratio_ucos_gap",
+    "sinh_ratio_gap", "pow_sin_cot", "one_minus_cos_cot",
+    "decay_one_minus_cos_cot", "inv_power_sum", "rot_inv_power_sum",
+}
 
 
-@pytest.mark.parametrize("name", sorted(kernels.IMPLEMENTATIONS["numpy"]))
-def test_backend_parity(name):
-    if not kernels.NUMBA_AVAILABLE:
-        pytest.skip("numba backend not importable here")
-    f_np = kernels.IMPLEMENTATIONS["numpy"][name]
-    f_nb = kernels.IMPLEMENTATIONS["numba"][name]
-    # str hashes are salted per process; crc32 keeps the draws reproducible
-    rng = np.random.default_rng(20_240_000 + zlib.crc32(name.encode()) % 10_000)
-    for _ in range(8):
-        args = _draw_args(name, rng)
-        v_np = np.asarray(f_np(*args))
-        v_nb = np.asarray(f_nb(*args))
-        scale = np.maximum(np.abs(v_np), 1e-30)
-        assert np.max(np.abs(v_np - v_nb) / scale) < 5e-13
-
-
-def test_registry_is_complete():
-    public = set(kernels.__all__) - {"IMPLEMENTATIONS"}
-    assert len(public) == 10
-    assert set(kernels.IMPLEMENTATIONS["numpy"]) == public
-
-
-@pytest.mark.skipif(not kernels.NUMBA_AVAILABLE,
-                    reason="numba backend not importable here")
-def test_numba_registry_matches_numpy():
-    assert set(kernels.IMPLEMENTATIONS["numba"]) == set(
-        kernels.IMPLEMENTATIONS["numpy"]
-    )
+def test_kernel_set_is_complete():
+    assert len(kernels.__all__) == len(KERNELS)
+    assert set(kernels.__all__) == KERNELS
+    for name in kernels.__all__:
+        fn = getattr(kernels, name)
+        assert inspect.isfunction(fn), name
+        assert fn.__module__ == "hurzeta.kernels", name
+        assert fn.__name__ == name
 
 
 def test_cot_pi_anchors():
@@ -134,9 +77,3 @@ def test_decay_one_minus_cos_cot_is_product():
     n = 9
     direct = (1 - u) ** 2 * (1 - np.cos(2 * np.pi * n * u)) / np.tan(np.pi * u)
     assert kernels.decay_one_minus_cos_cot(u, 2.0, n) == pytest.approx(direct, rel=1e-12)
-
-
-def test_active_backend_reports_a_registered_name():
-    from hurzeta.backend import active_backend
-
-    assert active_backend() in kernels.IMPLEMENTATIONS
