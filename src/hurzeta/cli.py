@@ -2,7 +2,8 @@
 run validation suites, and emit reproducible machine-readable reports.
 
 Exit codes: 0 success, 2 usage error (bad parameters, excluded domain),
-3 numeric failure (a computation raised after validation passed).
+3 numeric failure (a computation raised after validation passed, or a
+value failed its cross-check against the series oracle).
 
 Reports are JSON (an envelope with config echo, per-record results, and a
 summary), CSV (flattened records, 17-significant-digit floats), or human
@@ -42,6 +43,7 @@ from .hurwitz import (
     ZetaParams,
     bracket_kernel,
     bracket_scale,
+    check_b,
     check_k,
     hurwitz_series_oracle,
     zeta_auto,
@@ -55,10 +57,12 @@ from .validation import (
 )
 
 DEFAULT_SEED = 12345
-SUITES = ("theorem1", "zero-integral", "log-asymptotic", "oracle-grid",
-          "endpoint-identity", "all")
 ORACLE_GRID_K = tuple(range(2, 11))
 ORACLE_GRID_B = (0.25, 0.5, 1.25, 2.0, 3.75, 1 + 0.5j, 2 + 1j, 0.6 - 0.2j)
+SCAN_NS = (100, 1000, 10000)
+ORACLE_TOL = 1e-13
+VERDICT_RTOL = 1e-8
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 @dataclass
@@ -93,18 +97,13 @@ class UsageError(Exception):
 def parse_complex(text: str) -> complex:
     """Accept 're', 're,im', and 're+imi' / 're-imi' spellings."""
     s = text.strip()
-    if "," in s:
-        parts = s.split(",")
-        if len(parts) != 2:
-            raise UsageError(f"cannot parse complex number from {text!r}")
-        try:
-            return complex(float(parts[0]), float(parts[1]))
-        except ValueError as exc:
-            raise UsageError(f"cannot parse complex number from {text!r}") from exc
-    # i notation: normalize bare 'i'/'+i'/'-i' to '1j' forms
-    s2 = s.replace("I", "i").replace("i", "j")
-    s2 = re.sub(r"(?<![\dj.])j", "1j", s2)
     try:
+        if "," in s:
+            re_part, im_part = s.split(",")
+            return complex(float(re_part), float(im_part))
+        # i notation: normalize bare 'i'/'+i'/'-i' to '1j' forms
+        s2 = s.replace("I", "i").replace("i", "j")
+        s2 = re.sub(r"(?<![\dj.])j", "1j", s2)
         return complex(s2.replace(" ", ""))
     except ValueError as exc:
         raise UsageError(f"cannot parse complex number from {text!r}") from exc
@@ -114,11 +113,9 @@ def parse_grid(text: str):
     """'start:stop:count' -> evenly spaced floats; a single number -> [value]."""
     s = text.strip()
     if ":" in s:
-        parts = s.split(":")
-        if len(parts) != 3:
-            raise UsageError(f"grid must be start:stop:count, got {text!r}")
         try:
-            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+            start, stop, count = s.split(":")
+            start, stop, count = float(start), float(stop), int(count)
         except ValueError as exc:
             raise UsageError(f"grid must be start:stop:count, got {text!r}") from exc
         if count < 1:
@@ -271,43 +268,83 @@ def envelope_signature(envelope_dict: dict) -> str:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _check_k_arg(k) -> int:
+def _checked(check, value, **kw):
+    """``check(value, **kw)`` with its :class:`DomainError` as a usage error."""
     try:
-        return check_k(k, name="--k")
+        return check(value, **kw)
     except DomainError as exc:
         raise UsageError(str(exc)) from exc
 
 
-def cmd_eval(cfg: RunConfig) -> tuple[ReportEnvelope, int]:
-    k = _check_k_arg(cfg.params["k"])
-    b = parse_complex(cfg.params["b"])
-    if b.imag == 0.0 and float(b.real).is_integer() and b.real < 1.0:
-        raise UsageError(
-            f"zeta(k, b) has a pole at b = {int(b.real)}: non-positive integer b "
-            "is outside the domain"
-        )
-    spec = cfg.spec()
+def _report(cfg: RunConfig, results: list, t0: float) -> tuple[ReportEnvelope, int]:
+    """The envelope of one command, whose ``pass`` counts the records with
+    ``verdict == "pass"``, and exit code 3 unless every record passed."""
+    results = [jsonify(r) for r in results]
+    n_pass = sum(1 for r in results if r["verdict"] == "pass")
+    env = ReportEnvelope(
+        tool_version=__version__,
+        config_echo=_config_echo(cfg),
+        results=results,
+        summary={
+            "pass": n_pass,
+            "fail": len(results) - n_pass,
+            "total": len(results),
+            "wall_time_s": time.perf_counter() - t0,
+        },
+    )
+    return env, 0 if n_pass == len(results) else 3
+
+
+def _error_record(exc: HurzetaError) -> dict:
+    return {"status": "error", "error_type": type(exc).__name__,
+            "message": str(exc), "verdict": "fail"}
+
+
+def _oracle(k: int, b: complex) -> complex:
+    """The CLI's one reference for ``zeta(k, b)``: the direct series."""
+    return hurwitz_series_oracle(k, b, tol=ORACLE_TOL)
+
+
+def _zeta_record(k: int, b: complex, spec: QuadratureSpec):
+    """``zeta(k, b)`` beside the series oracle: the record, with its
+    ``verdict``, and the closed-form breakdown (``None`` on the series
+    route).  It passes when ``|value - oracle| <= VERDICT_RTOL * |oracle|``,
+    ``|oracle|`` floored at the smallest normal double only so that an
+    exact-zero oracle still compares.  On the series route the value is the
+    oracle's own summation: ``cross_check`` says ``"same-route"``.
+    """
+    b = complex(b)
     t0 = time.perf_counter()
     value, route, br = zeta_auto(k, b, spec)
-    oracle = hurwitz_series_oracle(k, b, tol=1e-13)
-    dt = time.perf_counter() - t0
+    oracle = _oracle(k, b)
     disc = abs(value - oracle)
-    record = {
+    scale = max(abs(oracle), _TINY)
+    return {
         "k": k,
         "b": b,
+        "status": "ok",
         "value": value,
         "oracle": oracle,
         "discrepancy_abs": disc,
-        "discrepancy_rel": disc / (1.0 + abs(oracle)),
+        "discrepancy_rel": disc / scale,
         "route": route,
-        "timing_s": dt,
-    }
-    if route == "series":
+        "cross_check": "same-route" if route == "series" else "independent",
+        "verdict": "pass" if disc <= VERDICT_RTOL * scale else "fail",
+        "timing_s": time.perf_counter() - t0,
+    }, br
+
+
+def cmd_eval(cfg: RunConfig) -> tuple[ReportEnvelope, int]:
+    k = _checked(check_k, cfg.params["k"], name="--k")
+    b = _checked(check_b, parse_complex(cfg.params["b"]))
+    t0 = time.perf_counter()
+    record, br = _zeta_record(k, b, cfg.spec())
+    if br is None:
         record["notice"] = (
             "integer b routed to direct summation: the combined closed form "
             "has a pole of its phase factor at every integer b"
         )
-    if br is not None:
+    else:
         record["breakdown"] = {
             "term_half_bk": br.term_half_bk,
             "term_polylog_single": br.term_polylog_single,
@@ -320,15 +357,7 @@ def cmd_eval(cfg: RunConfig) -> tuple[ReportEnvelope, int]:
             "converged": br.quadrature.converged,
         }
         record["warnings"] = list(br.warnings)
-    ok = disc <= 1e-8 * (1.0 + abs(oracle))
-    env = ReportEnvelope(
-        tool_version=__version__,
-        config_echo=_config_echo(cfg),
-        results=[jsonify(record)],
-        summary={"pass": int(ok), "fail": int(not ok), "total": 1,
-                 "wall_time_s": dt},
-    )
-    return env, 0
+    return _report(cfg, [record], t0)
 
 
 def _genfun_point(x: float, b: complex, spec: QuadratureSpec, series_kmax: int):
@@ -338,12 +367,13 @@ def _genfun_point(x: float, b: complex, spec: QuadratureSpec, series_kmax: int):
     except UnsupportedParameterError as exc:
         return {
             "x": complex(x), "b": b, "status": "unsupported",
-            "message": str(exc), "timing_s": time.perf_counter() - t0,
+            "message": str(exc), "verdict": "fail",
+            "timing_s": time.perf_counter() - t0,
         }
     except IllConditionedError as exc:
         return {
             "x": complex(x), "b": b, "status": "ill_conditioned",
-            "locus": exc.locus, "message": str(exc),
+            "locus": exc.locus, "message": str(exc), "verdict": "fail",
             "timing_s": time.perf_counter() - t0,
         }
     fl = ev.case.proximity_flags
@@ -351,6 +381,7 @@ def _genfun_point(x: float, b: complex, spec: QuadratureSpec, series_kmax: int):
         "x": complex(x),
         "b": b,
         "status": "ok",
+        "verdict": "pass",
         "case": ev.case.tag,
         "rational_term": ev.rational_term,
         "trig_term": ev.trig_term,
@@ -385,72 +416,39 @@ def cmd_genfun(cfg: RunConfig) -> tuple[ReportEnvelope, int]:
     series_kmax = cfg.params.get("series_kmax", 0)
     spec = cfg.spec()
     t0 = time.perf_counter()
-    results = [jsonify(_genfun_point(x, b, spec, series_kmax)) for x in xs]
-    n_ok = sum(1 for r in results if r.get("status") == "ok")
-    env = ReportEnvelope(
-        tool_version=__version__,
-        config_echo=_config_echo(cfg),
-        results=results,
-        summary={
-            "pass": n_ok,
-            "fail": len(results) - n_ok,
-            "total": len(results),
-            "wall_time_s": time.perf_counter() - t0,
-        },
-    )
-    return env, 0 if n_ok > 0 else 3
+    env, _ = _report(cfg, [_genfun_point(x, b, spec, series_kmax) for x in xs], t0)
+    return env, 0 if env.summary["pass"] > 0 else 3
 
 
 def cmd_oddzeta(cfg: RunConfig) -> tuple[ReportEnvelope, int]:
     raw = str(cfg.params["j"])
-    if "-" in raw:
-        lo, hi = raw.split("-", 1)
-        try:
-            js = list(range(int(lo), int(hi) + 1))
-        except ValueError as exc:
-            raise UsageError(f"--j must be N or LO-HI, got {raw!r}") from exc
-    else:
-        try:
-            js = [int(raw)]
-        except ValueError as exc:
-            raise UsageError(f"--j must be N or LO-HI, got {raw!r}") from exc
+    lo, dash, hi = raw.partition("-")
+    try:
+        js = list(range(int(lo), int(hi if dash else lo) + 1))
+    except ValueError as exc:
+        raise UsageError(f"--j must be N or LO-HI, got {raw!r}") from exc
     if any(not 1 <= j <= 10 for j in js):
         raise UsageError("--j values must lie in [1, 10]")
     spec = QuadratureSpec(**cfg.tolerances) if cfg.tolerances else None
     t0 = time.perf_counter()
     results = []
-    all_ok = True
     for j in js:
         t1 = time.perf_counter()
         val = odd_zeta_integral(j, spec)
-        s = 2 * j + 1
-        ref = float(np.sum(np.arange(1.0, 200.0) ** (-float(s)))) + (
-            199.5 ** (1 - s) / (s - 1)
-        )
+        ref = _oracle(2 * j + 1, 1.0).real
         rel = abs(val - ref) / ref
-        all_ok = all_ok and rel <= 1e-9
         results.append(
             {
                 "j": j,
-                "zeta_argument": s,
+                "zeta_argument": 2 * j + 1,
                 "value": val,
                 "series_reference": ref,
                 "relative_discrepancy": rel,
+                "verdict": "pass" if rel <= 1e-9 else "fail",
                 "timing_s": time.perf_counter() - t1,
             }
         )
-    env = ReportEnvelope(
-        tool_version=__version__,
-        config_echo=_config_echo(cfg),
-        results=[jsonify(r) for r in results],
-        summary={
-            "pass": sum(1 for r in results if r["relative_discrepancy"] <= 1e-9),
-            "fail": sum(1 for r in results if r["relative_discrepancy"] > 1e-9),
-            "total": len(results),
-            "wall_time_s": time.perf_counter() - t0,
-        },
-    )
-    return env, 0 if all_ok else 3
+    return _report(cfg, results, t0)
 
 
 # -- validation suites -------------------------------------------------------
@@ -470,8 +468,7 @@ def _report_to_record(report, suite):
 
 
 def _suite_theorem1(spec, seed):
-    ns = [100, 1000, 10000]
-    return [_report_to_record(theorem1_scan(k, ns, spec), "theorem1")
+    return [_report_to_record(theorem1_scan(k, SCAN_NS, spec), "theorem1")
             for k in (0, 1, 3)]
 
 
@@ -480,31 +477,14 @@ def _suite_zero_integral(spec, seed):
 
 
 def _suite_log_asymptotic(spec, seed):
-    ns = [100, 1000, 10000]
-    return [_report_to_record(log_asymptotic_scan(float(k), ns, spec), "log-asymptotic")
+    return [_report_to_record(log_asymptotic_scan(float(k), SCAN_NS, spec),
+                              "log-asymptotic")
             for k in (2, 3)]
 
 
 def _suite_oracle_grid(spec, seed):
-    records = []
-    for k in ORACLE_GRID_K:
-        for b in ORACLE_GRID_B:
-            value, route, _ = zeta_auto(k, b, spec)
-            oracle = hurwitz_series_oracle(k, b, tol=1e-13)
-            rel = abs(value - oracle) / (1.0 + abs(oracle))
-            records.append(
-                {
-                    "suite": "oracle-grid",
-                    "k": k,
-                    "b": complex(b),
-                    "value": complex(value),
-                    "oracle": complex(oracle),
-                    "relative_error": rel,
-                    "route": route,
-                    "verdict": "pass" if rel <= 1e-8 else "fail",
-                }
-            )
-    return records
+    return [{"suite": "oracle-grid", **_zeta_record(k, b, spec)[0]}
+            for k in ORACLE_GRID_K for b in ORACLE_GRID_B]
 
 
 def _suite_endpoint_identity(spec, seed, draws=300):
@@ -543,36 +523,27 @@ def _suite_endpoint_identity(spec, seed, draws=300):
     ]
 
 
+SUITE_RUNNERS = {
+    "theorem1": _suite_theorem1,
+    "zero-integral": _suite_zero_integral,
+    "log-asymptotic": _suite_log_asymptotic,
+    "oracle-grid": _suite_oracle_grid,
+    "endpoint-identity": _suite_endpoint_identity,
+}
+SUITES = (*SUITE_RUNNERS, "all")
+
+
 def cmd_validate(cfg: RunConfig) -> tuple[ReportEnvelope, int]:
     suite = cfg.params["suite"]
     if suite not in SUITES:
         raise UsageError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
     spec = cfg.spec()
-    runners = {
-        "theorem1": _suite_theorem1,
-        "zero-integral": _suite_zero_integral,
-        "log-asymptotic": _suite_log_asymptotic,
-        "oracle-grid": _suite_oracle_grid,
-        "endpoint-identity": _suite_endpoint_identity,
-    }
-    names = list(runners) if suite == "all" else [suite]
+    names = list(SUITE_RUNNERS) if suite == "all" else [suite]
     t0 = time.perf_counter()
     results = []
     for name in names:
-        results.extend(runners[name](spec, cfg.seed))
-    n_pass = sum(1 for r in results if r.get("verdict") == "pass")
-    env = ReportEnvelope(
-        tool_version=__version__,
-        config_echo=_config_echo(cfg),
-        results=[jsonify(r) for r in results],
-        summary={
-            "pass": n_pass,
-            "fail": len(results) - n_pass,
-            "total": len(results),
-            "wall_time_s": time.perf_counter() - t0,
-        },
-    )
-    return env, 0 if n_pass == len(results) else 3
+        results.extend(SUITE_RUNNERS[name](spec, cfg.seed))
+    return _report(cfg, results, t0)
 
 
 def cmd_sweep(cfg: RunConfig) -> tuple[ReportEnvelope, int]:
@@ -580,48 +551,21 @@ def cmd_sweep(cfg: RunConfig) -> tuple[ReportEnvelope, int]:
         ks = [int(s) for s in str(cfg.params["k"]).split(",")]
     except ValueError as exc:
         raise UsageError("--k must be comma-separated integers") from exc
-    ks = [_check_k_arg(k) for k in ks]
-    bs = parse_grid(cfg.params["b"])
+    ks = [_checked(check_k, k, name="--k") for k in ks]
     b_im = cfg.params.get("b_im", 0.0)
-    grid = [(k, complex(br, b_im)) for k in ks for br in bs]
-    for _, b in grid:
-        if b.imag == 0.0 and float(b.real).is_integer() and b.real < 1.0:
-            raise UsageError(f"grid touches the pole at b = {b.real:g}")
+    bs = [_checked(check_b, complex(br, b_im)) for br in parse_grid(cfg.params["b"])]
     spec = cfg.spec()
 
     def cell(k, b):
         t1 = time.perf_counter()
         try:
-            value, route, _ = zeta_auto(k, b, spec)
-            oracle = hurwitz_series_oracle(k, b, tol=1e-13)
-            return {
-                "k": k, "b": b, "status": "ok", "value": value,
-                "oracle": oracle,
-                "discrepancy_rel": abs(value - oracle) / (1.0 + abs(oracle)),
-                "route": route, "timing_s": time.perf_counter() - t1,
-            }
+            return _zeta_record(k, b, spec)[0]
         except HurzetaError as exc:
-            return {
-                "k": k, "b": b, "status": "error",
-                "error_type": type(exc).__name__, "message": str(exc),
-                "timing_s": time.perf_counter() - t1,
-            }
+            return {"k": k, "b": b, **_error_record(exc),
+                    "timing_s": time.perf_counter() - t1}
 
     t0 = time.perf_counter()
-    results = [cell(k, b) for k, b in grid]
-    n_ok = sum(1 for r in results if r["status"] == "ok")
-    env = ReportEnvelope(
-        tool_version=__version__,
-        config_echo=_config_echo(cfg),
-        results=[jsonify(r) for r in results],
-        summary={
-            "pass": n_ok,
-            "fail": len(results) - n_ok,
-            "total": len(results),
-            "wall_time_s": time.perf_counter() - t0,
-        },
-    )
-    return env, 0 if n_ok == len(results) else 3
+    return _report(cfg, [cell(k, b) for k in ks for b in bs], t0)
 
 
 # ---------------------------------------------------------------------------
@@ -683,31 +627,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the argparse destinations each command echoes as its params
+COMMAND_PARAMS = {
+    "eval": ("k", "b"),
+    "genfun": ("x", "b", "series_kmax"),
+    "oddzeta": ("j",),
+    "validate": ("suite",),
+    "sweep": ("k", "b", "b_im"),
+}
+
+
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     tolerances = {}
-    if args.rel_tol is not None:
-        tolerances["rel_tol"] = args.rel_tol
-    if args.abs_tol is not None:
-        tolerances["abs_tol"] = args.abs_tol
-    if args.max_subdivisions is not None:
-        tolerances["max_subdivisions"] = args.max_subdivisions
-    for key, val in tolerances.items():
+    for key in ("rel_tol", "abs_tol", "max_subdivisions"):
+        val = getattr(args, key)
+        if val is None:
+            continue
         if val <= 0:
             raise UsageError(f"--{key.replace('_', '-')} must be positive, got {val}")
-    params = {}
-    if args.command == "eval":
-        params = {"k": args.k, "b": args.b}
-    elif args.command == "genfun":
-        params = {"x": args.x, "b": args.b, "series_kmax": args.series_kmax}
-    elif args.command == "oddzeta":
-        params = {"j": args.j}
-    elif args.command == "validate":
-        params = {"suite": args.suite}
-    elif args.command == "sweep":
-        params = {"k": args.k, "b": args.b, "b_im": args.b_im}
+        tolerances[key] = val
     return RunConfig(
         command=args.command,
-        params=params,
+        params={name: getattr(args, name) for name in COMMAND_PARAMS[args.command]},
         tolerances=tolerances,
         output_format=args.format,
         output_path=args.output,
@@ -727,6 +668,7 @@ COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    t0 = time.perf_counter()
     try:
         cfg = config_from_args(args)
         envelope, code = COMMANDS[args.command](cfg)
@@ -734,13 +676,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except HurzetaError as exc:
-        err_env = ReportEnvelope(
-            tool_version=__version__,
-            config_echo=_config_echo(config_from_args(args)),
-            results=[{"status": "error", "error_type": type(exc).__name__,
-                      "message": str(exc)}],
-            summary={"pass": 0, "fail": 1, "total": 1},
-        )
+        err_env, _ = _report(cfg, [_error_record(exc)], t0)
         sys.stdout.write(render_json(err_env))
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -35,6 +35,7 @@ from .special_functions import polylog_nonpos
 
 __all__ = [
     "IM_CAP_DEFAULT",
+    "check_b",
     "check_k",
     "ZetaParams",
     "EvalBreakdown",
@@ -55,13 +56,14 @@ IM_CAP_DEFAULT = 5.0
 CANCELLATION_WARN_REL = 1e-8
 
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # i**k by quadrant, exact
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 def _is_integer_valued(b: complex) -> bool:
     return b.imag == 0.0 and float(b.real).is_integer()
 
 
-def _check_b(b) -> complex:
+def check_b(b) -> complex:
     """``b`` as a complex; :class:`DomainError` unless finite and off the
     poles at the non-positive integers."""
     b = complex(b)
@@ -100,7 +102,7 @@ class ZetaParams:
     @classmethod
     def create(cls, k: int, b: complex, im_cap: float = IM_CAP_DEFAULT) -> "ZetaParams":
         k = check_k(k)
-        b = _check_b(b)
+        b = check_b(b)
         if _is_integer_valued(b):
             raise UnsupportedParameterError(
                 f"b = {int(b.real)} is a positive integer: q = 1 sits on the "
@@ -270,7 +272,7 @@ def hurwitz_zeta(params: ZetaParams, spec: QuadratureSpec | None = None) -> Eval
     t_max = max(abs(t1), abs(t2), abs(t3), abs(t4))
     twopik = (2.0 * math.pi) ** k
     noise = 4.0 * eps * t_max + 0.5 * twopik * (quad.error_estimate + eps * bscale)
-    est_rel = noise / max(abs(total), float(np.finfo(np.float64).tiny))
+    est_rel = noise / max(abs(total), _TINY)
     if est_rel > CANCELLATION_WARN_REL:
         diag.append(
             "heavy cancellation between terms: estimated relative accuracy "
@@ -346,12 +348,13 @@ def hurwitz_series_oracle(k: int, b: complex, tol: float = 1e-12,
     Independent of every closed form in this package: plain term summation to
     ``N`` followed by the midpoint integral tail ``(N + 1/2 + b)**(1-k)/(k-1)``,
     whose own error is ~ ``(k/24) * (N + Re b)**(-k-1)``.  ``N`` is chosen so
-    that bound is at most ``tol/4``.  For ``Re b <= 0`` the first
-    ``m = floor(-Re b) + 1`` terms are added one by one and the rest is
-    summed as above at ``b + m``; non-positive integer ``b`` is a pole.
+    that bound is at most ``tol/4`` of the result: ``tol`` is relative.  For
+    ``Re b <= 0`` the first ``m = floor(-Re b) + 1`` terms are added one by
+    one and the rest is summed as above at ``b + m``; non-positive integer
+    ``b`` is a pole.
     """
     k = check_k(k)
-    b = _check_b(b)
+    b = check_b(b)
     if not 0 < tol < 1:
         raise ValueError("tol must lie in (0, 1)")
     if b.real > 0.0:
@@ -362,24 +365,34 @@ def hurwitz_series_oracle(k: int, b: complex, tol: float = 1e-12,
             f"series oracle would need {m} head terms (> max_terms = {max_terms})"
         )
     head = sum((j + b) ** (-k) for j in range(m))
-    return head + _tail_corrected_sum(k, b + m, tol, max_terms)
+    return _tail_corrected_sum(k, b + m, tol, max_terms, head)
 
 
-def _tail_corrected_sum(k: int, b: complex, tol: float, max_terms: int) -> complex:
-    # (k/24) * (N + Re b)**-(k+1) <= tol/4
-    n_needed = (k / (6.0 * tol)) ** (1.0 / (k + 1.0)) - b.real
-    n = max(50, int(math.ceil(n_needed)))
-    if n > max_terms:
-        raise CapacityError(
-            f"series oracle would need {n} terms (> max_terms = {max_terms})"
-        )
+def _tail_corrected_sum(k: int, b: complex, tol: float, max_terms: int,
+                        head=None) -> complex:
+    # N is chosen so that (k/24) * (N + Re b)**-(k+1) <= abs_tol/4.  That
+    # bound is absolute, so while the result is below 1 in magnitude the
+    # sum is extended to the N that makes it hold for tol * |result|.
     acc = 0.0 + 0.0j
     step = 1 << 20
-    for j0 in range(0, n + 1, step):
-        j1 = min(j0 + step - 1, n)
-        acc += kernels.inv_power_sum(b, k, j0, j1)
-    tail = (n + 0.5 + b) ** (1 - k) / (k - 1)
-    return complex(acc + tail)
+    abs_tol, summed = tol, 0
+    while True:
+        n_needed = (k / (6.0 * abs_tol)) ** (1.0 / (k + 1.0)) - b.real
+        n = max(50, int(math.ceil(n_needed)))
+        if n > max_terms:
+            raise CapacityError(
+                f"series oracle would need {n} terms (> max_terms = {max_terms})"
+            )
+        for j0 in range(summed, n + 1, step):
+            j1 = min(j0 + step - 1, n)
+            acc += kernels.inv_power_sum(b, k, j0, j1)
+        summed = n + 1
+        value = complex(acc + (n + 0.5 + b) ** (1 - k) / (k - 1))
+        if head is not None:
+            value = head + value
+        if not abs(value) < 1.0 or abs_tol < tol:  # nan returns too
+            return value
+        abs_tol = tol * max(abs(value), _TINY)
 
 
 def hp_partial_sum(k: int, b: complex, n: int) -> complex:
@@ -409,7 +422,8 @@ def zeta_auto(k: int, b: complex, spec: QuadratureSpec | None = None,
     """Evaluate ``zeta(k, b)`` by whichever route is valid at ``b``.
 
     Positive integer ``b`` goes to the series oracle (the closed form is
-    undefined there); everything else goes through :func:`hurwitz_zeta`.
+    undefined there), with ``series_tol`` as its relative tolerance;
+    everything else goes through :func:`hurwitz_zeta`.
     Returns ``(value, method, breakdown_or_none)`` with ``method`` one of
     ``"closed-form"`` or ``"series"``.
     """

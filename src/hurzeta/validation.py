@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import DomainError
+from .errors import DomainError, HurzetaError
 from .hurwitz import (
     ZetaParams,
     check_k,
@@ -90,6 +90,28 @@ def _check_n_values(n_values, lo: int = 1):
     return out
 
 
+def _scan(ns, kernel, spec):
+    """``integrate_oscillatory`` of ``kernel(u, n)`` at each frequency ``n``:
+    the real parts, the largest error estimate and the notes.  A typed
+    failure at one ``n`` records nan and a note; any other exception
+    propagates."""
+    values, worst_error, notes = [], 0.0, []
+    for n in ns:
+        try:
+            res = integrate_oscillatory(
+                lambda u, n=n: kernel(np.asarray(u, dtype=np.float64), n), n, spec
+            )
+        except HurzetaError as exc:
+            values.append(math.nan)
+            notes.append(f"n={n}: {type(exc).__name__}: {exc}")
+            continue
+        values.append(float(res.value.real))
+        worst_error = max(worst_error, res.error_estimate)
+        if not res.converged:
+            notes.append(f"n={n}: quadrature did not converge")
+    return values, worst_error, notes
+
+
 def theorem1_scan(k: int, n_values, spec: QuadratureSpec | None = None) -> ConvergenceReport:
     """``integral_0^1 u**k sin(2*pi*n*(1-u)) cot(pi*(1-u)) du -> 1`` (k = 0)
     or ``1/2`` (integer k >= 1).
@@ -104,22 +126,8 @@ def theorem1_scan(k: int, n_values, spec: QuadratureSpec | None = None) -> Conve
     ns = _check_n_values(n_values, lo=1)
     spec = spec or QuadratureSpec()
     target = 1.0 if k == 0 else 0.5
-    observed, notes = [], []
-    floor = 0.0
-    for n in ns:
-        try:
-            res = integrate_oscillatory(
-                lambda u, n=n: kernels.pow_sin_cot(
-                    np.asarray(u, dtype=np.float64), float(k), n),
-                n, spec,
-            )
-            observed.append(float(res.value.real))
-            floor = max(floor, res.error_estimate)
-            if not res.converged:
-                notes.append(f"n={n}: quadrature did not converge")
-        except Exception as exc:  # recorded per-n, not fatal
-            observed.append(math.nan)
-            notes.append(f"n={n}: {type(exc).__name__}: {exc}")
+    observed, floor, notes = _scan(
+        ns, lambda u, n: kernels.pow_sin_cot(u, float(k), n), spec)
     devs = tuple(abs(o - target) for o in observed)
     floor = max(floor, 1e-12)
     rate = fit_rate(ns, devs, floor=floor)
@@ -147,20 +155,8 @@ def zero_integral_scan(n_values, spec: QuadratureSpec | None = None) -> Converge
     integer n; observed values are pure quadrature residue."""
     ns = _check_n_values(n_values, lo=1)
     spec = spec or QuadratureSpec()
-    observed, notes = [], []
-    for n in ns:
-        try:
-            res = integrate_oscillatory(
-                lambda u, n=n: kernels.one_minus_cos_cot(
-                    np.asarray(u, dtype=np.float64), n),
-                n, spec,
-            )
-            observed.append(float(res.value.real))
-            if not res.converged:
-                notes.append(f"n={n}: quadrature did not converge")
-        except Exception as exc:
-            observed.append(math.nan)
-            notes.append(f"n={n}: {type(exc).__name__}: {exc}")
+    observed, _, notes = _scan(
+        ns, lambda u, n: kernels.one_minus_cos_cot(u, n), spec)
     devs = tuple(abs(o) for o in observed)
     ok = all(
         math.isfinite(d) and d <= (1e-8 if n <= 100 else 1e-7)
@@ -197,22 +193,9 @@ def log_asymptotic_scan(k: float, n_values,
         return u**k - u
 
     target = -integrate_cot_weighted(gap, spec).value.real
-    observed, notes = [], []
-    for n in ns:
-        try:
-            res = integrate_oscillatory(
-                lambda u, n=n: kernels.decay_one_minus_cos_cot(
-                    np.asarray(u, dtype=np.float64), k, n),
-                n, spec,
-            )
-            observed.append(
-                float(res.value.real) - (EULER_GAMMA + math.log(n)) / math.pi
-            )
-            if not res.converged:
-                notes.append(f"n={n}: quadrature did not converge")
-        except Exception as exc:
-            observed.append(math.nan)
-            notes.append(f"n={n}: {type(exc).__name__}: {exc}")
+    values, _, notes = _scan(
+        ns, lambda u, n: kernels.decay_one_minus_cos_cot(u, k, n), spec)
+    observed = [v - (EULER_GAMMA + math.log(n)) / math.pi for v, n in zip(values, ns)]
     devs = tuple(abs(o - target) for o in observed)
     rate = fit_rate(ns, devs, floor=1e-13)
     # successive-decade shrink: compare deviations one decade of n apart

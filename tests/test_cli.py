@@ -96,6 +96,25 @@ class TestEval:
             assert label in p.stdout
 
 
+    def test_relative_verdict_fails_small_value_and_exits_3(self):
+        # the closed form returns 9.3e-10+3.4e-9i; zeta(12, 7.3) is 5.6e-11
+        p = run("eval", "--k", "12", "--b", "7.3", "--format", "json")
+        assert p.returncode == 3
+        doc = json.loads(p.stdout)
+        assert doc["results"][0]["verdict"] == "fail"
+        assert doc["results"][0]["discrepancy_rel"] > 1.0
+        assert doc["summary"]["fail"] == 1
+
+    def test_integer_b_marks_same_route_cross_check(self):
+        p = run("eval", "--k", "2", "--b", "2", "--format", "json")
+        assert json.loads(p.stdout)["results"][0]["cross_check"] == "same-route"
+        p = run("eval", "--k", "2", "--b", "1.25", "--format", "json")
+        assert json.loads(p.stdout)["results"][0]["cross_check"] == "independent"
+
+    def test_non_finite_b_exits_2(self):
+        assert run("eval", "--k", "2", "--b", "nan").returncode == 2
+
+
 class TestGenfun:
     def test_grid_evaluation(self):
         p = run("genfun", "--x", "0.2", "--b", "0.77", "--format", "json")
@@ -160,6 +179,13 @@ class TestValidate:
     def test_unknown_suite_exits_2(self):
         assert run("validate", "--suite", "bogus").returncode == 2
 
+    def test_oracle_grid_fails_small_values_relatively(self):
+        p = run("validate", "--suite", "oracle-grid", "--format", "json")
+        assert p.returncode == 3
+        failed = {(r["k"], r["b"]["re"], r["b"]["im"])
+                  for r in json.loads(p.stdout)["results"] if r["verdict"] == "fail"}
+        assert (10, 3.75, 0.0) in failed
+
 
 class TestSweep:
     def test_csv_shape_and_determinism(self):
@@ -213,3 +239,18 @@ def test_stale_backend_variable_is_ignored():
     p = subprocess.run(BASE + ["eval", "--k", "2", "--b", "1.25"],
                        capture_output=True, text=True, env=env, timeout=120)
     assert p.returncode == 0, p.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("eval", "--k", "12", "--b", "7.3"),
+    ("genfun", "--x", "0.3:0.77:2", "--b", "0.77"),
+    ("oddzeta", "--j", "1-2"),
+    ("validate", "--suite", "zero-integral"),
+    ("sweep", "--k", "2,12", "--b", "4.3:7.3:2"),
+])
+def test_summary_counts_record_verdicts(args):
+    p = run(*args, "--format", "json")
+    doc = json.loads(p.stdout)
+    verdicts = [r["verdict"] for r in doc["results"]]
+    assert doc["summary"]["pass"] == verdicts.count("pass")
+    assert doc["summary"]["fail"] == len(verdicts) - verdicts.count("pass")

@@ -266,6 +266,12 @@ class TestOracleExtended:
         with pytest.raises(DomainError):
             hurwitz_series_oracle(3, b)
 
+    @pytest.mark.parametrize("k,b", [(6, 20.0), (6, 8.0)])
+    def test_tolerance_is_relative_for_small_values(self, k, b):
+        # zeta(6, 20) ~ 7e-8: an absolute tolerance leaves 4e-7 relative error
+        ref = hurwitz_direct(k, complex(b))
+        assert abs(hurwitz_series_oracle(k, b, tol=1e-12) - ref) <= 1e-11 * abs(ref)
+
 
 def test_closed_form_makes_k_polylog_calls(monkeypatch):
     calls = []

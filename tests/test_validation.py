@@ -13,6 +13,7 @@ from hurzeta import (
     theorem1_scan,
     zero_integral_scan,
 )
+from hurzeta import kernels
 from hurzeta.errors import DomainError
 
 
@@ -123,3 +124,22 @@ class TestHpLimit:
     def test_domain(self):
         with pytest.raises(DomainError):
             hp_limit_scan(1, 1.0, (10, 100))
+
+
+class TestScanFailures:
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(u, k, n):
+            raise TypeError("broken kernel")
+
+        monkeypatch.setattr(kernels, "pow_sin_cot", broken)
+        with pytest.raises(TypeError, match="broken kernel"):
+            theorem1_scan(3, [10, 100, 1000])
+
+    def test_non_finite_kernel_records_nan_and_a_note(self, monkeypatch):
+        monkeypatch.setattr(kernels, "one_minus_cos_cot",
+                            lambda u, n: np.full(np.shape(u), np.nan))
+        rep = zero_integral_scan([1, 17])
+        assert all(math.isnan(o) for o in rep.observed)
+        assert len(rep.notes) == 2
+        assert "EvaluationError" in rep.notes[0]
+        assert rep.verdict == "fail"
