@@ -33,11 +33,9 @@ from .errors import (
     UnsupportedParameterError,
 )
 from .genfun import (
-    classify_case,
     genfun_closed,
     genfun_series,
     odd_zeta_integral,
-    zeta_from_genfun,
 )
 from .hurwitz import (
     ZetaParams,
@@ -416,8 +414,7 @@ def cmd_genfun(cfg: RunConfig) -> tuple[ReportEnvelope, int]:
     series_kmax = cfg.params.get("series_kmax", 0)
     spec = cfg.spec()
     t0 = time.perf_counter()
-    env, _ = _report(cfg, [_genfun_point(x, b, spec, series_kmax) for x in xs], t0)
-    return env, 0 if env.summary["pass"] > 0 else 3
+    return _report(cfg, [_genfun_point(x, b, spec, series_kmax) for x in xs], t0)
 
 
 def cmd_oddzeta(cfg: RunConfig) -> tuple[ReportEnvelope, int]:

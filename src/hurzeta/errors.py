@@ -45,17 +45,21 @@ class CapacityError(HurzetaError):
 
 
 class EvaluationError(HurzetaError):
-    """An integrand returned a non-finite value.
+    """An integrand returned a non-finite value, or an integral a result
+    depends on did not converge.
 
     Attributes
     ----------
     node : float
         The abscissa at which the bad value was produced.
+    row : int
+        The row of an integrand family that produced it.
     """
 
-    def __init__(self, message, node=None):
+    def __init__(self, message, node=None, row=None):
         super().__init__(message)
         self.node = node
+        self.row = row
 
 
 class DivergenceError(HurzetaError):

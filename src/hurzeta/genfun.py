@@ -25,6 +25,7 @@ from .errors import (
     ConditioningWarning,
     DivergenceError,
     DomainError,
+    EvaluationError,
     IllConditionedError,
     InstabilityWarning,
     RangeOverflowError,
@@ -103,30 +104,30 @@ class GenFunSeries:
     kmax: int
 
 
+def _branch_tag(b: complex, int_eps: float):
+    """The closed-form branch of ``b`` and the distance of 2b from the integers."""
+    two_b_int = _dist_to_int(2 * b)
+    if not two_b_int < int_eps:
+        return "generic", two_b_int
+    m2 = round(2 * b.real)
+    if m2 % 2 != 0:
+        return "half_int_unsupported", two_b_int
+    return ("b_zero" if m2 == 0 else "b_pos_int" if m2 > 0 else "b_neg_int"), two_b_int
+
+
 def classify_case(x: complex, b: complex, int_eps: float = INT_EPS_DEFAULT) -> GenFunCase:
     """Assign the closed-form branch from ``b`` alone (with tolerance
     ``int_eps`` for integer membership) and record proximity diagnostics."""
     x, b = complex(x), complex(b)
+    tag, two_b_int = _branch_tag(b, int_eps)
     flags = ProximityFlags(
         x_minus_b=abs(x - b),
-        two_b_int=_dist_to_int(2 * b),
+        two_b_int=two_b_int,
         two_xmb_int=_dist_to_int(2 * (x - b)),
         xmb_int=_dist_to_int(x - b),
         x_int=_dist_to_int(x),
         two_x_int=_dist_to_int(2 * x),
     )
-    if flags.two_b_int < int_eps:
-        m2 = round(2 * b.real)
-        if m2 % 2 != 0:
-            tag = "half_int_unsupported"
-        elif m2 == 0:
-            tag = "b_zero"
-        elif m2 > 0:
-            tag = "b_pos_int"
-        else:
-            tag = "b_neg_int"
-    else:
-        tag = "generic"
     return GenFunCase(tag=tag, proximity_flags=flags)
 
 
@@ -149,6 +150,96 @@ def _zero_eval(x, b, case):
         rational_term=0j, trig_term=0j, integral_term=0j, total=0j,
         quadrature=QuadratureResult(0j, 0.0, 0, True, []),
     )
+
+
+def _admit(b: complex, tag: str, two_b_int: float) -> list:
+    """Refuse half-integer ``b``; warn inside the band near a branch boundary
+    and return the note."""
+    if tag == "half_int_unsupported":
+        raise UnsupportedParameterError(
+            f"b = {b} is a half-integer: no closed-form branch exists for it"
+        )
+    if tag == "generic" and two_b_int < WARN_BAND:
+        msg = (
+            f"b = {b} lies within {two_b_int:.2e} of a branch boundary "
+            f"(2b near an integer); generic-branch evaluation is ill-conditioned there"
+        )
+        warnings.warn(msg, ConditioningWarning, stacklevel=3)
+        return [msg]
+    return []
+
+
+def _dist_to_ints(w):
+    """``_dist_to_int`` over an array."""
+    return np.abs(w - np.round(w.real))
+
+
+def _first_guard(x, b: complex, tag: str, prox_tol: float):
+    """``(index, message, locus)`` of the first point of the array ``x`` within
+    ``prox_tol`` of a singular locus of the branch ``tag``, or None.  Each
+    point's loci are tried in a fixed order, so the first one it is near is
+    the one named."""
+    if tag == "generic":
+        w = x - b
+        loci = (
+            (np.abs(w), True, "|x - b| = {d:.2e} < {tol:g}", "x = b"),
+            (_dist_to_ints(w), True, "x - b within {d:.2e} of an integer",
+             "sin(pi*(x-b)) = 0"),
+            (_dist_to_ints(2 * w), True, "2(x - b) within {d:.2e} of an integer",
+             "sin(2*pi*(x-b)) = 0"),
+        )
+    else:
+        loci = (
+            (np.abs(x - b), round(b.real) != 0, "|x - b| = {d:.2e} < {tol:g}", "x = b"),
+            (_dist_to_ints(x), np.round(x.real) != 0,
+             "x within {d:.2e} of a nonzero integer", "cot(pi*x) pole"),
+            (_dist_to_ints(2 * x), np.round(2 * x.real) != 0,
+             "2x within {d:.2e} of a nonzero integer", "sin(2*pi*x) = 0"),
+        )
+    near = np.array([(dist < prox_tol) & live for dist, live, _, _ in loci])
+    hit = near.any(axis=0)
+    if not hit.any():
+        return None
+    i = int(np.argmax(hit))
+    dist, _, text, locus = loci[int(np.argmax(near[:, i]))]
+    return i, text.format(d=dist[i], tol=prox_tol), locus
+
+
+def _closed_terms(x, b: complex, tag: str, spec: QuadratureSpec):
+    """Rational, trig and integral terms, total and the integral's family
+    quadrature of ``f(x, b)`` for an array ``x`` of nonzero points clear of
+    every guard locus, on the branch ``tag`` of ``b``."""
+    if tag == "generic":
+        rational = x * x / (2.0 * b * (x - b))
+        trig = -np.pi * x * np.sin(np.pi * x) / (
+            2.0 * cmath.sin(math.pi * b) * np.sin(np.pi * (x - b))
+        )
+        a1 = 2.0 * np.pi * (x - b)
+        a2 = 2.0 * math.pi * b
+        s1inv = 1.0 / np.sin(a1)
+        s2inv = 1.0 / cmath.sin(a2)
+        hint = np.abs(s1inv) * np.exp(np.abs(a1.imag)) + abs(s2inv) * math.exp(abs(a2.imag))
+
+        def g(u, rows):
+            return kernels.sin_ratio_gap(u, a1[rows], s1inv[rows], a2, s2inv)
+    else:
+        bi = round(b.real)  # exact integer for the branch formulas
+        if bi == 0:
+            rational = np.full(x.shape, 0.5 + 0j)
+        else:
+            rational = x * x / (2.0 * bi * (x - bi)) + (1.0 if bi < 0 else 0.0)
+        trig = -(np.pi * x / 2.0) * np.cos(np.pi * x) / np.sin(np.pi * x)
+        a1 = 2.0 * np.pi * (x - bi)
+        s1inv = 1.0 / np.sin(a1)
+        w = 2.0 * math.pi * bi
+        hint = np.abs(s1inv) * np.exp(np.abs(a1.imag)) + 1.0 + np.abs(x.imag) * 7.0
+
+        def g(u, rows):
+            return kernels.sin_ratio_ucos_gap(u, a1[rows], s1inv[rows], w)
+
+    quad = integrate_cot_weighted(g, spec, scale_hint=hint, family=x.size)
+    integral = -np.pi * x * quad.value
+    return rational, trig, integral, rational + trig + integral, quad
 
 
 def genfun_closed(x: complex, b: complex, spec: QuadratureSpec | None = None,
@@ -180,93 +271,25 @@ def genfun_closed(x: complex, b: complex, spec: QuadratureSpec | None = None,
     spec = spec or QuadratureSpec()
     x, b = complex(x), complex(b)
     case = classify_case(x, b, int_eps)
-    fl = case.proximity_flags
-    notes = []
-
-    if case.tag == "half_int_unsupported":
-        raise UnsupportedParameterError(
-            f"b = {b} is a half-integer: no closed-form branch exists for it"
-        )
-    if case.tag == "generic" and fl.two_b_int < WARN_BAND:
-        msg = (
-            f"b = {b} lies within {fl.two_b_int:.2e} of a branch boundary "
-            f"(2b near an integer); generic-branch evaluation is ill-conditioned there"
-        )
-        warnings.warn(msg, ConditioningWarning, stacklevel=2)
-        notes.append(msg)
+    notes = _admit(b, case.tag, case.proximity_flags.two_b_int)
 
     if x == 0:
         ev = _zero_eval(x, b, case)
         ev.warnings = notes
         return ev
 
-    if case.tag == "generic":
-        if fl.x_minus_b < prox_tol:
-            raise IllConditionedError(
-                f"|x - b| = {fl.x_minus_b:.2e} < {prox_tol:g}", locus="x = b"
-            )
-        if fl.xmb_int < prox_tol:
-            raise IllConditionedError(
-                f"x - b within {fl.xmb_int:.2e} of an integer", locus="sin(pi*(x-b)) = 0"
-            )
-        if fl.two_xmb_int < prox_tol:
-            raise IllConditionedError(
-                f"2(x - b) within {fl.two_xmb_int:.2e} of an integer",
-                locus="sin(2*pi*(x-b)) = 0",
-            )
-        rational = x * x / (2.0 * b * (x - b))
-        trig = -math.pi * x * cmath.sin(math.pi * x) / (
-            2.0 * cmath.sin(math.pi * b) * cmath.sin(math.pi * (x - b))
-        )
-        a1 = 2.0 * math.pi * (x - b)
-        a2 = 2.0 * math.pi * b
-        s1inv = 1.0 / cmath.sin(a1)
-        s2inv = 1.0 / cmath.sin(a2)
-        hint = abs(s1inv) * math.exp(abs(a1.imag)) + abs(s2inv) * math.exp(abs(a2.imag))
-        quad = integrate_cot_weighted(
-            lambda u: kernels.sin_ratio_gap(np.asarray(u, dtype=np.float64),
-                                            a1, s1inv, a2, s2inv),
-            spec,
-            scale_hint=hint,
-        )
-    else:
-        bi = round(b.real)  # exact integer for the branch formulas
-        if bi != 0 and fl.x_minus_b < prox_tol:
-            raise IllConditionedError(
-                f"|x - b| = {fl.x_minus_b:.2e} < {prox_tol:g}", locus="x = b"
-            )
-        if fl.x_int < prox_tol and round(x.real) != 0:
-            raise IllConditionedError(
-                f"x within {fl.x_int:.2e} of a nonzero integer", locus="cot(pi*x) pole"
-            )
-        if fl.two_x_int < prox_tol and round(2 * x.real) != 0:
-            raise IllConditionedError(
-                f"2x within {fl.two_x_int:.2e} of a nonzero integer",
-                locus="sin(2*pi*x) = 0",
-            )
-        if bi == 0:
-            rational = 0.5 + 0j
-        else:
-            rational = x * x / (2.0 * bi * (x - bi)) + (1.0 if bi < 0 else 0.0)
-        trig = -(math.pi * x / 2.0) * cmath.cos(math.pi * x) / cmath.sin(math.pi * x)
-        a1 = 2.0 * math.pi * (x - bi)
-        s1inv = 1.0 / cmath.sin(a1)
-        w = 2.0 * math.pi * bi
-        hint = abs(s1inv) * math.exp(abs(a1.imag)) + 1.0 + abs(x.imag) * 7.0
-        quad = integrate_cot_weighted(
-            lambda u: kernels.sin_ratio_ucos_gap(np.asarray(u, dtype=np.float64),
-                                                 a1, s1inv, w),
-            spec,
-            scale_hint=hint,
-        )
-
-    integral = -math.pi * x * quad.value
-    total = rational + trig + integral
+    xs = np.array([x])
+    hit = _first_guard(xs, b, case.tag, prox_tol)
+    if hit is not None:
+        raise IllConditionedError(hit[1], locus=hit[2])
+    rational, trig, integral, total, quad = _closed_terms(xs, b, case.tag, spec)
+    quad = quad.row(0)
     notes.extend(quad.warnings)
     return GenFunEval(
         x=x, b=b, case=case,
-        rational_term=rational, trig_term=trig, integral_term=integral,
-        total=total, quadrature=quad, warnings=notes,
+        rational_term=complex(rational[0]), trig_term=complex(trig[0]),
+        integral_term=complex(integral[0]), total=complex(total[0]),
+        quadrature=quad, warnings=notes,
     )
 
 
@@ -450,12 +473,18 @@ def zeta_from_genfun(k: int, b: complex, radius: float, nodes: int,
                      stability_tol: float = 1e-4) -> complex:
     """``zeta(k, b) = b**-k + (k-th Taylor coefficient of f(., b) at 0)``.
 
-    The coefficient is extracted by discrete circle averaging of
-    ``genfun_closed`` over ``nodes`` equispaced points on ``|x| = radius``
+    The coefficient is extracted by discrete circle averaging of the closed
+    form of ``f`` over ``nodes`` equispaced points on ``|x| = radius``
     (spectrally accurate for analytic ``f``; the aliasing error is the
     ``k + nodes``-th coefficient's contribution).  A second pass at half
     the radius cross-checks the estimate; disagreement beyond
     ``stability_tol`` relative emits :class:`InstabilityWarning`.
+
+    Both circles are one family of ``2 * nodes`` cotangent integrals, made
+    in one quadrature call.  A node at a singular locus raises
+    :class:`IllConditionedError`, and a node whose integral does not
+    converge raises :class:`EvaluationError`; either names the first such
+    node, the circle at ``radius`` first.
     """
     k = check_k(k)
     b = complex(b)
@@ -466,24 +495,36 @@ def zeta_from_genfun(k: int, b: complex, radius: float, nodes: int,
         )
     if nodes < 4 * k:
         raise DomainError(f"nodes = {nodes} < 4k = {4 * k}: aliasing would bite")
+    tag, two_b_int = _branch_tag(b, INT_EPS_DEFAULT)
+    _admit(b, tag, two_b_int)
 
-    def coefficient(rad):
-        acc = 0j
-        for m in range(nodes):
-            xm = rad * cmath.exp(2j * math.pi * m / nodes)
-            try:
-                ev = genfun_closed(xm, b, spec)
-            except IllConditionedError as exc:
-                raise IllConditionedError(
-                    f"circle node {m}/{nodes} at x = {xm:.6g} hits a singular "
-                    f"locus ({exc.locus}); choose a different radius",
-                    locus=exc.locus,
-                ) from exc
-            acc += ev.total * cmath.exp(-2j * math.pi * k * m / nodes)
-        return acc / (nodes * rad**k)
+    turns = np.arange(nodes) / nodes
+    unit = np.exp(2j * np.pi * turns)
+    x = np.concatenate([radius * unit, (radius / 2.0) * unit])
 
-    a_k = coefficient(radius)
-    a_check = coefficient(radius / 2.0)
+    def node(i):
+        return f"circle node {i % nodes}/{nodes} at x = {complex(x[i]):.6g}"
+
+    hit = _first_guard(x, b, tag, PROX_TOL_DEFAULT)
+    if hit is not None:
+        i, msg, locus = hit
+        raise IllConditionedError(
+            f"{node(i)} hits a singular locus ({locus}); choose a different radius",
+            locus=locus,
+        ) from IllConditionedError(msg, locus=locus)
+    _, _, _, total, quad = _closed_terms(x, b, tag, spec)
+    if not quad.converged:
+        i = int(np.flatnonzero(~quad.row_converged)[0])
+        raise EvaluationError(
+            f"{node(i)}: cotangent integral did not converge "
+            f"({quad.row_warnings[i][0]})",
+            row=i,
+        )
+
+    twiddle = np.exp(-2j * np.pi * k * turns)
+    a_k = np.sum(total[:nodes] * twiddle) / (nodes * radius**k)
+    a_check = np.sum(total[nodes:] * twiddle) / (nodes * (radius / 2.0) ** k)
+    a_k, a_check = complex(a_k), complex(a_check)
     denom = max(abs(a_k), abs(a_check), 1e-300)
     if abs(a_k - a_check) / denom > stability_tol:
         warnings.warn(

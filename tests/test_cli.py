@@ -127,6 +127,14 @@ class TestGenfun:
         p = run("genfun", "--x", "0.2", "--b", "0.5", "--format", "json")
         assert p.returncode == 3
 
+    def test_any_failed_point_exits_3(self):
+        # x = 0.77 = b is ill-conditioned; x = 0.3 passes
+        p = run("genfun", "--x", "0.3:0.77:2", "--b", "0.77", "--format", "json")
+        assert p.returncode == 3
+        doc = json.loads(p.stdout)
+        assert [r["status"] for r in doc["results"]] == ["ok", "ill_conditioned"]
+        assert doc["summary"]["fail"] == 1
+
     def test_series_cross_check_flag(self):
         p = run("genfun", "--x", "0.2", "--b", "0.77", "--series-kmax", "100",
                 "--format", "json")

@@ -9,6 +9,7 @@ import pytest
 from _oracles import genfun_direct, hurwitz_direct, riemann_zeta
 from hurzeta import (
     BernoulliTable,
+    QuadratureSpec,
     classify_case,
     genfun_closed,
     genfun_parts_real_imag,
@@ -21,9 +22,11 @@ from hurzeta import (
     sinh_series_depth,
     zeta_from_genfun,
 )
+from hurzeta import kernels
 from hurzeta.errors import (
     CapacityError,
     DomainError,
+    EvaluationError,
     IllConditionedError,
     InstabilityWarning,
     RangeOverflowError,
@@ -175,6 +178,47 @@ class TestZetaRecovery:
     def test_near_radius_instability_is_reported(self):
         with pytest.warns(InstabilityWarning):
             zeta_from_genfun(2, 0.7, 0.98 * radius_of_convergence(0.7), 32)
+
+    @pytest.mark.parametrize("k,b,radius,nodes", [
+        (3, 1.25, 0.3, 32), (5, 0.6 + 0.4j, 0.5, 40), (2, 3.0, 1.2, 32),
+        (8, 5.132 - 1.584j, 2.058, 32)])
+    def test_matches_pointwise_circle_average(self, k, b, radius, nodes):
+        # reference: the circle average taken one genfun_closed call per node
+        def coefficient(rad):
+            acc = sum(genfun_closed(rad * cmath.exp(2j * math.pi * m / nodes), b).total
+                      * cmath.exp(-2j * math.pi * k * m / nodes) for m in range(nodes))
+            return acc / (nodes * rad**k)
+
+        ref = complex(b) ** -k + coefficient(radius)
+        assert abs(zeta_from_genfun(k, b, radius, nodes) - ref) <= 1e-12 * abs(ref)
+
+    def test_both_circles_are_one_kernel_batch(self, monkeypatch):
+        calls = []
+        kernel = kernels.sin_ratio_gap
+
+        def counted(*args):
+            calls.append(np.size(args[0]))
+            return kernel(*args)
+
+        monkeypatch.setattr(kernels, "sin_ratio_gap", counted)
+        zeta_from_genfun(3, 1.25, 0.3, 32)
+        # one node at a time made 4 calls per node: probe, two strips, mesh
+        assert 1 <= len(calls) <= 8
+        assert calls[0] == 64 * (33 + 6 + 150)
+
+    def test_unconverged_node_is_an_error(self):
+        # with no subdivision budget, nodes 14..19 of the first circle stop
+        # short of their targets on the first mesh
+        with pytest.raises(EvaluationError, match=r"circle node 14/32 .* > target") as info:
+            zeta_from_genfun(8, 5.132 - 1.584j, 2.058, 32,
+                             spec=QuadratureSpec(max_subdivisions=0))
+        assert info.value.row == 14
+
+    def test_singular_node_is_named_in_circle_order(self):
+        # the radius circle is clear; node 0 of the half-radius circle is b
+        with pytest.raises(IllConditionedError, match=r"circle node 0/32 at x = 0\.2\+0j"
+                           r" hits a singular locus \(x = b\)"):
+            zeta_from_genfun(2, 0.2, 0.4, 32)
 
 
 class TestRotatedParts:

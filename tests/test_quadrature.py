@@ -134,3 +134,108 @@ class TestOscillatory:
         n = 10_000
         r = integrate_oscillatory(lambda u: np.sin(2 * np.pi * n * u), n)
         assert abs(r.value) < 1e-12
+
+
+class TestFamily:
+    # rows n = 1..5 of sin(2 pi n u) * amp, whose cotangent integrals are
+    # amp (the Dirichlet family above), and one row of sin(50 u) exp(u) for
+    # integrate_open that needs refinement at a tight tolerance
+    N = np.array([1, 2, 3, 5, 8])
+    AMP = np.array([1.0, -0.5 + 0.25j, 2.0, 1e-3, 3.0 - 1.0j])
+
+    def dirichlet(self, u, rows):
+        return self.AMP[rows] * np.sin(2 * np.pi * self.N[rows] * u)
+
+    def test_cot_family_matches_separate_calls(self):
+        fam = integrate_cot_weighted(self.dirichlet, family=len(self.N))
+        assert fam.value.shape == (len(self.N),)
+        for m, (n, amp) in enumerate(zip(self.N, self.AMP)):
+            one = integrate_cot_weighted(
+                lambda u, n=n, amp=amp: amp * np.sin(2 * np.pi * n * u))
+            assert abs(fam.value[m] - one.value) <= max(fam.error_estimate[m], 1e-15)
+            assert abs(fam.value[m] - amp) <= 1e-12 * abs(amp)
+            assert fam.row_evaluations[m] == one.evaluations
+        assert fam.evaluations == fam.row_evaluations.sum()
+        assert fam.converged is True
+
+    def test_open_family_matches_separate_calls(self):
+        spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-15)
+        funcs = [lambda u: u * u, lambda u: np.sin(50 * u) * np.exp(u),
+                 lambda u: np.exp(u)]
+
+        def family(u, rows):
+            return np.choose(rows, [fn(u) for fn in funcs])
+
+        fam = integrate_open(family, spec, family=3)
+        for m, fn in enumerate(funcs):
+            one = integrate_open(fn, spec)
+            assert abs(fam.value[m] - one.value) <= max(one.error_estimate, 1e-15)
+            assert fam.row_evaluations[m] == one.evaluations
+
+    def test_converged_rows_keep_first_mesh_count(self):
+        spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-15)
+
+        def family(u, rows):
+            # row 0 is a quadratic, exact on the first mesh; row 1 refines
+            return np.where(rows == 0, u * u, np.sin(50 * u) * np.exp(u))
+
+        fam = integrate_open(family, spec, family=2)
+        assert fam.row_evaluations[0] == 8 * 15
+        assert fam.row_evaluations[1] > 8 * 15
+        assert fam.row_converged.all()
+
+        def cot_family(u, rows):
+            return np.where(rows == 0, np.sin(2 * np.pi * u),
+                            u * (1 - u) * np.cos(40 * u) * np.exp(3 * u))
+
+        fam = integrate_cot_weighted(cot_family, spec, family=2)
+        first = 33 + 6 + 10 * 15
+        assert fam.row_evaluations[0] == first
+        assert fam.row_evaluations[1] > first
+
+    def test_nonfinite_row_raises_for_that_row(self):
+        def family(u, rows):
+            return np.where(rows == 2, np.nan, u) * np.sin(2 * np.pi * u)
+
+        with pytest.raises(EvaluationError) as info:
+            integrate_cot_weighted(family, family=4)
+        assert info.value.row == 2
+        assert "family row 2" in str(info.value)
+        with pytest.raises(EvaluationError) as info:
+            integrate_open(lambda u, rows: np.where(rows == 1, np.inf, u), family=3)
+        assert info.value.row == 1
+
+    def test_nonvanishing_endpoint_row_diverges(self):
+        def family(u, rows):
+            # row 1 is the constant-offset sine, which does not vanish at 0
+            return np.sin(2 * np.pi * u) + (rows == 1) * 0.5
+
+        with pytest.raises(DivergenceError, match="family row 1"):
+            integrate_cot_weighted(family, family=3)
+
+    def test_budget_is_per_row(self):
+        spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-18, max_subdivisions=3)
+
+        def family(u, rows):
+            return np.where(rows == 0, u, np.sin(50 * u) * np.exp(u))
+
+        fam = integrate_open(family, spec, family=2)
+        assert fam.row_converged.tolist() == [True, False]
+        assert fam.converged is False
+        assert fam.row_warnings[0] == []
+        assert "budget (3)" in fam.row_warnings[1][0]
+        assert fam.warnings == ["row 1: " + fam.row_warnings[1][0]]
+        one = integrate_open(lambda u: np.sin(50 * u) * np.exp(u), spec)
+        assert fam.row(1) == one
+
+    def test_identical_calls_agree_bitwise(self):
+        spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-15)
+
+        def family(u, rows):
+            return u * (1 - u) * np.cos((10 + 7 * rows) * u) * np.exp(rows * u)
+
+        a = integrate_cot_weighted(family, spec, family=6)
+        b = integrate_cot_weighted(family, spec, family=6)
+        assert np.array_equal(a.value, b.value)
+        assert np.array_equal(a.error_estimate, b.error_estimate)
+        assert np.array_equal(a.row_evaluations, b.row_evaluations)
