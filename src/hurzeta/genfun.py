@@ -208,37 +208,48 @@ def _first_guard(x, b: complex, tag: str, prox_tol: float):
 def _closed_terms(x, b: complex, tag: str, spec: QuadratureSpec):
     """Rational, trig and integral terms, total and the integral's family
     quadrature of ``f(x, b)`` for an array ``x`` of nonzero points clear of
-    every guard locus, on the branch ``tag`` of ``b``."""
+    every guard locus, on the branch ``tag`` of ``b``.
+
+    The per-point factors are complex scalars, computed point by point
+    (``point``) so that each point's arithmetic is what a lone evaluation
+    does; the cotangent integrals of all points are one family."""
     if tag == "generic":
-        rational = x * x / (2.0 * b * (x - b))
-        trig = -np.pi * x * np.sin(np.pi * x) / (
-            2.0 * cmath.sin(math.pi * b) * np.sin(np.pi * (x - b))
-        )
-        a1 = 2.0 * np.pi * (x - b)
+        sb2 = 2.0 * cmath.sin(math.pi * b)
         a2 = 2.0 * math.pi * b
-        s1inv = 1.0 / np.sin(a1)
         s2inv = 1.0 / cmath.sin(a2)
-        hint = np.abs(s1inv) * np.exp(np.abs(a1.imag)) + abs(s2inv) * math.exp(abs(a2.imag))
+        hint2 = abs(s2inv) * math.exp(abs(a2.imag))
+
+        def point(x):
+            a1 = 2.0 * math.pi * (x - b)
+            s1inv = 1.0 / cmath.sin(a1)
+            rational = x * x / (2.0 * b * (x - b))
+            trig = -math.pi * x * cmath.sin(math.pi * x) / (sb2 * cmath.sin(math.pi * (x - b)))
+            return rational, trig, a1, s1inv, abs(s1inv) * math.exp(abs(a1.imag)) + hint2
 
         def g(u, rows):
             return kernels.sin_ratio_gap(u, a1[rows], s1inv[rows], a2, s2inv)
     else:
         bi = round(b.real)  # exact integer for the branch formulas
-        if bi == 0:
-            rational = np.full(x.shape, 0.5 + 0j)
-        else:
-            rational = x * x / (2.0 * bi * (x - bi)) + (1.0 if bi < 0 else 0.0)
-        trig = -(np.pi * x / 2.0) * np.cos(np.pi * x) / np.sin(np.pi * x)
-        a1 = 2.0 * np.pi * (x - bi)
-        s1inv = 1.0 / np.sin(a1)
         w = 2.0 * math.pi * bi
-        hint = np.abs(s1inv) * np.exp(np.abs(a1.imag)) + 1.0 + np.abs(x.imag) * 7.0
+
+        def point(x):
+            a1 = 2.0 * math.pi * (x - bi)
+            s1inv = 1.0 / cmath.sin(a1)
+            if bi == 0:
+                rational = 0.5 + 0j
+            else:
+                rational = x * x / (2.0 * bi * (x - bi)) + (1.0 if bi < 0 else 0.0)
+            trig = -(math.pi * x / 2.0) * cmath.cos(math.pi * x) / cmath.sin(math.pi * x)
+            hint = abs(s1inv) * math.exp(abs(a1.imag)) + 1.0 + abs(x.imag) * 7.0
+            return rational, trig, a1, s1inv, hint
 
         def g(u, rows):
             return kernels.sin_ratio_ucos_gap(u, a1[rows], s1inv[rows], w)
 
+    xs = x.tolist()
+    rational, trig, a1, s1inv, hint = map(np.array, zip(*map(point, xs)))
     quad = integrate_cot_weighted(g, spec, scale_hint=hint, family=x.size)
-    integral = -np.pi * x * quad.value
+    integral = np.array([-math.pi * xm * v for xm, v in zip(xs, quad.value.tolist())])
     return rational, trig, integral, rational + trig + integral, quad
 
 
@@ -498,9 +509,8 @@ def zeta_from_genfun(k: int, b: complex, radius: float, nodes: int,
     tag, two_b_int = _branch_tag(b, INT_EPS_DEFAULT)
     _admit(b, tag, two_b_int)
 
-    turns = np.arange(nodes) / nodes
-    unit = np.exp(2j * np.pi * turns)
-    x = np.concatenate([radius * unit, (radius / 2.0) * unit])
+    unit = [cmath.exp(2j * math.pi * m / nodes) for m in range(nodes)]
+    x = np.array([rad * z for rad in (radius, radius / 2.0) for z in unit])
 
     def node(i):
         return f"circle node {i % nodes}/{nodes} at x = {complex(x[i]):.6g}"
@@ -521,10 +531,17 @@ def zeta_from_genfun(k: int, b: complex, radius: float, nodes: int,
             row=i,
         )
 
-    twiddle = np.exp(-2j * np.pi * k * turns)
-    a_k = np.sum(total[:nodes] * twiddle) / (nodes * radius**k)
-    a_check = np.sum(total[nodes:] * twiddle) / (nodes * (radius / 2.0) ** k)
-    a_k, a_check = complex(a_k), complex(a_check)
+    twiddle = [cmath.exp(-2j * math.pi * k * m / nodes) for m in range(nodes)]
+
+    def coefficient(values, rad):
+        acc = 0j
+        for v, t in zip(values, twiddle):
+            acc += v * t
+        return acc / (nodes * rad**k)
+
+    total = total.tolist()
+    a_k = coefficient(total[:nodes], radius)
+    a_check = coefficient(total[nodes:], radius / 2.0)
     denom = max(abs(a_k), abs(a_check), 1e-300)
     if abs(a_k - a_check) / denom > stability_tol:
         warnings.warn(
