@@ -247,6 +247,7 @@ def _closed_terms(x, b: complex, tag: str, spec: QuadratureSpec):
             return kernels.sin_ratio_ucos_gap(u, a1[rows], s1inv[rows], w)
 
     xs = x.tolist()
+    # a1 and s1inv become the per-row arrays that g gathers by row
     rational, trig, a1, s1inv, hint = map(np.array, zip(*map(point, xs)))
     quad = integrate_cot_weighted(g, spec, scale_hint=hint, family=x.size)
     integral = np.array([-math.pi * xm * v for xm, v in zip(xs, quad.value.tolist())])
