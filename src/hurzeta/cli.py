@@ -640,8 +640,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         val = getattr(args, key)
         if val is None:
             continue
-        if val <= 0:
-            raise UsageError(f"--{key.replace('_', '-')} must be positive, got {val}")
+        if not 0 < val < math.inf:  # NaN fails too
+            raise UsageError(
+                f"--{key.replace('_', '-')} must be positive and finite, got {val}")
         tolerances[key] = val
     return RunConfig(
         command=args.command,

@@ -31,7 +31,7 @@ from .errors import (
     CapacityError,
 )
 from .quadrature import QuadratureResult, QuadratureSpec, integrate_cot_weighted
-from .special_functions import polylog_nonpos
+from .special_functions import polylog_nonpos_orders
 
 __all__ = [
     "IM_CAP_DEFAULT",
@@ -136,28 +136,40 @@ class EvalBreakdown:
     warnings: list = field(default_factory=list)
 
 
+@functools.lru_cache(maxsize=64)
+def _denominators(k: int) -> tuple:
+    """``float((j-1)! (k-j)!)`` for ``j = 1..k``."""
+    try:
+        return tuple(float(math.factorial(j - 1) * math.factorial(k - j))
+                     for j in range(1, k + 1))
+    except OverflowError:
+        raise RangeOverflowError(
+            f"factorial((j-1)!(k-j)!) for k = {k} exceeds double range"
+        ) from None
+
+
 def _coefficients(values) -> list:
     """``(delta_{1j} + values[j-1]) / ((j-1)! (k-j)!)`` for ``j = 1..k``,
     ``k = len(values)``.  With ``values[m] = Li_{-m}(q)`` these are the
     bracket coefficients ``c_j``, highest power of ``u`` first."""
-    k = len(values)
-    out = []
-    for j, v in enumerate(values, start=1):
-        try:
-            denom = float(math.factorial(j - 1) * math.factorial(k - j))
-        except OverflowError:
-            raise RangeOverflowError(
-                f"factorial((j-1)!(k-j)!) for k = {k} exceeds double range"
-            ) from None
-        out.append(((1.0 if j == 1 else 0.0) + v) / denom)
-    return out
+    return [((1.0 if j == 0 else 0.0) + v) / d
+            for j, (v, d) in enumerate(zip(values, _denominators(len(values))))]
+
+
+def _polylogs(k: int, p: float) -> list:
+    """``Li_{-m}(p)`` for ``m = 0..k-1``, warning once near the pole."""
+    li, note = polylog_nonpos_orders(k, p)
+    if note:
+        warnings.warn(note, ConditioningWarning, stacklevel=3)
+    return li
 
 
 @functools.lru_cache(maxsize=512)
 def _bracket_data(k: int, b: complex):
     """Coefficients c_j, the endpoint value B(1) = q * sum_j c_j, the
-    polylogarithms ``Li_{-m}(q)`` for ``m = 0..k-1`` and any conditioning
-    messages their evaluation raised.
+    polylogarithms ``Li_{-m}(q)`` for ``m = 0..k-1``, any conditioning
+    messages their evaluation raised (one per polylogarithm) and
+    :func:`bracket_scale`.
 
     The polylogarithms are cached as one array, not as k complex objects:
     with those, the resident size grew steadily (0.12 MiB per 1266
@@ -165,13 +177,15 @@ def _bracket_data(k: int, b: complex):
     itself is bounded.
     """
     q = complex(np.exp(-2j * math.pi * b))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ConditioningWarning)
-        li = [polylog_nonpos(m, q) for m in range(k)]
-    notes = tuple(str(w.message) for w in caught)
+    li, note = polylog_nonpos_orders(k, q)
+    notes = (note,) * k if note else ()
     coeffs = np.array(_coefficients(li), dtype=np.complex128)
     b1 = q * complex(coeffs.sum())
-    return coeffs, b1, np.array(li, dtype=np.complex128), notes
+    total = 0.0
+    for c in _coefficients([abs(v) for v in li]):
+        total += c
+    scale = float(max(1.0, abs(q)) * total + abs(b1))
+    return coeffs, b1, np.array(li, dtype=np.complex128), notes, scale
 
 
 def bracket_kernel(params: ZetaParams, u):
@@ -182,7 +196,7 @@ def bracket_kernel(params: ZetaParams, u):
     between the polylogarithms (checked exactly in the tests), not a
     numerical accident.  Accepts a scalar or an ndarray.
     """
-    coeffs, b1, _, _ = _bracket_data(params.k, params.b)
+    coeffs, b1 = _bracket_data(params.k, params.b)[:2]
     c = -2j * math.pi * params.b
     scalar = np.ndim(u) == 0
     arr = np.atleast_1d(np.asarray(u, dtype=np.float64))
@@ -201,11 +215,7 @@ def bracket_scale(params: ZetaParams) -> float:
     kernel is a difference of quantities this large, so its attainable
     accuracy is ``eps * bracket_scale``, not ``eps * max|kernel|``.
     """
-    _, b1, li, _ = _bracket_data(params.k, params.b)
-    total = 0.0
-    for c in _coefficients([abs(v) for v in li.tolist()]):
-        total += c
-    return float(max(1.0, abs(params.q)) * total + abs(b1))
+    return _bracket_data(params.k, params.b)[4]
 
 
 def _check_power_range(k: int, q: complex):
@@ -240,7 +250,7 @@ def hurwitz_zeta(params: ZetaParams, spec: QuadratureSpec | None = None) -> Eval
     spec = spec or QuadratureSpec()
     k, b, q = params.k, params.b, params.q
     _check_power_range(k, q)
-    _, b1, li, notes = _bracket_data(k, b)
+    _, b1, li, notes, _ = _bracket_data(k, b)
     if notes:
         warnings.warn(notes[0], ConditioningWarning, stacklevel=2)
     diag = list(notes)
@@ -301,7 +311,7 @@ def real_part_formula(k: int, b: float) -> float:
     if not b > 0.0:
         raise DomainError("real_part_formula needs real b > 0")
     p = math.exp(-2.0 * math.pi * b)
-    li = [polylog_nonpos(m, p).real for m in range(k)]
+    li = [v.real for v in _polylogs(k, p)]
     twopik = (2.0 * math.pi) ** k
     single = twopik * li[k - 1] / (4.0 * math.factorial(k - 1))
     acc = 0.0
@@ -328,7 +338,7 @@ def imag_part_integral(k: int, b: float, spec: QuadratureSpec | None = None) -> 
     spec = spec or QuadratureSpec()
     p = math.exp(-2.0 * math.pi * b)
     coeffs = np.array(
-        _coefficients([polylog_nonpos(m, p) for m in range(k)]), dtype=np.complex128
+        _coefficients(_polylogs(k, p)), dtype=np.complex128
     )
     b1 = p * complex(coeffs.sum())
     c = complex(-2.0 * math.pi * b)

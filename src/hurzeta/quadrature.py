@@ -5,10 +5,14 @@ family of them, plus two specializations: cotangent-weighted integrals on
 A single integrand ``f(u)`` takes a float64 array and returns one value per
 abscissa (real or complex).  A family of ``M`` integrands is passed as
 ``family=M`` and one function ``f(u, rows)``: ``u`` is a float64 array of
-shape ``(P, n)``, ``rows`` an int array of shape ``(P, 1)`` naming the
-family row that each line of ``u`` belongs to, and the result has shape
-``(P, n)``.  A single integrand runs as a family of one: there is one
-driver.
+shape ``(P, n)`` and ``rows`` an int array of shape ``(L, 1)`` naming the
+family row of each line of the result, which has shape ``(L, n)``.  The
+first pass shares its abscissae: ``u`` is ``(1, n)`` and ``rows`` is
+``(M, 1)``, so numpy broadcasting gives ``(M, n)`` and a factor that does
+not depend on the row is computed once.  Later passes give every line its
+own abscissae (``P == L``).  A result of the shape of ``u`` is taken to
+depend on ``u`` alone and is the same for every row.  A single integrand
+runs as a family of one: there is one driver.
 
 Each row is integrated as if it were alone, with its own panels, error
 estimate (per-panel ``|K15 - G7|`` differences, summed), convergence test
@@ -17,8 +21,8 @@ estimate (per-panel ``|K15 - G7|`` differences, summed), convergence test
 shared initial mesh in one integrand call; each later pass splits the
 panels of the rows that have not converged yet, again in one call.  A
 non-finite value raises :class:`EvaluationError` for its row.  Running out
-of subdivision budget is reported through ``converged=False``, never as an
-exception.
+of subdivision budget, or an estimate that no split can lower (NaN), is
+reported through ``converged=False`` with a note, never as an exception.
 
 For a family, ``value`` and ``error_estimate`` of the result are ``(M,)``
 arrays and the ``row_*`` fields hold the per-row evaluations, convergence
@@ -34,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .errors import DivergenceError, EvaluationError
+from .errors import DivergenceError, DomainError, EvaluationError
 
 __all__ = [
     "QuadratureSpec",
@@ -55,12 +59,13 @@ class QuadratureSpec:
     endpoint_margin: float = 1e-8
 
     def __post_init__(self):
-        if self.rel_tol < 0 or self.abs_tol <= 0:
-            raise ValueError("need rel_tol >= 0 and abs_tol > 0")
+        # a NaN tolerance would pass the sign checks and stop refinement
+        if not (0 <= self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise DomainError("need finite rel_tol >= 0 and abs_tol > 0")
         if not 0 < self.endpoint_margin <= 0.1:
-            raise ValueError("endpoint_margin must lie in (0, 0.1]")
+            raise DomainError("endpoint_margin must lie in (0, 0.1]")
         if self.max_subdivisions < 0:
-            raise ValueError("max_subdivisions must be >= 0")
+            raise DomainError("max_subdivisions must be >= 0")
 
 
 @dataclass
@@ -156,15 +161,20 @@ class _Mesh(NamedTuple):
 class _CotLayout(NamedTuple):
     """Everything the cotangent-weighted driver needs that depends on the
     endpoint margin alone: the abscissae of its first evaluation (probe,
-    then three left and three right strip points, then the interior mesh),
-    cot(pi*u) on the interior mesh, and the strip model's constants."""
+    then three left and three right strip points, then the interior mesh,
+    as one line) and the matrix of its first-pass functionals.
+
+    A row ``gv`` of first-pass values gives ``gv @ weights``: the Kronrod
+    values of the ``P`` interior panels of ``g * cot(pi*u)``, their
+    Kronrod - Gauss differences, the slopes ``c`` of the left and right
+    strip models ``g ~ c*t`` (``t`` the offset from the endpoint, fitted by
+    least squares through the endpoint zero) and the six strip residuals
+    ``(g - c*t) / |t|``."""
 
     u: np.ndarray
-    cot: np.ndarray
+    weights: np.ndarray      # real, (n, 2P + 8)
+    cweights: np.ndarray     # the same as complex, for complex g
     mesh: _Mesh
-    strip_t: np.ndarray      # strip points as offsets from their endpoint
-    strip_dist: np.ndarray   # |offsets|
-    strip_norm: np.ndarray   # sum of squared offsets, left and right
     strip_weight: float      # integral of the model against the cotangent
     m: float
 
@@ -174,20 +184,36 @@ def _cot_layout(m):
     left = np.array([0.25 * m, 0.5 * m, 0.75 * m])
     right = 1.0 - left[::-1]
     mesh = _Mesh.from_edges(np.concatenate(([m], _INNER_EDGES, [1.0 - m])))
-    x = _abscissae(mesh.lefts, mesh.widths).ravel()
+    x = _abscissae(mesh.lefts, mesh.widths)
+    p, head = mesh.lefts.size, _PROBE.size
+    w = np.zeros((head + 6 + x.size, 2 * p + 8))
+
+    inner = head + 6 + np.arange(x.size).reshape(x.shape)
+    panel = np.arange(p)[:, None]
+    wg = np.zeros(_XK.size)
+    wg[_GAUSS_IDX] = _WG
+    kron = mesh.half[:, None] * kernels.cot_pi(x)
+    w[inner, panel] = kron * _WK
+    w[inner, p + panel] = kron * (_WK - wg)
+
+    t = np.concatenate([left, right - 1.0]).reshape(2, 3)
+    fit = t / np.sum(t**2, axis=1, keepdims=True)
+    for side in range(2):
+        at = head + 3 * side + np.arange(3)
+        w[at, 2 * p + side] = fit[side]
+        cols = 2 * p + 2 + 3 * side + np.arange(3)
+        w[at[:, None], cols] = (np.eye(3) - np.outer(fit[side], t[side])) / np.abs(t[side])
+
     lay = _CotLayout(
-        u=np.concatenate([_PROBE, left, right, x]),
-        cot=kernels.cot_pi(x),
+        u=np.concatenate([_PROBE, left, right, x.ravel()])[None, :],
+        weights=w,
+        cweights=w.astype(np.complex128),
         mesh=mesh,
-        strip_t=np.concatenate([left, right - 1.0]),
-        strip_dist=np.concatenate([left, 1.0 - right]),
-        strip_norm=np.array([np.sum(left**2), np.sum((right - 1.0) ** 2)]),
         strip_weight=m / math.pi - math.pi * m**3 / 9.0,
         m=m,
     )
     # shared by every call with this margin, so nothing may write to them
-    for a in (lay.u, lay.cot, lay.strip_t, lay.strip_dist, lay.strip_norm,
-              mesh.lefts, mesh.widths, mesh.half):
+    for a in (lay.u, lay.weights, lay.cweights, mesh.lefts, mesh.widths, mesh.half):
         a.setflags(write=False)
     return lay
 
@@ -200,16 +226,15 @@ def _single(f):
     return family
 
 
-def _shared(x, rows):
-    """The abscissae ``x`` as ``rows`` identical lines (a view for one row)."""
-    return x[None, :] if rows == 1 else np.repeat(x[None, :], rows, axis=0)
-
-
 def _evaluate(f, u, rows):
-    """``f(u, rows)``, checked for shape."""
+    """``f(u, rows)`` as an array of one line per line of ``rows``; a result
+    of the shape of ``u`` is every row's (see the module docstring)."""
     fv = np.asarray(f(u, rows))
-    if fv.shape != u.shape:
-        raise ValueError("integrand must return one value per abscissa")
+    shape = (rows.shape[0], u.shape[1])
+    if fv.shape != shape:
+        if fv.shape != u.shape:
+            raise ValueError("integrand must return one value per abscissa")
+        fv = np.broadcast_to(fv, shape)
     return fv
 
 
@@ -219,22 +244,12 @@ def _check_finite(fv, u, rows, family, what="integrand"):
     if bad.any():
         line, col = divmod(int(np.flatnonzero(bad)[0]), fv.shape[1])
         row = int(rows[line, 0])
+        node = np.broadcast_to(u, fv.shape)[line, col]
         where = f" (family row {row})" if family is not None else ""
         raise EvaluationError(
-            f"{what} returned a non-finite value at u = {u[line, col]!r}{where}",
-            node=float(u[line, col]), row=row if family is not None else None,
+            f"{what} returned a non-finite value at u = {node!r}{where}",
+            node=float(node), row=row if family is not None else None,
         )
-
-
-def _first_pass(f, x, rows, family):
-    """Every row of ``f`` on the shared abscissae ``x``, checked.  (A function
-    of its own so that ``x``, which can be large, is freed before the
-    refinement passes allocate theirs.)"""
-    u = _shared(x, rows)
-    everyone = np.arange(rows)[:, None]
-    fv = _evaluate(f, u, everyone)
-    _check_finite(fv, u, everyone, family)
-    return fv
 
 
 def _gauss_kronrod(fv, half):
@@ -254,21 +269,21 @@ def _budget_cap(split, errs, nsplit, budget):
     ])
 
 
-def _adapt(f, fv, mesh, spec, abs_tol, family):
-    """Adaptive Gauss-Kronrod over a family, from its values ``fv`` (rows,
-    n) on the shared initial ``mesh``.
+def _adapt(f, vals, errs, mesh, spec, abs_tol, family, first):
+    """Adaptive Gauss-Kronrod over a family, from the Kronrod values and
+    error estimates ``vals``, ``errs`` (rows, P) of its panels on the shared
+    initial ``mesh``, which took ``first`` evaluations per row.
 
     ``f(u, rows)`` evaluates refined panels and ``abs_tol`` is each row's
     absolute target.  Returns per-row values, error estimates, evaluation
     counts, convergence flags and warnings.
     """
-    rows, first = fv.shape[0], mesh.lefts.size
-    vals, errs = _gauss_kronrod(fv.reshape(rows, first, _XK.size), mesh.half)
+    rows, p = vals.shape
     value = vals.sum(axis=1)
     error = errs.sum(axis=1)
     target = np.maximum(spec.rel_tol * np.abs(value), abs_tol)
     converged = error <= target
-    evaluations = np.full(rows, fv.shape[1])
+    evaluations = np.full(rows, first)
     notes = [[] for _ in range(rows)]
     if converged.all():
         return value, error, evaluations, converged, notes
@@ -277,18 +292,21 @@ def _adapt(f, fv, mesh, spec, abs_tol, family):
     # row's panels in the order a lone run of that row would hold them.
     todo = np.flatnonzero(~converged) if spec.max_subdivisions > 0 else np.empty(0, int)
     subdivisions = np.zeros(todo.size, dtype=np.int64)
-    owner = np.repeat(np.arange(todo.size), first)
+    stuck = np.zeros(rows, dtype=bool)
+    owner = np.repeat(np.arange(todo.size), p)
     lefts = np.tile(mesh.lefts, todo.size)
     widths = np.tile(mesh.widths, todo.size)
     vals, errs = vals[todo].ravel(), errs[todo].ravel()
-    count = np.full(todo.size, first)
+    count = np.full(todo.size, p)
     while todo.size:
         # Split every panel holding more than its row's fair share of the
-        # row's target; since the row's summed estimate exceeds its target,
-        # at least one panel of every pending row qualifies.
+        # row's target.  A row whose summed estimate exceeds its target has
+        # such a panel unless the estimate or the target is NaN; a row that
+        # splits nothing is stuck, and stops.
         theta = target[todo] / (2.0 * count)
         split = np.flatnonzero(errs > theta[owner])
         nsplit = np.bincount(owner[split], minlength=todo.size)
+        stuck[todo] = nsplit == 0
         budget = spec.max_subdivisions - subdivisions
         if np.any(nsplit > budget):
             split = _budget_cap(split, errs, nsplit, budget)
@@ -326,7 +344,7 @@ def _adapt(f, fv, mesh, spec, abs_tol, family):
         target[todo] = np.maximum(spec.rel_tol * np.abs(value[todo]), abs_tol[todo])
         converged[todo] = error[todo] <= target[todo]
 
-        stay = ~converged[todo] & (subdivisions < spec.max_subdivisions)
+        stay = ~converged[todo] & (subdivisions < spec.max_subdivisions) & ~stuck[todo]
         if not stay.all():
             panels = stay[owner]
             owner = (np.cumsum(stay) - 1)[owner[panels]]
@@ -335,9 +353,10 @@ def _adapt(f, fv, mesh, spec, abs_tol, family):
             todo, count, subdivisions = todo[stay], count[stay], subdivisions[stay]
 
     for r in np.flatnonzero(~converged):
+        why = ("no panel can be split further" if stuck[r] else
+               f"subdivision budget ({spec.max_subdivisions}) exhausted")
         notes[r].append(
-            f"subdivision budget ({spec.max_subdivisions}) exhausted with "
-            f"error estimate {error[r]:.3e} > target {target[r]:.3e}"
+            f"{why} with error estimate {error[r]:.3e} > target {target[r]:.3e}"
         )
     return value, error, evaluations, converged, notes
 
@@ -356,6 +375,18 @@ def _result(value, error, evaluations, converged, notes, family):
         row_converged=converged,
         row_warnings=notes,
     )
+
+
+def _first_pass(f, mesh, rows, family):
+    """Kronrod values and error estimates of every row of ``f`` on the
+    shared ``mesh``.  (A function of its own so that the first-pass
+    abscissae and values, which can be large, are freed before the
+    refinement passes allocate theirs.)"""
+    u = _abscissae(mesh.lefts, mesh.widths).reshape(1, -1)
+    everyone = np.arange(rows)[:, None]
+    fv = _evaluate(f, u, everyone)
+    _check_finite(fv, u, everyone, family)
+    return _gauss_kronrod(fv.reshape(rows, mesh.lefts.size, _XK.size), mesh.half)
 
 
 def integrate_open(f, spec=None, interval=(0.0, 1.0), initial_panels=8,
@@ -385,8 +416,9 @@ def integrate_open(f, spec=None, interval=(0.0, 1.0), initial_panels=8,
     mesh = _Mesh.from_edges(edges)
     rows = 1 if family is None else int(family)
     f = _single(f) if family is None else f
-    fv = _first_pass(f, _abscissae(mesh.lefts, mesh.widths).ravel(), rows, family)
-    parts = _adapt(f, fv, mesh, spec, np.full(rows, spec.abs_tol), family)
+    vals, errs = _first_pass(f, mesh, rows, family)
+    parts = _adapt(f, vals, errs, mesh, spec, np.full(rows, spec.abs_tol), family,
+                   _XK.size * mesh.lefts.size)
     return _result(*parts, family)
 
 
@@ -404,16 +436,18 @@ def integrate_cot_weighted(g, spec=None, scale_hint=0.0, family=None):
     quantities inside ``g`` when that exceeds ``max |g|`` (a difference of
     large near-equal values evaluates with rounding floor ``eps * hint``,
     not ``eps * max|g|``).  Both the endpoint check and the attainable
-    absolute tolerance are referenced to it.  The working absolute target is
-    ``abs_tol`` *scaled by the integrand size*, so tiny integrals are still
-    resolved to relative accuracy instead of being accepted at a fixed
-    absolute floor.
+    absolute tolerance are referenced to it; it must be finite
+    (:class:`DomainError`).  The working absolute target is ``abs_tol``
+    *scaled by the integrand size*, so tiny integrals are still resolved to
+    relative accuracy instead of being accepted at a fixed absolute floor.
 
     ``g`` is evaluated once on the probe grid, the strip points and the
-    initial interior mesh together.  Checks run in this order, each raising
-    for the first row that fails it: non-finite values on the probe grid,
-    the endpoint zeros, non-finite values anywhere else.  A row whose probe
-    values all vanish integrates to 0.
+    initial interior mesh together, and one matrix product of those values
+    gives every first-pass panel value, error estimate and strip model.
+    Checks run in this order, each raising for the first row that fails it:
+    non-finite values on the probe grid, the endpoint zeros, non-finite
+    values anywhere else.  A row whose probe values all vanish integrates
+    to 0.
 
     ``family=M`` integrates the M rows of a family ``g(u, rows)`` (see the
     module docstring); ``scale_hint`` is then a scalar or one value per row.
@@ -421,23 +455,26 @@ def integrate_cot_weighted(g, spec=None, scale_hint=0.0, family=None):
     target.
     """
     spec = spec or QuadratureSpec()
+    if not np.isfinite(scale_hint).all():
+        raise DomainError(f"scale_hint must be finite, got {scale_hint!r}")
     lay = _cot_layout(spec.endpoint_margin)
     rows = 1 if family is None else int(family)
     f = _single(g) if family is None else g
-    u = _shared(lay.u, rows)
     everyone = np.arange(rows)[:, None]
-    gv = _evaluate(f, u, everyone)
-    n_probe, n_head = _PROBE.size, _PROBE.size + 6
+    gv = _evaluate(f, lay.u, everyone)
+    n_probe = _PROBE.size
     finite = np.isfinite(gv).all()
     if not finite:
-        _check_finite(gv[:, :n_probe], u, everyone, family, "integrand factor")
-    scale = np.abs(gv[:, :n_probe]).max(axis=1)
+        _check_finite(gv[:, :n_probe], lay.u[:, :n_probe], everyone, family,
+                      "integrand factor")
+    probe = np.abs(gv[:, :n_probe])
+    scale = probe.max(axis=1)
     eval_scale = np.maximum(scale, scale_hint)
 
     # floored at rounding noise so a tight abs_tol cannot demand an endpoint
     # residual below what evaluating g in doubles can produce
     tol_end = max(spec.abs_tol, _NOISE) * eval_scale
-    ends = np.abs(gv[:, :2])
+    ends = probe[:, :2]
     bad = np.flatnonzero((ends > tol_end[:, None]).any(axis=1))
     if bad.size:
         r = bad[0]
@@ -448,17 +485,16 @@ def integrate_cot_weighted(g, spec=None, scale_hint=0.0, family=None):
             + (f" (family row {r})" if family is not None else "")
         )
     if not finite:
-        _check_finite(gv, u, everyone, family, "integrand factor")
+        _check_finite(gv, lay.u, everyone, family, "integrand factor")
 
-    # Margin strips: model g linearly through its endpoint zero (g ~ c*t,
-    # t the offset from the endpoint) and integrate the model against the
-    # exact cotangent expansion 1/(pi*t) - pi*t/3 + ...
-    gs = gv[:, n_probe:n_head]
-    c = (gs * lay.strip_t).reshape(rows, 2, 3).sum(axis=2) / lay.strip_norm
-    model = c.repeat(3, axis=1) * lay.strip_t
-    resid = (np.abs(gs - model) / lay.strip_dist).max(axis=1)
-    strip_value = c.sum(axis=1) * lay.strip_weight
-    strip_err = resid * lay.m / math.pi + np.abs(c).sum(axis=1) * lay.m**3
+    # Margin strips: the model g ~ c*t through the endpoint zero is
+    # integrated against the exact cotangent expansion 1/(pi*t) - pi*t/3 + ...
+    p = lay.mesh.lefts.size
+    fused = gv @ (lay.cweights if np.iscomplexobj(gv) else lay.weights)
+    size = np.abs(fused[:, p:])
+    strip_value = fused[:, 2 * p:2 * p + 2].sum(axis=1) * lay.strip_weight
+    strip_err = (size[:, p + 2:].max(axis=1) * lay.m / math.pi
+                 + size[:, p:p + 2].sum(axis=1) * lay.m**3)
 
     # Absolute target referenced to the integrand scale, floored at the
     # rounding noise the evaluation of g can actually deliver, and at the
@@ -470,13 +506,13 @@ def integrate_cot_weighted(g, spec=None, scale_hint=0.0, family=None):
     abs_tol[zero] = np.inf
     value, error, evaluations, converged, notes = _adapt(
         lambda u, r: f(u, r) * kernels.cot_pi(u),
-        gv[:, n_head:] * lay.cot, lay.mesh, spec, abs_tol, family,
+        fused[:, :p], size[:, :p], lay.mesh, spec, abs_tol, family, gv.shape[1],
     )
     value = value + strip_value
     error = error + strip_err
     value[zero] = 0.0
     error[zero] = 0.0
-    return _result(value, error, evaluations + n_head, converged, notes, family)
+    return _result(value, error, evaluations, converged, notes, family)
 
 
 def integrate_oscillatory(f, n, spec=None):

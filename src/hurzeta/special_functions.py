@@ -7,6 +7,7 @@ rounding away from it, so the heavier numeric layers can treat these values
 as ground truth.
 """
 
+import functools
 import math
 import threading
 import warnings
@@ -29,6 +30,7 @@ __all__ = [
     "bernoulli",
     "PolylogRational",
     "polylog_nonpos",
+    "polylog_nonpos_orders",
     "eulerian_row",
     "harmonic_number",
 ]
@@ -157,25 +159,39 @@ class PolylogRational:
         if z == 1:
             raise DomainError("Li_{-m}(z) has a pole at z = 1")
         gap = 1.0 - z
-        if abs(gap) < guard:
-            warnings.warn(
-                f"polylog evaluated within {guard:g} of its pole at z=1 "
-                f"(|1-z| = {abs(gap):.3e}); expect degraded accuracy",
-                ConditioningWarning,
-                stacklevel=2,
-            )
-        num = 0j
+        note = _near_pole(gap, guard)
+        if note:
+            warnings.warn(note, ConditioningWarning, stacklevel=2)
         try:
-            for c in reversed(self.coeffs):
-                num = num * z + c
-            num *= z
-            return num / gap ** (self.order + 1)
+            return _rational(reversed(self.coeffs), self.order, z, gap)
         except OverflowError as exc:
-            raise RangeOverflowError(
-                f"Li_(-{self.order})({z!r}) exceeds double range (Eulerian "
-                "numerator coefficients grow factorially and the pole factor "
-                f"is (1-z)**{self.order + 1})"
-            ) from exc
+            raise _overflow(self.order, z) from exc
+
+
+def _rational(coeffs, order: int, z: complex, gap: complex) -> complex:
+    """``z * N(z) / gap**(order+1)``, ``N`` by Horner from its highest
+    coefficient; a float coefficient adds to a complex as its int does."""
+    num = 0j
+    for c in coeffs:
+        num = num * z + c
+    num *= z
+    return num / gap ** (order + 1)
+
+
+def _near_pole(gap: complex, guard: float):
+    """The conditioning note for ``|1 - z| = |gap| < guard``, else None."""
+    if abs(gap) < guard:
+        return (f"polylog evaluated within {guard:g} of its pole at z=1 "
+                f"(|1-z| = {abs(gap):.3e}); expect degraded accuracy")
+    return None
+
+
+def _overflow(order: int, z: complex) -> RangeOverflowError:
+    return RangeOverflowError(
+        f"Li_(-{order})({z!r}) exceeds double range (Eulerian "
+        "numerator coefficients grow factorially and the pole factor "
+        f"is (1-z)**{order + 1})"
+    )
 
 
 _polylog_cache: dict = {}
@@ -195,6 +211,35 @@ def _polylog_rational(order: int) -> PolylogRational:
 def polylog_nonpos(m: int, z: complex, guard: float = 1e-12) -> complex:
     """``Li_{-m}(z)`` for integer ``m >= 0`` via its closed rational form."""
     return _polylog_rational(m).evaluate(complex(z), guard=guard)
+
+
+@functools.lru_cache(maxsize=64)
+def _horner_rows(k: int) -> tuple:
+    """The numerator coefficients of ``Li_0 .. Li_{-(k-1)}`` as floats,
+    highest power first: the order in which :meth:`PolylogRational.evaluate`
+    adds them.  One past double range stays an int, so that adding it
+    raises ``OverflowError`` at its order, as there."""
+    return tuple(tuple(float(c) if c.bit_length() <= 1023 else c
+                       for c in reversed(_polylog_rational(m).coeffs))
+                 for m in range(k))
+
+
+def polylog_nonpos_orders(k: int, z: complex, guard: float = 1e-12):
+    """``([Li_0(z), ..., Li_{-(k-1)}(z)], note)``: bitwise the values of
+    ``k`` :func:`polylog_nonpos` calls, from coefficients converted once per
+    ``k``.  ``note`` is the :class:`ConditioningWarning` text those calls
+    would each issue near the pole, or None; nothing is warned here."""
+    z = complex(z)
+    if z == 1:
+        raise DomainError("Li_{-m}(z) has a pole at z = 1")
+    gap = 1.0 - z
+    out = []
+    try:
+        for m, row in enumerate(_horner_rows(k)):
+            out.append(_rational(row, m, z, gap))
+    except OverflowError as exc:
+        raise _overflow(len(out), z) from exc
+    return out, _near_pole(gap, guard)
 
 
 def eulerian_row(m: int) -> tuple:

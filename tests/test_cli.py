@@ -111,6 +111,17 @@ class TestEval:
         p = run("eval", "--k", "2", "--b", "1.25", "--format", "json")
         assert json.loads(p.stdout)["results"][0]["cross_check"] == "independent"
 
+    @pytest.mark.parametrize("args", [
+        ("eval", "--k", "3", "--b", "0.3", "--rel-tol", "nan"),
+        ("eval", "--k", "3", "--b", "0.3", "--abs-tol", "inf"),
+        ("genfun", "--x", "0.3", "--b", "0.4", "--rel-tol", "nan"),
+    ])
+    def test_non_finite_tolerance_exits_2(self, args):
+        # a NaN tolerance once made the quadrature refine forever
+        p = run(*args)  # under a timeout
+        assert p.returncode == 2, p.stderr
+        assert "finite" in p.stderr
+
     def test_non_finite_b_exits_2(self):
         assert run("eval", "--k", "2", "--b", "nan").returncode == 2
 

@@ -197,14 +197,16 @@ class TestZetaRecovery:
         kernel = kernels.sin_ratio_gap
 
         def counted(*args):
-            calls.append(np.size(args[0]))
+            calls.append((np.shape(args[0]), np.shape(args[1])))
             return kernel(*args)
 
         monkeypatch.setattr(kernels, "sin_ratio_gap", counted)
         zeta_from_genfun(3, 1.25, 0.3, 32)
         # one node at a time made 4 calls per node: probe, two strips, mesh
         assert 1 <= len(calls) <= 8
-        assert calls[0] == 64 * (33 + 6 + 150)
+        # the first pass shares its 189 abscissae across the 64 nodes, so
+        # the b-only term sin(2*pi*b*u)/sin(2*pi*b) is computed once
+        assert calls[0] == ((1, 33 + 6 + 150), (64, 1))
 
     def test_unconverged_node_is_an_error(self):
         # with no subdivision budget, nodes 14..19 of the first circle stop

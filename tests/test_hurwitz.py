@@ -1,6 +1,7 @@
 """The zeta evaluator: exact algebra, oracle agreement, error contract."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from hurzeta import (
     hurwitz_series_oracle,
     hurwitz_zeta,
     imag_part_integral,
+    polylog_nonpos,
     real_part_formula,
     zeta_auto,
     zeta_from_genfun,
@@ -273,17 +275,17 @@ class TestOracleExtended:
         assert abs(hurwitz_series_oracle(k, b, tol=1e-12) - ref) <= 1e-11 * abs(ref)
 
 
-def test_closed_form_makes_k_polylog_calls(monkeypatch):
-    calls = []
-    real = hurzeta.hurwitz.polylog_nonpos
-
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(hurzeta.hurwitz, "polylog_nonpos", counting)
-    for k in (2, 5, 12):
-        hurzeta.hurwitz._bracket_data.cache_clear()
-        calls.clear()
-        hurwitz_zeta(ZetaParams.create(k, 0.3 + 0.2j))
-        assert len(calls) == k
+def test_closed_form_polylogs_are_polylog_nonpos_bitwise():
+    # the closed-form set-up evaluates Li_0 .. Li_{-(k-1)} from coefficients
+    # converted once per k; values and pole notes must be those of k
+    # polylog_nonpos calls, bit for bit
+    for k in (2, 5, 12, 24):
+        for b in (0.3 + 0.2j, 0.05 - 0.9j, 1.37, 1 + 1e-14):
+            q = complex(np.exp(-2j * math.pi * b))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ConditioningWarning)
+                ref = np.array([polylog_nonpos(m, q) for m in range(k)])
+            hurzeta.hurwitz._bracket_data.cache_clear()
+            _, _, li, notes, _ = hurzeta.hurwitz._bracket_data(k, b)
+            assert li.view(np.uint64).tolist() == ref.view(np.uint64).tolist()
+            assert list(notes) == [str(w.message) for w in caught]

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hurzeta.errors import DivergenceError, EvaluationError
+from hurzeta import quadrature
+from hurzeta.errors import DivergenceError, DomainError, EvaluationError
 from hurzeta.quadrature import (
     QuadratureSpec,
     integrate_cot_weighted,
@@ -66,6 +67,25 @@ class TestIntegrateOpen:
         with pytest.raises(ValueError):
             QuadratureSpec(endpoint_margin=0.5)
 
+    @pytest.mark.parametrize("knob", [{"rel_tol": math.nan}, {"abs_tol": math.nan},
+                                      {"rel_tol": math.inf}, {"abs_tol": math.inf}])
+    def test_non_finite_tolerance_is_a_domain_error(self, knob):
+        # a NaN tolerance once passed validation and made refinement loop forever
+        with pytest.raises(DomainError):
+            QuadratureSpec(**knob)
+
+    def test_row_that_cannot_split_stops_unconverged(self):
+        # values near the top of the double range overflow the K15 and G7
+        # sums, so the row's estimate is NaN and no panel qualifies for a split
+        def family(u, rows):
+            return np.where(rows == 1, 1.7e308, u)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            fam = integrate_open(family, family=3)
+        assert fam.row_converged.tolist() == [True, False, True]
+        assert fam.row_evaluations[1] == 8 * 15
+        assert "no panel can be split further" in fam.row_warnings[1][0]
+
 
 class TestCotWeighted:
     # integral_0^1 sin(2 pi n u) cot(pi u) du = 1 for every n >= 1
@@ -115,6 +135,13 @@ class TestCotWeighted:
         # ...and rejected when the declared scale is O(1)
         with pytest.raises(DivergenceError):
             integrate_cot_weighted(g, scale_hint=1.0)
+
+    def test_non_finite_scale_hint_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            integrate_cot_weighted(lambda u: np.sin(2 * np.pi * u), scale_hint=math.nan)
+        with pytest.raises(DomainError):
+            integrate_cot_weighted(lambda u, rows: np.sin(2 * np.pi * u), family=2,
+                                   scale_hint=np.array([1.0, math.inf]))
 
 
 class TestOscillatory:
@@ -239,3 +266,104 @@ class TestFamily:
         assert np.array_equal(a.value, b.value)
         assert np.array_equal(a.error_estimate, b.error_estimate)
         assert np.array_equal(a.row_evaluations, b.row_evaluations)
+
+
+def _cot_first_pass_reference(g, m):
+    """Value, error estimate and sum of |weight * g| of the cotangent
+    driver's first pass, panel by panel: GK15 (with its embedded G7) on
+    the interior panels of g(u) * cot(pi*u), and the least-squares line
+    through each endpoint zero on the margin strips."""
+    xk, wk, wg = quadrature._XK, quadrature._WK, quadrature._WG
+    gauss = quadrature._GAUSS_IDX
+    edges = np.concatenate(([m], np.linspace(0.1, 0.9, 9), [1.0 - m]))
+    value, error, size = 0j, 0.0, 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (b - a)
+        u = a + half * (xk + 1.0)
+        fv = g(u) / np.tan(np.pi * u)
+        kron, gl = half * np.sum(wk * fv), half * np.sum(wg * fv[gauss])
+        value += kron
+        error += abs(kron - gl)
+        size += half * np.sum(np.abs(wk * fv))
+    t = np.array([0.25 * m, 0.5 * m, 0.75 * m])
+    for end, sign in ((0.0, 1.0), (1.0, -1.0)):
+        gs = g(end + sign * t[::int(sign)])
+        off = sign * t[::int(sign)]
+        c = np.sum(gs * off) / np.sum(off**2)
+        value += c * (m / math.pi - math.pi * m**3 / 9.0)
+        resid = np.max(np.abs(gs - c * off) / np.abs(off))
+        error += resid * m / math.pi + abs(c) * m**3
+        size += np.sum(np.abs(gs * off)) / np.sum(off**2) * m / math.pi
+    return value, error, size
+
+
+class TestFusedFirstPass:
+    # the first pass is one matrix product of the 189 first-pass values;
+    # with no subdivision budget the result is that pass alone
+    SPEC = QuadratureSpec(max_subdivisions=0)
+    ROWS = [
+        lambda u: np.sin(2 * np.pi * u),
+        lambda u: (0.3 - 1.1j) * u * (1 - u) * np.exp(2 * u),
+        lambda u: np.sin(6 * np.pi * u) * np.cos(5 * u),
+        lambda u: 1e-7 * u**3 * (1 - u) ** 2,
+        lambda u: (2 + 1j) * np.sin(np.pi * u) ** 2 * np.exp(-3j * u),
+    ]
+
+    def check(self, got, value, error, size):
+        ulps = 8 * np.finfo(float).eps * size
+        assert abs(got.value - value) <= ulps
+        assert abs(got.error_estimate - error) <= ulps
+
+    def test_single_row_matches_per_panel_reference(self):
+        for g in self.ROWS:
+            ref = _cot_first_pass_reference(g, self.SPEC.endpoint_margin)
+            self.check(integrate_cot_weighted(g, self.SPEC), *ref)
+
+    def test_family_rows_match_per_panel_reference(self):
+        def family(u, rows):
+            return np.choose(rows, [np.broadcast_to(g(u), u.shape) for g in self.ROWS])
+
+        fam = integrate_cot_weighted(family, self.SPEC, family=len(self.ROWS))
+        for r, g in enumerate(self.ROWS):
+            self.check(fam.row(r), *_cot_first_pass_reference(g, self.SPEC.endpoint_margin))
+            assert fam.row_evaluations[r] == 33 + 6 + 10 * 15
+
+    def test_gauss_nodes_are_gauss_legendre(self):
+        x, w = np.polynomial.legendre.leggauss(7)
+        assert np.allclose(quadrature._XK[quadrature._GAUSS_IDX], x, rtol=0, atol=1e-15)
+        assert np.allclose(quadrature._WG, w, rtol=0, atol=1e-15)
+
+    def test_refining_row_goes_on_from_the_fused_panels(self):
+        spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-15)
+        rows = [lambda u: np.sin(2 * np.pi * u),
+                lambda u: u * (1 - u) * np.cos(40 * u) * np.exp(3 * u),
+                lambda u: np.sin(4 * np.pi * u) * (1 + 1j)]
+
+        def family(u, r):
+            return np.choose(r, [np.broadcast_to(g(u), u.shape).astype(complex)
+                                 for g in rows])
+
+        fam = integrate_cot_weighted(family, spec, family=3)
+        first = 33 + 6 + 10 * 15
+        assert fam.row_evaluations[1] > first
+        for r, g in enumerate(rows):
+            one = integrate_cot_weighted(g, spec)
+            assert fam.row_evaluations[r] == one.evaluations
+            assert abs(fam.value[r] - one.value) <= one.error_estimate
+
+    def test_row_independent_result_broadcasts(self):
+        shapes = []
+
+        def family(u, rows):
+            shapes.append((u.shape, rows.shape))
+            return np.sin(2 * np.pi * u)  # the shape of u, for every row
+
+        fam = integrate_cot_weighted(family, family=4)
+        assert shapes[0] == ((1, 33 + 6 + 150), (4, 1))
+        assert np.allclose(fam.value, 1.0, rtol=0, atol=1e-12)
+        fam = integrate_open(lambda u, rows: u * u, family=3)
+        assert np.allclose(fam.value, 1.0 / 3.0, rtol=0, atol=1e-14)
+
+    def test_wrong_shape_still_rejected(self):
+        with pytest.raises(ValueError):
+            integrate_cot_weighted(lambda u, rows: np.sin(2 * np.pi * u[0]), family=2)

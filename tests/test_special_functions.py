@@ -1,6 +1,7 @@
 """Exact and oracle-backed checks for the arithmetic bottom layer."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,13 @@ from hurzeta.errors import (
     DomainError,
     RangeOverflowError,
 )
-from hurzeta.special_functions import CATALAN, EULER_GAMMA, PI, PolylogRational
+from hurzeta.special_functions import (
+    CATALAN,
+    EULER_GAMMA,
+    PI,
+    PolylogRational,
+    polylog_nonpos_orders,
+)
 
 
 def test_catalan_against_accelerated_series():
@@ -128,6 +135,17 @@ class TestPolylog:
     def test_overflow_is_typed(self):
         with pytest.raises(RangeOverflowError):
             polylog_nonpos(60, 1e6 + 0j)
+
+    def test_orders_fail_as_single_calls_do(self):
+        with pytest.raises(DomainError):
+            polylog_nonpos_orders(3, 1.0)
+        with pytest.raises(RangeOverflowError):
+            polylog_nonpos_orders(61, 1e6 + 0j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the note is returned, not warned
+            values, note = polylog_nonpos_orders(3, 1.0 + 1e-13)
+        assert "pole" in note and all(math.isfinite(v.real) for v in values)
+        assert polylog_nonpos_orders(3, 0.5)[1] is None
 
     def test_build_rejects_negative_order(self):
         with pytest.raises(DomainError):
