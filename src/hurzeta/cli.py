@@ -309,12 +309,12 @@ def _zeta_record(k: int, b: complex, spec: QuadratureSpec):
     route).  It passes when ``|value - oracle| <= VERDICT_RTOL * |oracle|``,
     ``|oracle|`` floored at the smallest normal double only so that an
     exact-zero oracle still compares.  On the series route the value is the
-    oracle's own summation: ``cross_check`` says ``"same-route"``.
+    oracle's own summation, used as is: ``cross_check`` says ``"same-route"``.
     """
     b = complex(b)
     t0 = time.perf_counter()
     value, route, br = zeta_auto(k, b, spec)
-    oracle = _oracle(k, b)
+    oracle = value if route == "series" else _oracle(k, b)
     disc = abs(value - oracle)
     scale = max(abs(oracle), _TINY)
     return {

@@ -3,10 +3,11 @@
 Two independent routes are provided.  The closed-form route assembles the
 value from polylogarithms of ``q = exp(-2*pi*i*b)`` plus one
 cotangent-weighted integral whose smooth factor (the "bracket") vanishes at
-both endpoints.  The series route sums the defining series directly with a
-midpoint tail correction and serves as the cross-validation oracle; it is
-also what handles positive integer ``b``, where the closed form degenerates
-(``q = 1`` is a polylogarithm pole).
+both endpoints.  The series route sums the defining series by
+Euler--Maclaurin summation (direct terms, then an asymptotic tail with a
+rigorous remainder bound), for every ``b`` off the poles, and serves as the
+cross-validation oracle; it is also what handles positive integer ``b``,
+where the closed form degenerates (``q = 1`` is a polylogarithm pole).
 
 For real ``b`` the real and imaginary contributions are also available
 separately (:func:`real_part_formula`, :func:`imag_part_integral`); their
@@ -31,7 +32,7 @@ from .errors import (
     CapacityError,
 )
 from .quadrature import QuadratureResult, QuadratureSpec, integrate_cot_weighted
-from .special_functions import polylog_nonpos_orders
+from .special_functions import BernoulliTable, bernoulli, polylog_nonpos_orders
 
 __all__ = [
     "IM_CAP_DEFAULT",
@@ -57,6 +58,12 @@ CANCELLATION_WARN_REL = 1e-8
 
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # i**k by quadrant, exact
 _TINY = float(np.finfo(np.float64).tiny)
+
+# The series oracle sums terms directly until Re(b + N) >= EM_SHIFT and
+# adds EM_TERMS Euler--Maclaurin corrections (B_2 .. B_24) for the rest.
+EM_SHIFT = 16
+EM_TERMS = 12
+SERIES_MAX_TERMS = 50_000_000
 
 
 def _is_integer_valued(b: complex) -> bool:
@@ -351,58 +358,72 @@ def imag_part_integral(k: int, b: float, spec: QuadratureSpec | None = None) -> 
     return -((2.0 * math.pi) ** k) / 2.0 * quad.value.real
 
 
-def hurwitz_series_oracle(k: int, b: complex, tol: float = 1e-12,
-                          max_terms: int = 50_000_000) -> complex:
-    """Direct summation of ``sum_{j>=0} (j+b)**(-k)`` with a tail correction.
+def hurwitz_series_oracle(k: int, b: complex, tol: float = 1e-12) -> complex:
+    """``sum_{j>=0} (j+b)**(-k)`` by Euler--Maclaurin summation, for every
+    ``b`` off the poles; independent of every closed form in this package.
 
-    Independent of every closed form in this package: plain term summation to
-    ``N`` followed by the midpoint integral tail ``(N + 1/2 + b)**(1-k)/(k-1)``,
-    whose own error is ~ ``(k/24) * (N + Re b)**(-k-1)``.  ``N`` is chosen so
-    that bound is at most ``tol/4`` of the result: ``tol`` is relative.  For
-    ``Re b <= 0`` the first ``m = floor(-Re b) + 1`` terms are added one by
-    one and the rest is summed as above at ``b + m``; non-positive integer
-    ``b`` is a pole.
+    The first ``N`` terms are summed directly, and ``zeta(k, a)``, ``a = b +
+    N``, is ``a**(1-k)/(k-1) + a**-k/2 + sum_{m=1..12} B_{2m}/(2m)! *
+    (k)_{2m-1} * a**(1-k-2m) + R`` with the rigorous bound ``|R| <= 4
+    (k)_24 / ((2 pi)**24 (k+23) (Re a)**(k+23))`` (Johansson,
+    arXiv:1309.2877).  ``N`` starts at the least count with ``Re a >= 16``
+    and grows until the bound is at most ``tol/4`` of the result: ``tol``
+    is relative.  More than ``SERIES_MAX_TERMS`` terms raise
+    :class:`CapacityError` before any summation.
     """
     k = check_k(k)
     b = check_b(b)
     if not 0 < tol < 1:
         raise ValueError("tol must lie in (0, 1)")
-    if b.real > 0.0:
-        return _tail_corrected_sum(k, b, tol, max_terms)
-    m = math.floor(-b.real) + 1
-    if m > max_terms:
-        raise CapacityError(
-            f"series oracle would need {m} head terms (> max_terms = {max_terms})"
-        )
-    head = sum((j + b) ** (-k) for j in range(m))
-    return _tail_corrected_sum(k, b + m, tol, max_terms, head)
-
-
-def _tail_corrected_sum(k: int, b: complex, tol: float, max_terms: int,
-                        head=None) -> complex:
-    # N is chosen so that (k/24) * (N + Re b)**-(k+1) <= abs_tol/4.  That
-    # bound is absolute, so while the result is below 1 in magnitude the
-    # sum is extended to the N that makes it hold for tol * |result|.
-    acc = 0.0 + 0.0j
-    step = 1 << 20
-    abs_tol, summed = tol, 0
+    log_c = _em_constants(k)[1]
+    p = k + 2 * EM_TERMS - 1  # the bound falls as (Re a)**-p
+    n = max(0, math.ceil(EM_SHIFT - b.real))
+    head, summed, step = 0j, 0, 1 << 20
     while True:
-        n_needed = (k / (6.0 * abs_tol)) ** (1.0 / (k + 1.0)) - b.real
-        n = max(50, int(math.ceil(n_needed)))
-        if n > max_terms:
+        if n > SERIES_MAX_TERMS:
             raise CapacityError(
-                f"series oracle would need {n} terms (> max_terms = {max_terms})"
+                f"series oracle would need {n} terms (> {SERIES_MAX_TERMS})"
             )
-        for j0 in range(summed, n + 1, step):
-            j1 = min(j0 + step - 1, n)
-            acc += kernels.inv_power_sum(b, k, j0, j1)
-        summed = n + 1
-        value = complex(acc + (n + 0.5 + b) ** (1 - k) / (k - 1))
-        if head is not None:
-            value = head + value
-        if not abs(value) < 1.0 or abs_tol < tol:  # nan returns too
+        for j0 in range(summed, n, step):
+            head += kernels.inv_power_sum(b, k, j0, min(j0 + step, n) - 1)
+        summed = n
+        a = b + n
+        value = head + _em_tail(k, a)
+        # log(tol/4 * |value|), floored at the smallest normal double, below
+        # which no relative accuracy is left; NaN and infinite values fail
+        # the test below and are returned
+        log_target = math.log(max(tol / 4.0 * abs(value), _TINY))
+        if not log_c - p * math.log(a.real) > log_target:
             return value
-        abs_tol = tol * max(abs(value), _TINY)
+        n = max(n + 1, math.ceil(math.exp((log_c - log_target) / p) - b.real))
+
+
+@functools.cache
+def _em_table() -> BernoulliTable:
+    return BernoulliTable.build(2 * EM_TERMS)  # the 64-entry default is slower
+
+
+@functools.lru_cache(maxsize=64)
+def _em_constants(k: int) -> tuple:
+    """``B_{2m}/(2m)! * (k)_{2m-1}`` for ``m = EM_TERMS..1`` (Horner order),
+    and ``log(4 (k)_24 / ((2 pi)**24 (k+23)))``, the remainder bound times
+    ``(Re a)**(k+23)``; the rising factorials are exact integers, as their
+    floats overflow at large ``k``."""
+    n, table = 2 * EM_TERMS, _em_table()
+    coeffs = tuple(float(bernoulli(2 * m, table) * math.prod(range(k, k + 2 * m - 1))
+                         / math.factorial(2 * m)) for m in range(EM_TERMS, 0, -1))
+    log_c = (math.log(4 * math.prod(range(k, k + n))) - n * math.log(2 * math.pi)
+             - math.log(k + n - 1))
+    return coeffs, log_c
+
+
+def _em_tail(k: int, a: complex) -> complex:
+    """``zeta(k, a)`` less its Euler--Maclaurin remainder."""
+    u = complex(np.clongdouble(a) ** (1 - k))  # see kernels.inv_power_sum
+    inv_a2, acc = 1.0 / (a * a), 0j
+    for c in _em_constants(k)[0]:
+        acc = acc * inv_a2 + c
+    return u / (k - 1) + u / (2.0 * a) + acc * u * inv_a2
 
 
 def hp_partial_sum(k: int, b: complex, n: int) -> complex:
@@ -427,19 +448,18 @@ def hp_partial_sum(k: int, b: complex, n: int) -> complex:
     return complex(acc)
 
 
-def zeta_auto(k: int, b: complex, spec: QuadratureSpec | None = None,
-              series_tol: float = 1e-12):
+def zeta_auto(k: int, b: complex, spec: QuadratureSpec | None = None):
     """Evaluate ``zeta(k, b)`` by whichever route is valid at ``b``.
 
-    Positive integer ``b`` goes to the series oracle (the closed form is
-    undefined there), with ``series_tol`` as its relative tolerance;
-    everything else goes through :func:`hurwitz_zeta`.
+    Positive integer ``b`` goes to the series oracle at its default
+    relative tolerance (the closed form is undefined there); everything
+    else goes through :func:`hurwitz_zeta`.
     Returns ``(value, method, breakdown_or_none)`` with ``method`` one of
     ``"closed-form"`` or ``"series"``.
     """
     b = complex(b)
     if _is_integer_valued(b):
-        return hurwitz_series_oracle(k, b, tol=series_tol), "series", None
+        return hurwitz_series_oracle(k, b), "series", None
     params = ZetaParams.create(k, b)
     br = hurwitz_zeta(params, spec)
     return br.total, "closed-form", br

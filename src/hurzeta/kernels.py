@@ -86,9 +86,11 @@ def decay_one_minus_cos_cot(u, kexp, n):
 
 
 def inv_power_sum(b, k, j0, j1):
-    """sum_{j=j0..j1} (j + b)**(-k), complex b, integer k >= 1."""
-    j = np.arange(j0, j1 + 1, dtype=np.float64)
-    return complex(np.sum((j + b) ** (-k)))
+    """sum_{j=j0..j1} (j + b)**(-k), complex b, integer k >= 1, in
+    np.longdouble: in double, z**(-k) loses accuracy in proportion to k (up to
+    7e-14 relative at k = 170)."""
+    j = np.arange(j0, j1 + 1, dtype=np.longdouble)
+    return complex(np.sum((j + np.clongdouble(b)) ** (-k)))
 
 
 def rot_inv_power_sum(b, k, j0, j1):

@@ -164,7 +164,7 @@ class PolylogRational:
             warnings.warn(note, ConditioningWarning, stacklevel=2)
         try:
             return _rational(reversed(self.coeffs), self.order, z, gap)
-        except OverflowError as exc:
+        except (OverflowError, ZeroDivisionError) as exc:  # gap**(m+1) underflowed
             raise _overflow(self.order, z) from exc
 
 
@@ -237,7 +237,7 @@ def polylog_nonpos_orders(k: int, z: complex, guard: float = 1e-12):
     try:
         for m, row in enumerate(_horner_rows(k)):
             out.append(_rational(row, m, z, gap))
-    except OverflowError as exc:
+    except (OverflowError, ZeroDivisionError) as exc:  # gap**(m+1) underflowed
         raise _overflow(len(out), z) from exc
     return out, _near_pole(gap, guard)
 

@@ -1,8 +1,9 @@
 """Black-box CLI checks: exit codes, schemas, determinism.
 
-Everything goes through ``python -m hurzeta`` in a subprocess; nothing
-reaches into the implementation, so these tests pin the observable
-contract scripts will depend on.
+Everything but the last test goes through ``python -m hurzeta`` in a
+subprocess and reaches into nothing, so these tests pin the observable
+contract scripts will depend on.  The last one runs ``main`` in process to
+count the work a record does.
 """
 
 import csv
@@ -75,6 +76,15 @@ class TestEval:
         assert rec["status"] == "error"
         assert rec["error_type"] == "RangeOverflowError"
         assert "error:" in p.stderr
+
+    def test_polylog_past_double_range_exits_3(self):
+        # Li_{-23} is evaluated 2e-14 from its pole; once a traceback, exit 1
+        p = run("eval", "--k", "24", "--b", "1.999999999999997,1e-15",
+                "--format", "json")
+        assert p.returncode == 3
+        rec = json.loads(p.stdout)["results"][0]
+        assert rec["error_type"] == "RangeOverflowError"
+        assert "Traceback" not in p.stderr
 
     def test_determinism_modulo_timing(self):
         a = run("eval", "--k", "4", "--b", "0.6-0.2i", "--format", "json")
@@ -273,3 +283,24 @@ def test_summary_counts_record_verdicts(args):
     verdicts = [r["verdict"] for r in doc["results"]]
     assert doc["summary"]["pass"] == verdicts.count("pass")
     assert doc["summary"]["fail"] == len(verdicts) - verdicts.count("pass")
+
+
+def test_integer_b_record_sums_the_series_once(monkeypatch, capsys):
+    # the series route's value is its own oracle: one summation, counted
+    # through both bindings of the oracle
+    from hurzeta import cli, hurwitz
+
+    calls = []
+    oracle = hurwitz.hurwitz_series_oracle
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return oracle(*args, **kw)
+
+    monkeypatch.setattr(hurwitz, "hurwitz_series_oracle", counted)
+    monkeypatch.setattr(cli, "hurwitz_series_oracle", counted)
+    assert cli.main(["eval", "--k", "3", "--b", "2", "--format", "json"]) == 0
+    rec = json.loads(capsys.readouterr().out)["results"][0]
+    assert len(calls) == 1
+    assert rec["route"] == "series" and rec["cross_check"] == "same-route"
+    assert rec["discrepancy_abs"] == 0.0

@@ -1,6 +1,7 @@
 """The zeta evaluator: exact algebra, oracle agreement, error contract."""
 
 import math
+import time
 import warnings
 from fractions import Fraction
 
@@ -28,10 +29,12 @@ from hurzeta import (
     zeta_from_genfun,
 )
 from hurzeta.errors import (
+    CapacityError,
     ConditioningWarning,
     DomainError,
     RangeOverflowError,
 )
+from hurzeta.hurwitz import EM_SHIFT, EM_TERMS, _em_constants, _em_tail
 
 
 def _li_exact(m: int, q: Fraction) -> Fraction:
@@ -229,6 +232,12 @@ class TestErrorContract:
         with pytest.warns(ConditioningWarning):
             hurwitz_zeta(ZetaParams.create(2, 1.0 + 1e-13))
 
+    def test_polylog_past_double_range_is_typed(self):
+        # |1 - q| = 2e-14: (1 - q)**24 underflows and Li_{-23}(q) is past
+        # double range; this once escaped as a ZeroDivisionError
+        with pytest.raises(RangeOverflowError):
+            zeta_auto(24, 2 - 3e-15 + 1e-15j)
+
 
 # Every entry point that takes an order k, with its minimum and a call
 # that is valid at k = 3.
@@ -289,3 +298,51 @@ def test_closed_form_polylogs_are_polylog_nonpos_bitwise():
             _, _, li, notes, _ = hurzeta.hurwitz._bracket_data(k, b)
             assert li.view(np.uint64).tolist() == ref.view(np.uint64).tolist()
             assert list(notes) == [str(w.message) for w in caught]
+
+
+# The Euler--Maclaurin box: k 2..24 plus two large orders, Re b in [-6, 8],
+# |Im b| <= 5.
+EM_BOX_K = tuple(range(2, 25)) + (60, 170)
+
+
+def _em_truncated(mpmath, k, a):
+    """The Euler--Maclaurin sum the oracle adds at ``a``, at working precision."""
+    return (a ** (1 - k) / (k - 1) + a ** (-k) / 2
+            + mpmath.fsum(mpmath.bernoulli(2 * m) / mpmath.factorial(2 * m)
+                          * mpmath.rf(k, 2 * m - 1) * a ** (1 - k - 2 * m)
+                          for m in range(1, EM_TERMS + 1)))
+
+
+class TestEulerMaclaurin:
+    def test_wide_box_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(20261018)
+        eps = float(np.finfo(np.float64).eps)
+        for i in range(16 * len(EM_BOX_K)):
+            k = EM_BOX_K[i % len(EM_BOX_K)]
+            b = complex(rng.uniform(-6, 8), rng.uniform(-5, 5))
+            with mpmath.workdps(40):
+                ref = complex(mpmath.zeta(k, b))
+            rel = abs(hurwitz_series_oracle(k, b) - ref) / abs(ref)
+            assert rel <= (1e-14 if b.real > 0 else 1e-12), (k, b, rel)
+
+            # the remainder bound at the first shift covers the truncation
+            # error, and the evaluated tail misses by no more than it plus
+            # rounding
+            a = b + max(0, math.ceil(EM_SHIFT - b.real))
+            p = k + 2 * EM_TERMS - 1
+            bound = math.exp(_em_constants(k)[1] - p * math.log(a.real))
+            with mpmath.workdps(60):
+                am = mpmath.mpc(a.real, a.imag)
+                ref_a = mpmath.zeta(k, am)
+                truncation = abs(_em_truncated(mpmath, k, am) - ref_a)
+            assert truncation <= bound, (k, b, truncation, bound)
+            ref_a = complex(ref_a)
+            miss = abs(_em_tail(k, a) - ref_a)
+            assert miss <= bound + 4 * eps * abs(ref_a), (k, b, miss, bound)
+
+    def test_capacity_is_refused_before_summing(self):
+        t0 = time.perf_counter()
+        with pytest.raises(CapacityError):
+            hurwitz_series_oracle(2, -1e9 + 0.5j)
+        assert time.perf_counter() - t0 < 1.0

@@ -136,6 +136,15 @@ class TestPolylog:
         with pytest.raises(RangeOverflowError):
             polylog_nonpos(60, 1e6 + 0j)
 
+    def test_pole_factor_underflow_is_typed(self):
+        # |1 - z| = 2e-14: (1 - z)**24 underflows to 0, the value is past
+        # double range, and the division once raised ZeroDivisionError
+        z = 1 + 6e-15 + 2e-14j
+        with pytest.raises(RangeOverflowError):
+            polylog_nonpos(23, z, guard=0.0)
+        with pytest.raises(RangeOverflowError):
+            polylog_nonpos_orders(24, z)
+
     def test_orders_fail_as_single_calls_do(self):
         with pytest.raises(DomainError):
             polylog_nonpos_orders(3, 1.0)
