@@ -410,8 +410,13 @@ def _em_constants(k: int) -> tuple:
     ``(Re a)**(k+23)``; the rising factorials are exact integers, as their
     floats overflow at large ``k``."""
     n, table = 2 * EM_TERMS, _em_table()
-    coeffs = tuple(float(bernoulli(2 * m, table) * math.prod(range(k, k + 2 * m - 1))
-                         / math.factorial(2 * m)) for m in range(EM_TERMS, 0, -1))
+    try:
+        coeffs = tuple(float(bernoulli(2 * m, table) * math.prod(range(k, k + 2 * m - 1))
+                             / math.factorial(2 * m)) for m in range(EM_TERMS, 0, -1))
+    except OverflowError:
+        raise RangeOverflowError(
+            f"k = {k}: the Euler-Maclaurin coefficients exceed double range"
+        ) from None
     log_c = (math.log(4 * math.prod(range(k, k + n))) - n * math.log(2 * math.pi)
              - math.log(k + n - 1))
     return coeffs, log_c

@@ -18,11 +18,14 @@ Each row is integrated as if it were alone, with its own panels, error
 estimate (per-panel ``|K15 - G7|`` differences, summed), convergence test
 (the estimate meets ``max(rel_tol * |value|, abs_tol)``) and
 ``max_subdivisions`` budget.  The first pass evaluates every row on the
-shared initial mesh in one integrand call; each later pass splits the
-panels of the rows that have not converged yet, again in one call.  A
-non-finite value raises :class:`EvaluationError` for its row.  Running out
-of subdivision budget, or an estimate that no split can lower (NaN), is
-reported through ``converged=False`` with a note, never as an exception.
+shared initial mesh; each later pass splits the panels of the rows that
+have not converged yet.  Either pass hands the integrand its panels in
+blocks of at most ``2**14`` values (rows times abscissae) per call, so the
+working set stays near cache size however fine the mesh; a pass that fits
+one block is one call.  A non-finite value raises :class:`EvaluationError`
+for its row, the first met in block order.  Running out of subdivision
+budget, or an estimate that no split can lower (NaN), is reported through
+``converged=False`` with a note, never as an exception.
 
 For a family, ``value`` and ``error_estimate`` of the result are ``(M,)``
 arrays and the ``row_*`` fields hold the per-row evaluations, convergence
@@ -126,6 +129,11 @@ _XK = np.concatenate([-_XK_HALF[:7], _XK_HALF[::-1]])
 _WK = np.concatenate([_WK_HALF[:7], _WK_HALF[::-1]])
 _GAUSS_IDX = np.arange(1, 15, 2)
 _WG = np.concatenate([_WG_HALF[:3], _WG_HALF[::-1]])
+# Node values times _KG give a panel's Kronrod and Gauss sums: the K15
+# weights, then the G7 weights in their Kronrod slots.
+_KG = np.stack([_WK, np.zeros_like(_WK)], axis=1)
+_KG[_GAUSS_IDX, 1] = _WG
+_BLOCK = 1 << 14  # most values (rows times abscissae) one integrand call gets
 
 # Panels mapped from (-1,1) never touch their endpoints: the rule is open.
 _NODE_FRAC = 0.5 * (_XK + 1.0)
@@ -150,12 +158,10 @@ class _Mesh(NamedTuple):
 
     lefts: np.ndarray
     widths: np.ndarray
-    half: np.ndarray
 
     @classmethod
     def from_edges(cls, edges):
-        widths = np.diff(edges)
-        return cls(edges[:-1].copy(), widths, 0.5 * widths)
+        return cls(edges[:-1].copy(), np.diff(edges))
 
 
 class _CotLayout(NamedTuple):
@@ -190,11 +196,9 @@ def _cot_layout(m):
 
     inner = head + 6 + np.arange(x.size).reshape(x.shape)
     panel = np.arange(p)[:, None]
-    wg = np.zeros(_XK.size)
-    wg[_GAUSS_IDX] = _WG
-    kron = mesh.half[:, None] * kernels.cot_pi(x)
+    kron = 0.5 * mesh.widths[:, None] * kernels.cot_pi(x)
     w[inner, panel] = kron * _WK
-    w[inner, p + panel] = kron * (_WK - wg)
+    w[inner, p + panel] = kron * (_WK - _KG[:, 1])
 
     t = np.concatenate([left, right - 1.0]).reshape(2, 3)
     fit = t / np.sum(t**2, axis=1, keepdims=True)
@@ -213,7 +217,7 @@ def _cot_layout(m):
         m=m,
     )
     # shared by every call with this margin, so nothing may write to them
-    for a in (lay.u, lay.weights, lay.cweights, mesh.lefts, mesh.widths, mesh.half):
+    for a in (lay.u, lay.weights, lay.cweights, mesh.lefts, mesh.widths):
         a.setflags(write=False)
     return lay
 
@@ -254,9 +258,37 @@ def _check_finite(fv, u, rows, family, what="integrand"):
 
 def _gauss_kronrod(fv, half):
     """Kronrod values and ``|K15 - G7|`` estimates of panels whose node values
-    are ``fv`` (..., 15) and whose half-widths are ``half``."""
-    ik = half * (fv @ _WK)
-    return ik, np.abs(ik - half * (fv[..., _GAUSS_IDX] @ _WG))
+    are ``fv`` (..., 15) and whose half-widths are ``half``.  The two sums
+    stay apart: one ``K - G`` column would keep a row whose sums overflow
+    finite, and let it converge to inf."""
+    kg = fv @ _KG
+    ik = half * kg[..., 0]
+    return ik, np.abs(ik - half * kg[..., 1])
+
+
+def _panels(f, lefts, widths, rows, family, shared=False):
+    """Kronrod values and ``|K15 - G7|`` estimates of panels ``lefts``,
+    ``widths``, from calls of at most ``_BLOCK`` values.  Line ``i`` of
+    ``rows`` (L, 1) owns panel ``i`` and gets (L,) arrays, ``_BLOCK // 15``
+    panels per call; with ``shared`` (a first pass) every row sees every
+    panel through ``u`` of shape (1, n) and gets (L, P) arrays,
+    ``max(1, _BLOCK // (15 L))`` panels per call."""
+    step = max(1, _BLOCK // (_XK.size * rows.shape[0])) if shared else _BLOCK // _XK.size
+    parts = []
+    for s in range(0, max(lefts.size, 1), step):  # no panels is one empty call
+        u = _abscissae(lefts[s:s + step], widths[s:s + step])
+        who = rows if shared else rows[s:s + step]
+        if shared:
+            u = u.reshape(1, -1)
+        fv = _evaluate(f, u, who)
+        _check_finite(fv, u, who, family)
+        if shared:
+            fv = fv.reshape(who.shape[0], -1, _XK.size)
+        parts.append(_gauss_kronrod(fv, 0.5 * widths[s:s + step]))
+    if len(parts) == 1:
+        return parts[0]
+    vals, errs = zip(*parts)
+    return np.concatenate(vals, axis=-1), np.concatenate(errs, axis=-1)
 
 
 def _budget_cap(split, errs, nsplit, budget):
@@ -318,11 +350,7 @@ def _adapt(f, vals, errs, mesh, spec, abs_tol, family, first):
         new_lefts = np.concatenate([lefts[split], lefts[split] + half])
         new_widths = np.concatenate([half, half])
         new_owner = np.concatenate([owner[split], owner[split]])
-        u = _abscissae(new_lefts, new_widths)
-        who = todo[new_owner][:, None]
-        nfv = _evaluate(f, u, who)
-        _check_finite(nfv, u, who, family)
-        nv, ne = _gauss_kronrod(nfv, 0.5 * new_widths)
+        nv, ne = _panels(f, new_lefts, new_widths, todo[new_owner][:, None], family)
 
         keep = np.ones(owner.size, dtype=bool)
         keep[split] = False
@@ -377,18 +405,6 @@ def _result(value, error, evaluations, converged, notes, family):
     )
 
 
-def _first_pass(f, mesh, rows, family):
-    """Kronrod values and error estimates of every row of ``f`` on the
-    shared ``mesh``.  (A function of its own so that the first-pass
-    abscissae and values, which can be large, are freed before the
-    refinement passes allocate theirs.)"""
-    u = _abscissae(mesh.lefts, mesh.widths).reshape(1, -1)
-    everyone = np.arange(rows)[:, None]
-    fv = _evaluate(f, u, everyone)
-    _check_finite(fv, u, everyone, family)
-    return _gauss_kronrod(fv.reshape(rows, mesh.lefts.size, _XK.size), mesh.half)
-
-
 def integrate_open(f, spec=None, interval=(0.0, 1.0), initial_panels=8,
                    max_panel_width=None, family=None):
     """Adaptive integration of ``f`` over ``interval`` with an open rule.
@@ -416,7 +432,8 @@ def integrate_open(f, spec=None, interval=(0.0, 1.0), initial_panels=8,
     mesh = _Mesh.from_edges(edges)
     rows = 1 if family is None else int(family)
     f = _single(f) if family is None else f
-    vals, errs = _first_pass(f, mesh, rows, family)
+    vals, errs = _panels(f, mesh.lefts, mesh.widths, np.arange(rows)[:, None], family,
+                         shared=True)
     parts = _adapt(f, vals, errs, mesh, spec, np.full(rows, spec.abs_tol), family,
                    _XK.size * mesh.lefts.size)
     return _result(*parts, family)
@@ -441,9 +458,10 @@ def integrate_cot_weighted(g, spec=None, scale_hint=0.0, family=None):
     *scaled by the integrand size*, so tiny integrals are still resolved to
     relative accuracy instead of being accepted at a fixed absolute floor.
 
-    ``g`` is evaluated once on the probe grid, the strip points and the
-    initial interior mesh together, and one matrix product of those values
-    gives every first-pass panel value, error estimate and strip model.
+    ``g`` is evaluated on the probe grid, the strip points and the initial
+    interior mesh together (``2**14 // 189`` rows per call), and one matrix
+    product of those values gives every first-pass panel value, error
+    estimate and strip model.
     Checks run in this order, each raising for the first row that fails it:
     non-finite values on the probe grid, the endpoint zeros, non-finite
     values anywhere else.  A row whose probe values all vanish integrates
@@ -461,7 +479,9 @@ def integrate_cot_weighted(g, spec=None, scale_hint=0.0, family=None):
     rows = 1 if family is None else int(family)
     f = _single(g) if family is None else g
     everyone = np.arange(rows)[:, None]
-    gv = _evaluate(f, lay.u, everyone)
+    step = max(1, _BLOCK // lay.u.size)
+    gv = _evaluate(f, lay.u, everyone) if rows <= step else np.concatenate(
+        [_evaluate(f, lay.u, everyone[s:s + step]) for s in range(0, rows, step)])
     n_probe = _PROBE.size
     finite = np.isfinite(gv).all()
     if not finite:

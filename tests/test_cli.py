@@ -1,6 +1,6 @@
 """Black-box CLI checks: exit codes, schemas, determinism.
 
-Everything but the last test goes through ``python -m hurzeta`` in a
+Everything but the last test runs ``python -m hurzeta`` in a
 subprocess and reaches into nothing, so these tests pin the observable
 contract scripts will depend on.  The last one runs ``main`` in process to
 count the work a record does.
@@ -83,6 +83,16 @@ class TestEval:
                 "--format", "json")
         assert p.returncode == 3
         rec = json.loads(p.stdout)["results"][0]
+        assert rec["error_type"] == "RangeOverflowError"
+        assert "Traceback" not in p.stderr
+
+    def test_huge_k_on_the_series_route_exits_3(self):
+        # b = 2 takes the series route, whose coefficients overflow at this
+        # k; once a traceback and exit 1
+        p = run("eval", "--k", "10000000000000000", "--b", "2", "--format", "json")
+        assert p.returncode == 3
+        rec = json.loads(p.stdout)["results"][0]
+        assert rec["status"] == "error"
         assert rec["error_type"] == "RangeOverflowError"
         assert "Traceback" not in p.stderr
 
@@ -207,6 +217,30 @@ class TestValidate:
 
     def test_unknown_suite_exits_2(self):
         assert run("validate", "--suite", "bogus").returncode == 2
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    def test_scans_peak_near_eval(self):
+        # the n = 10**4 scans once passed 600k abscissae to one integrand
+        # call and peaked 24 MiB above eval.  A sibling child, not a fixed
+        # figure, is the baseline, so the numpy build does not matter.  Each
+        # child reads its own VmHWM: ru_maxrss would keep the peak of this
+        # process, which it inherits through fork and exec.
+        code = ("import runpy, sys\n"
+                "try:\n"
+                "    runpy.run_module('hurzeta', run_name='__main__', alter_sys=True)\n"
+                "except SystemExit:\n"
+                "    pass\n"
+                "with open('/proc/self/status') as status:\n"
+                "    print([s for s in status if s.startswith('VmHWM:')][0], file=sys.stderr)\n")
+
+        def peak_mib(*args):
+            p = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                               text=True, timeout=120)
+            return int(p.stderr.split()[-2]) / 1024  # "VmHWM:  33520 kB"
+
+        scans = peak_mib("validate", "--suite", "theorem1")
+        one = peak_mib("eval", "--k", "3", "--b", "0.3")
+        assert scans <= one + 8.0, (scans, one)
 
     def test_oracle_grid_fails_small_values_relatively(self):
         p = run("validate", "--suite", "oracle-grid", "--format", "json")

@@ -238,6 +238,12 @@ class TestErrorContract:
         with pytest.raises(RangeOverflowError):
             zeta_auto(24, 2 - 3e-15 + 1e-15j)
 
+    @pytest.mark.parametrize("k", [10**16, 10**30])
+    def test_series_coefficients_past_double_range_are_typed(self, k):
+        # (k)_23 B_24 / 24! overflows a float; this once escaped as an OverflowError
+        with pytest.raises(RangeOverflowError, match=f"k = {k}"):
+            hurwitz_series_oracle(k, 2.0)
+
 
 # Every entry point that takes an order k, with its minimum and a call
 # that is valid at k = 3.

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hurzeta import quadrature
+from hurzeta import kernels, quadrature
 from hurzeta.errors import DivergenceError, DomainError, EvaluationError
 from hurzeta.quadrature import (
     QuadratureSpec,
@@ -15,6 +15,7 @@ from hurzeta.quadrature import (
     integrate_open,
     integrate_oscillatory,
 )
+from hurzeta.validation import N_CAP
 
 
 class TestIntegrateOpen:
@@ -266,6 +267,94 @@ class TestFamily:
         assert np.array_equal(a.value, b.value)
         assert np.array_equal(a.error_estimate, b.error_estimate)
         assert np.array_equal(a.row_evaluations, b.row_evaluations)
+
+
+class TestBlockedPasses:
+    # every pass hands the integrand at most 2**14 values (rows times
+    # abscissae) per call, whatever the mesh
+    BLOCK = 2**14
+
+    def recorded(self, n, spec=None):
+        sizes = []
+
+        def f(u):
+            sizes.append(u.size)
+            return kernels.pow_sin_cot(u, 3.0, n)
+
+        return integrate_oscillatory(f, n, spec), sizes
+
+    def test_scan_at_the_cap_is_blocked(self):
+        r, sizes = self.recorded(N_CAP)
+        assert r.converged
+        assert r.evaluations == 600_000 == sum(sizes)
+        assert len(sizes) > 1 and max(sizes) <= self.BLOCK
+
+    def test_refinement_pass_is_blocked(self):
+        # a tight target splits 5000 panels in one pass: 150000 values
+        spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-16, max_subdivisions=5000)
+        r, sizes = self.recorded(N_CAP, spec)
+        assert r.evaluations == 750_000 == sum(sizes)
+        assert "budget (5000)" in r.warnings[0]
+        assert max(sizes) <= self.BLOCK
+
+    def test_blocks_match_a_one_shot_reference(self):
+        # no subdivision budget: the result is the first pass alone
+        n = N_CAP
+        r = integrate_oscillatory(lambda u: kernels.pow_sin_cot(u, 3.0, n), n,
+                                  QuadratureSpec(max_subdivisions=0))
+        edges = np.linspace(0.0, 1.0, r.evaluations // 15 + 1)
+        half = 0.5 * np.diff(edges)[:, None]
+        fv = kernels.pow_sin_cot(edges[:-1, None] + half * (quadrature._XK + 1.0), 3.0, n)
+        kron = half[:, 0] * np.sum(quadrature._WK * fv, axis=1)
+        gauss = half[:, 0] * np.sum(quadrature._WG * fv[:, quadrature._GAUSS_IDX], axis=1)
+        ulps = 8 * np.finfo(float).eps * np.sum(half * np.abs(quadrature._WK * fv))
+        assert abs(r.value - kron.sum()) <= ulps
+        assert abs(r.error_estimate - np.abs(kron - gauss).sum()) <= ulps
+
+    def test_family_across_blocks_matches_lone_calls(self):
+        # 1000 panels of 3 rows are three first-pass calls; with no budget
+        # each row is its first pass, within 8 ulps of sum |w f| <= e of a
+        # lone call.  The tight target then refines two rows in blocks.
+        funcs = [lambda u: np.sin(200 * u) * np.exp(u), lambda u: u * u,
+                 lambda u: np.cos(300 * u) / (1 + u)]
+        sizes = []
+
+        def family(u, rows):
+            sizes.append(math.prod(np.broadcast_shapes(u.shape, rows.shape)))
+            return np.choose(rows, [np.broadcast_to(fn(u), u.shape) for fn in funcs])
+
+        ulps = 8 * np.finfo(float).eps * math.e
+        for spec in (QuadratureSpec(max_subdivisions=0),
+                     QuadratureSpec(rel_tol=1e-15, abs_tol=1e-17, max_subdivisions=3000)):
+            sizes.clear()
+            fam = integrate_open(family, spec, max_panel_width=1e-3, family=3)
+            assert len(sizes) >= 3 and max(sizes) <= self.BLOCK
+            for m, fn in enumerate(funcs):
+                one = integrate_open(fn, spec, max_panel_width=1e-3)
+                assert fam.row_evaluations[m] == one.evaluations
+                assert abs(fam.value[m] - one.value) <= max(ulps, one.error_estimate)
+                if spec.max_subdivisions == 0:
+                    assert abs(fam.error_estimate[m] - one.error_estimate) <= ulps
+        assert fam.row_evaluations.tolist() == [1000 * 15 + 3000 * 30, 1000 * 15,
+                                                1000 * 15 + 3000 * 30]
+
+    def test_large_cot_family_is_blocked(self):
+        # 200 rows of the Dirichlet family: the 189 first-pass values of 86
+        # rows make one call
+        n = 1 + np.arange(200) % 9
+        sizes = []
+
+        def family(u, rows):
+            sizes.append(math.prod(np.broadcast_shapes(u.shape, rows.shape)))
+            return np.sin(2 * np.pi * n[rows] * u)
+
+        fam = integrate_cot_weighted(family, family=n.size)
+        assert sizes[:3] == [86 * 189, 86 * 189, 28 * 189]
+        assert max(sizes) <= self.BLOCK
+        assert np.allclose(fam.value, 1.0, rtol=0, atol=1e-12)
+        one = integrate_cot_weighted(lambda u: np.sin(2 * np.pi * n[-1] * u))
+        assert fam.row_evaluations[-1] == one.evaluations
+        assert abs(fam.value[-1] - one.value) <= one.error_estimate
 
 
 def _cot_first_pass_reference(g, m):
