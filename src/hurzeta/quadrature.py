@@ -22,7 +22,9 @@ shared initial mesh; each later pass splits the panels of the rows that
 have not converged yet.  Either pass hands the integrand its panels in
 blocks of at most ``2**14`` values (rows times abscissae) per call, so the
 working set stays near cache size however fine the mesh; a pass that fits
-one block is one call.  A non-finite value raises :class:`EvaluationError`
+one block is one call.  (A first pass of more than 1092 rows takes one
+panel per call; the cotangent driver's first pass is one call of 189
+values per row.)  A non-finite value raises :class:`EvaluationError`
 for its row, the first met in block order.  Running out of subdivision
 budget, or an estimate that no split can lower (NaN), is reported through
 ``converged=False`` with a note, never as an exception.
@@ -129,10 +131,6 @@ _XK = np.concatenate([-_XK_HALF[:7], _XK_HALF[::-1]])
 _WK = np.concatenate([_WK_HALF[:7], _WK_HALF[::-1]])
 _GAUSS_IDX = np.arange(1, 15, 2)
 _WG = np.concatenate([_WG_HALF[:3], _WG_HALF[::-1]])
-# Node values times _KG give a panel's Kronrod and Gauss sums: the K15
-# weights, then the G7 weights in their Kronrod slots.
-_KG = np.stack([_WK, np.zeros_like(_WK)], axis=1)
-_KG[_GAUSS_IDX, 1] = _WG
 _BLOCK = 1 << 14  # most values (rows times abscissae) one integrand call gets
 
 # Panels mapped from (-1,1) never touch their endpoints: the rule is open.
@@ -196,9 +194,11 @@ def _cot_layout(m):
 
     inner = head + 6 + np.arange(x.size).reshape(x.shape)
     panel = np.arange(p)[:, None]
+    wg = np.zeros(_XK.size)
+    wg[_GAUSS_IDX] = _WG
     kron = 0.5 * mesh.widths[:, None] * kernels.cot_pi(x)
     w[inner, panel] = kron * _WK
-    w[inner, p + panel] = kron * (_WK - _KG[:, 1])
+    w[inner, p + panel] = kron * (_WK - wg)
 
     t = np.concatenate([left, right - 1.0]).reshape(2, 3)
     fit = t / np.sum(t**2, axis=1, keepdims=True)
@@ -258,12 +258,9 @@ def _check_finite(fv, u, rows, family, what="integrand"):
 
 def _gauss_kronrod(fv, half):
     """Kronrod values and ``|K15 - G7|`` estimates of panels whose node values
-    are ``fv`` (..., 15) and whose half-widths are ``half``.  The two sums
-    stay apart: one ``K - G`` column would keep a row whose sums overflow
-    finite, and let it converge to inf."""
-    kg = fv @ _KG
-    ik = half * kg[..., 0]
-    return ik, np.abs(ik - half * kg[..., 1])
+    are ``fv`` (..., 15) and whose half-widths are ``half``."""
+    ik = half * (fv @ _WK)
+    return ik, np.abs(ik - half * (fv[..., _GAUSS_IDX] @ _WG))
 
 
 def _panels(f, lefts, widths, rows, family, shared=False):
@@ -458,10 +455,9 @@ def integrate_cot_weighted(g, spec=None, scale_hint=0.0, family=None):
     *scaled by the integrand size*, so tiny integrals are still resolved to
     relative accuracy instead of being accepted at a fixed absolute floor.
 
-    ``g`` is evaluated on the probe grid, the strip points and the initial
-    interior mesh together (``2**14 // 189`` rows per call), and one matrix
-    product of those values gives every first-pass panel value, error
-    estimate and strip model.
+    ``g`` is evaluated once on the probe grid, the strip points and the
+    initial interior mesh together, and one matrix product of those values
+    gives every first-pass panel value, error estimate and strip model.
     Checks run in this order, each raising for the first row that fails it:
     non-finite values on the probe grid, the endpoint zeros, non-finite
     values anywhere else.  A row whose probe values all vanish integrates
@@ -479,9 +475,7 @@ def integrate_cot_weighted(g, spec=None, scale_hint=0.0, family=None):
     rows = 1 if family is None else int(family)
     f = _single(g) if family is None else g
     everyone = np.arange(rows)[:, None]
-    step = max(1, _BLOCK // lay.u.size)
-    gv = _evaluate(f, lay.u, everyone) if rows <= step else np.concatenate(
-        [_evaluate(f, lay.u, everyone[s:s + step]) for s in range(0, rows, step)])
+    gv = _evaluate(f, lay.u, everyone)
     n_probe = _PROBE.size
     finite = np.isfinite(gv).all()
     if not finite:

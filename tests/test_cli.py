@@ -1,9 +1,11 @@
 """Black-box CLI checks: exit codes, schemas, determinism.
 
-Everything but the last test runs ``python -m hurzeta`` in a
+Everything but the last test goes through ``python -m hurzeta`` in a
 subprocess and reaches into nothing, so these tests pin the observable
-contract scripts will depend on.  The last one runs ``main`` in process to
-count the work a record does.
+contract scripts will depend on.  (The memory guard starts the package
+with ``runpy`` under ``python -c``, so that each child can print its own
+peak memory.)  The last one runs ``main`` in process to count the work a
+record does.
 """
 
 import csv

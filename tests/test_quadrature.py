@@ -270,8 +270,9 @@ class TestFamily:
 
 
 class TestBlockedPasses:
-    # every pass hands the integrand at most 2**14 values (rows times
-    # abscissae) per call, whatever the mesh
+    # integrate_open's first pass and every refinement pass hand the
+    # integrand at most 2**14 values (rows times abscissae) per call,
+    # whatever the mesh
     BLOCK = 2**14
 
     def recorded(self, n, spec=None):
@@ -337,24 +338,6 @@ class TestBlockedPasses:
                     assert abs(fam.error_estimate[m] - one.error_estimate) <= ulps
         assert fam.row_evaluations.tolist() == [1000 * 15 + 3000 * 30, 1000 * 15,
                                                 1000 * 15 + 3000 * 30]
-
-    def test_large_cot_family_is_blocked(self):
-        # 200 rows of the Dirichlet family: the 189 first-pass values of 86
-        # rows make one call
-        n = 1 + np.arange(200) % 9
-        sizes = []
-
-        def family(u, rows):
-            sizes.append(math.prod(np.broadcast_shapes(u.shape, rows.shape)))
-            return np.sin(2 * np.pi * n[rows] * u)
-
-        fam = integrate_cot_weighted(family, family=n.size)
-        assert sizes[:3] == [86 * 189, 86 * 189, 28 * 189]
-        assert max(sizes) <= self.BLOCK
-        assert np.allclose(fam.value, 1.0, rtol=0, atol=1e-12)
-        one = integrate_cot_weighted(lambda u: np.sin(2 * np.pi * n[-1] * u))
-        assert fam.row_evaluations[-1] == one.evaluations
-        assert abs(fam.value[-1] - one.value) <= one.error_estimate
 
 
 def _cot_first_pass_reference(g, m):
