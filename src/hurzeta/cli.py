@@ -48,7 +48,6 @@ from .hurwitz import (
 )
 from .quadrature import QuadratureSpec
 from .validation import (
-    hp_limit_scan,
     log_asymptotic_scan,
     theorem1_scan,
     zero_integral_scan,

@@ -41,7 +41,8 @@ class RangeOverflowError(HurzetaError, OverflowError):
 
 
 class CapacityError(HurzetaError):
-    """A precomputed table or term budget is too small for the request."""
+    """A capacity cap (largest Bernoulli index, series term budget) is below
+    the request."""
 
 
 class EvaluationError(HurzetaError):

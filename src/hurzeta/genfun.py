@@ -21,7 +21,6 @@ import numpy as np
 
 from . import kernels
 from .errors import (
-    CapacityError,
     ConditioningWarning,
     DivergenceError,
     DomainError,
@@ -33,7 +32,7 @@ from .errors import (
 )
 from .hurwitz import check_k, hurwitz_series_oracle
 from .quadrature import QuadratureResult, QuadratureSpec, integrate_cot_weighted
-from .special_functions import BernoulliTable, bernoulli, harmonic_number
+from .special_functions import bernoulli, harmonic_number
 
 __all__ = [
     "ProximityFlags",
@@ -52,9 +51,9 @@ __all__ = [
     "genfun_parts_real_imag",
 ]
 
-INT_EPS_DEFAULT = 1e-9
-PROX_TOL_DEFAULT = 1e-6
-WARN_BAND = 1e-6  # b within [int_eps, WARN_BAND) of an integer locus: warn, proceed
+INT_EPS = 1e-9  # 2b this close to an integer takes an integer branch
+PROX_TOL = 1e-6  # x this close to a singular locus is refused
+WARN_BAND = 1e-6  # b within [INT_EPS, WARN_BAND) of an integer locus: warn, proceed
 
 
 def _dist_to_int(w: complex) -> float:
@@ -104,10 +103,10 @@ class GenFunSeries:
     kmax: int
 
 
-def _branch_tag(b: complex, int_eps: float):
+def _branch_tag(b: complex):
     """The closed-form branch of ``b`` and the distance of 2b from the integers."""
     two_b_int = _dist_to_int(2 * b)
-    if not two_b_int < int_eps:
+    if not two_b_int < INT_EPS:
         return "generic", two_b_int
     m2 = round(2 * b.real)
     if m2 % 2 != 0:
@@ -115,11 +114,11 @@ def _branch_tag(b: complex, int_eps: float):
     return ("b_zero" if m2 == 0 else "b_pos_int" if m2 > 0 else "b_neg_int"), two_b_int
 
 
-def classify_case(x: complex, b: complex, int_eps: float = INT_EPS_DEFAULT) -> GenFunCase:
+def classify_case(x: complex, b: complex) -> GenFunCase:
     """Assign the closed-form branch from ``b`` alone (with tolerance
-    ``int_eps`` for integer membership) and record proximity diagnostics."""
+    ``INT_EPS`` for integer membership) and record proximity diagnostics."""
     x, b = complex(x), complex(b)
-    tag, two_b_int = _branch_tag(b, int_eps)
+    tag, two_b_int = _branch_tag(b)
     flags = ProximityFlags(
         x_minus_b=abs(x - b),
         two_b_int=two_b_int,
@@ -174,9 +173,9 @@ def _dist_to_ints(w):
     return np.abs(w - np.round(w.real))
 
 
-def _first_guard(x, b: complex, tag: str, prox_tol: float):
+def _first_guard(x, b: complex, tag: str):
     """``(index, message, locus)`` of the first point of the array ``x`` within
-    ``prox_tol`` of a singular locus of the branch ``tag``, or None.  Each
+    ``PROX_TOL`` of a singular locus of the branch ``tag``, or None.  Each
     point's loci are tried in a fixed order, so the first one it is near is
     the one named."""
     if tag == "generic":
@@ -196,13 +195,13 @@ def _first_guard(x, b: complex, tag: str, prox_tol: float):
             (_dist_to_ints(2 * x), np.round(2 * x.real) != 0,
              "2x within {d:.2e} of a nonzero integer", "sin(2*pi*x) = 0"),
         )
-    near = np.array([(dist < prox_tol) & live for dist, live, _, _ in loci])
+    near = np.array([(dist < PROX_TOL) & live for dist, live, _, _ in loci])
     hit = near.any(axis=0)
     if not hit.any():
         return None
     i = int(np.argmax(hit))
     dist, _, text, locus = loci[int(np.argmax(near[:, i]))]
-    return i, text.format(d=dist[i], tol=prox_tol), locus
+    return i, text.format(d=dist[i], tol=PROX_TOL), locus
 
 
 def _closed_terms(x, b: complex, tag: str, spec: QuadratureSpec):
@@ -254,9 +253,8 @@ def _closed_terms(x, b: complex, tag: str, spec: QuadratureSpec):
     return rational, trig, integral, rational + trig + integral, quad
 
 
-def genfun_closed(x: complex, b: complex, spec: QuadratureSpec | None = None,
-                  int_eps: float = INT_EPS_DEFAULT,
-                  prox_tol: float = PROX_TOL_DEFAULT) -> GenFunEval:
+def genfun_closed(x: complex, b: complex,
+                  spec: QuadratureSpec | None = None) -> GenFunEval:
     """Closed-form ``f(x, b)`` on the branch selected by ``b``.
 
     Branches (``q``-free, all singular integrals are cotangent-weighted with
@@ -275,14 +273,14 @@ def genfun_closed(x: complex, b: complex, spec: QuadratureSpec | None = None,
     where ``I[g] = integral_0^1 g(u) cot(pi*u) du``.  (For integer ``b`` the
     printed normalization ``sin(2*pi*x)`` equals ``sin(2*pi*(x-b))``; the
     latter is used so the ``u = 1`` endpoint cancels exactly in floats.)
-    Inputs within ``prox_tol`` of a singular locus raise
+    Inputs within ``PROX_TOL`` of a singular locus raise
     :class:`IllConditionedError` naming the locus; ``b`` within
-    ``[int_eps, 1e-6)`` of an integer locus proceeds on the generic branch
+    ``[INT_EPS, WARN_BAND)`` of an integer locus proceeds on the generic branch
     with a :class:`ConditioningWarning`.
     """
     spec = spec or QuadratureSpec()
     x, b = complex(x), complex(b)
-    case = classify_case(x, b, int_eps)
+    case = classify_case(x, b)
     notes = _admit(b, case.tag, case.proximity_flags.two_b_int)
 
     if x == 0:
@@ -291,7 +289,7 @@ def genfun_closed(x: complex, b: complex, spec: QuadratureSpec | None = None,
         return ev
 
     xs = np.array([x])
-    hit = _first_guard(xs, b, case.tag, prox_tol)
+    hit = _first_guard(xs, b, case.tag)
     if hit is not None:
         raise IllConditionedError(hit[1], locus=hit[2])
     rational, trig, integral, total, quad = _closed_terms(xs, b, case.tag, spec)
@@ -358,12 +356,12 @@ def genfun_series(x: complex, b: complex, kmax: int,
 # Odd zeta values and the sinh kernel behind them
 # ---------------------------------------------------------------------------
 
-def _odd_zeta_poly_coeffs(j: int, table: BernoulliTable | None = None):
+def _odd_zeta_poly_coeffs(j: int):
     # r_p = B_{2p} (2 - 2**(2p)) / ((2p)! (2j-2p+1)!), exact, then floated
     out = []
     for p in range(j + 1):
         r = (
-            bernoulli(2 * p, table)
+            bernoulli(2 * p)
             * (2 - 4**p)
             / (math.factorial(2 * p) * math.factorial(2 * j - 2 * p + 1))
         )
@@ -371,8 +369,7 @@ def _odd_zeta_poly_coeffs(j: int, table: BernoulliTable | None = None):
     return out
 
 
-def odd_zeta_integral(j: int, spec: QuadratureSpec | None = None,
-                      table: BernoulliTable | None = None) -> float:
+def odd_zeta_integral(j: int, spec: QuadratureSpec | None = None) -> float:
     """``zeta(2j+1)`` from its cotangent-integral representation:
 
     ``-(-1)**j (2*pi)**(2j+1) / 2 * integral_0^1 P_j(u) cot(pi*u) du`` with
@@ -390,7 +387,7 @@ def odd_zeta_integral(j: int, spec: QuadratureSpec | None = None,
     # (2*pi)**(2j+1) reaches ~1e16 at j=10 and multiplies the integral's
     # absolute error, so the default tolerances are tighter here
     spec = spec or QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16)
-    rp = _odd_zeta_poly_coeffs(j, table)
+    rp = _odd_zeta_poly_coeffs(j)
     # coefficient of v**(j-p) in P_j(u)/u with v = u**2 is r_p
     vcoeffs = np.array([rp[p] for p in range(j + 1)], dtype=np.float64)
 
@@ -440,16 +437,16 @@ def sinh_series_depth(c_abs: float, tol: float = 1e-12) -> int:
     return max(1, math.ceil(math.log(tol * (1.0 - q) / 2.0) / math.log(q)))
 
 
-def sinh_kernel_series(c: complex, u: float, n_terms: int,
-                       table: BernoulliTable | None = None) -> complex:
+def sinh_kernel_series(c: complex, u: float, n_terms: int) -> complex:
     """Truncation of the double series after ``n_terms`` values of ``j``.
 
     Rearranged as a convolution so no intermediate overflows: with
     ``A_p = B_{2p}(2-2**(2p)) c**(2p) / (2p)!`` (magnitude ~ ``2(|c|/pi)**(2p)``)
     and ``S_m = (c*u)**(2m+1)/(2m+1)!``, the j-th term is
     ``sum_{p=0..j} A_p S_{j-p}``.  Needs Bernoulli numbers up to
-    ``B_{2(n_terms-1)}``: a default table covers ``n_terms <= 33``
-    (:class:`CapacityError` beyond; build a larger table).
+    ``B_{2(n_terms-1)}``, so ``n_terms`` is at most
+    ``special_functions.BERNOULLI_MAX_INDEX // 2 + 1`` (:class:`CapacityError`
+    beyond).
     """
     if n_terms < 1:
         raise DomainError("n_terms must be >= 1")
@@ -460,7 +457,7 @@ def sinh_kernel_series(c: complex, u: float, n_terms: int,
     a = [1.0 + 0j]  # A_0 = B_0 * (2-1) / 0! = 1
     t_prev = Fraction(1)
     for p in range(1, jmax + 1):
-        t_cur = bernoulli(2 * p, table) * (2 - 4**p) / math.factorial(2 * p)
+        t_cur = bernoulli(2 * p) * (2 - 4**p) / math.factorial(2 * p)
         a.append(a[-1] * c * c * float(t_cur / t_prev))
         t_prev = t_cur
     cu = c * u
@@ -507,7 +504,7 @@ def zeta_from_genfun(k: int, b: complex, radius: float, nodes: int,
         )
     if nodes < 4 * k:
         raise DomainError(f"nodes = {nodes} < 4k = {4 * k}: aliasing would bite")
-    tag, two_b_int = _branch_tag(b, INT_EPS_DEFAULT)
+    tag, two_b_int = _branch_tag(b)
     _admit(b, tag, two_b_int)
 
     unit = [cmath.exp(2j * math.pi * m / nodes) for m in range(nodes)]
@@ -516,7 +513,7 @@ def zeta_from_genfun(k: int, b: complex, radius: float, nodes: int,
     def node(i):
         return f"circle node {i % nodes}/{nodes} at x = {complex(x[i]):.6g}"
 
-    hit = _first_guard(x, b, tag, PROX_TOL_DEFAULT)
+    hit = _first_guard(x, b, tag)
     if hit is not None:
         i, msg, locus = hit
         raise IllConditionedError(

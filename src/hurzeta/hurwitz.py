@@ -32,10 +32,10 @@ from .errors import (
     CapacityError,
 )
 from .quadrature import QuadratureResult, QuadratureSpec, integrate_cot_weighted
-from .special_functions import BernoulliTable, bernoulli, polylog_nonpos_orders
+from .special_functions import bernoulli, polylog_nonpos_orders
 
 __all__ = [
-    "IM_CAP_DEFAULT",
+    "IM_CAP",
     "check_b",
     "check_k",
     "ZetaParams",
@@ -49,7 +49,9 @@ __all__ = [
     "zeta_auto",
 ]
 
-IM_CAP_DEFAULT = 5.0
+# Largest |Im b| the closed form accepts: |q| = exp(2*pi*|Im b|) is then
+# about 4e13.
+IM_CAP = 5.0
 
 # Estimated relative accuracy above which an evaluation gets a cancellation
 # diagnostic attached.  Chosen to match the tightest tolerance the library
@@ -64,6 +66,8 @@ _TINY = float(np.finfo(np.float64).tiny)
 EM_SHIFT = 16
 EM_TERMS = 12
 SERIES_MAX_TERMS = 50_000_000
+# Terms per power-sum kernel call, which bounds its temporaries.
+_CHUNK = 1 << 20
 
 
 def _is_integer_valued(b: complex) -> bool:
@@ -107,7 +111,7 @@ class ZetaParams:
     q: complex
 
     @classmethod
-    def create(cls, k: int, b: complex, im_cap: float = IM_CAP_DEFAULT) -> "ZetaParams":
+    def create(cls, k: int, b: complex) -> "ZetaParams":
         k = check_k(k)
         b = check_b(b)
         if _is_integer_valued(b):
@@ -115,9 +119,9 @@ class ZetaParams:
                 f"b = {int(b.real)} is a positive integer: q = 1 sits on the "
                 "polylogarithm pole; use the series path (zeta_auto routes it)"
             )
-        if abs(b.imag) > im_cap:
+        if abs(b.imag) > IM_CAP:
             raise RangeOverflowError(
-                f"|Im b| = {abs(b.imag):g} exceeds im_cap = {im_cap:g}; "
+                f"|Im b| = {abs(b.imag):g} exceeds im_cap = {IM_CAP:g}; "
                 f"|exp(-2*pi*i*b)| = {math.exp(2 * math.pi * abs(b.imag)):.3e} "
                 "would dominate double precision"
             )
@@ -174,9 +178,8 @@ def _polylogs(k: int, p: float) -> list:
 @functools.lru_cache(maxsize=512)
 def _bracket_data(k: int, b: complex):
     """Coefficients c_j, the endpoint value B(1) = q * sum_j c_j, the
-    polylogarithms ``Li_{-m}(q)`` for ``m = 0..k-1``, any conditioning
-    messages their evaluation raised (one per polylogarithm) and
-    :func:`bracket_scale`.
+    polylogarithms ``Li_{-m}(q)`` for ``m = 0..k-1``, the conditioning
+    note of their evaluation (or None) and :func:`bracket_scale`.
 
     The polylogarithms are cached as one array, not as k complex objects:
     with those, the resident size grew steadily (0.12 MiB per 1266
@@ -185,14 +188,13 @@ def _bracket_data(k: int, b: complex):
     """
     q = complex(np.exp(-2j * math.pi * b))
     li, note = polylog_nonpos_orders(k, q)
-    notes = (note,) * k if note else ()
     coeffs = np.array(_coefficients(li), dtype=np.complex128)
     b1 = q * complex(coeffs.sum())
     total = 0.0
     for c in _coefficients([abs(v) for v in li]):
         total += c
     scale = float(max(1.0, abs(q)) * total + abs(b1))
-    return coeffs, b1, np.array(li, dtype=np.complex128), notes, scale
+    return coeffs, b1, np.array(li, dtype=np.complex128), note, scale
 
 
 def bracket_kernel(params: ZetaParams, u):
@@ -257,10 +259,11 @@ def hurwitz_zeta(params: ZetaParams, spec: QuadratureSpec | None = None) -> Eval
     spec = spec or QuadratureSpec()
     k, b, q = params.k, params.b, params.q
     _check_power_range(k, q)
-    _, b1, li, notes, _ = _bracket_data(k, b)
-    if notes:
-        warnings.warn(notes[0], ConditioningWarning, stacklevel=2)
-    diag = list(notes)
+    _, b1, li, note, _ = _bracket_data(k, b)
+    diag = []
+    if note:
+        warnings.warn(note, ConditioningWarning, stacklevel=2)
+        diag.append(note)
 
     ipk = _I_POW[k % 4] * (2.0 * math.pi) ** k  # (2*pi*i)**k, quadrant exact
 
@@ -378,14 +381,13 @@ def hurwitz_series_oracle(k: int, b: complex, tol: float = 1e-12) -> complex:
     log_c = _em_constants(k)[1]
     p = k + 2 * EM_TERMS - 1  # the bound falls as (Re a)**-p
     n = max(0, math.ceil(EM_SHIFT - b.real))
-    head, summed, step = 0j, 0, 1 << 20
+    head, summed = 0j, 0
     while True:
         if n > SERIES_MAX_TERMS:
             raise CapacityError(
                 f"series oracle would need {n} terms (> {SERIES_MAX_TERMS})"
             )
-        for j0 in range(summed, n, step):
-            head += kernels.inv_power_sum(b, k, j0, min(j0 + step, n) - 1)
+        head = _power_sum(head, b, k, summed, n)
         summed = n
         a = b + n
         value = head + _em_tail(k, a)
@@ -398,20 +400,15 @@ def hurwitz_series_oracle(k: int, b: complex, tol: float = 1e-12) -> complex:
         n = max(n + 1, math.ceil(math.exp((log_c - log_target) / p) - b.real))
 
 
-@functools.cache
-def _em_table() -> BernoulliTable:
-    return BernoulliTable.build(2 * EM_TERMS)  # the 64-entry default is slower
-
-
 @functools.lru_cache(maxsize=64)
 def _em_constants(k: int) -> tuple:
     """``B_{2m}/(2m)! * (k)_{2m-1}`` for ``m = EM_TERMS..1`` (Horner order),
     and ``log(4 (k)_24 / ((2 pi)**24 (k+23)))``, the remainder bound times
     ``(Re a)**(k+23)``; the rising factorials are exact integers, as their
     floats overflow at large ``k``."""
-    n, table = 2 * EM_TERMS, _em_table()
+    n = 2 * EM_TERMS
     try:
-        coeffs = tuple(float(bernoulli(2 * m, table) * math.prod(range(k, k + 2 * m - 1))
+        coeffs = tuple(float(bernoulli(2 * m) * math.prod(range(k, k + 2 * m - 1))
                              / math.factorial(2 * m)) for m in range(EM_TERMS, 0, -1))
     except OverflowError:
         raise RangeOverflowError(
@@ -431,12 +428,22 @@ def _em_tail(k: int, a: complex) -> complex:
     return u / (k - 1) + u / (2.0 * a) + acc * u * inv_a2
 
 
+def _power_sum(acc: complex, b: complex, k: int, j0: int, j1: int) -> complex:
+    """``acc + sum_{j=j0..j1-1} (j + b)**(-k)``, added one
+    :func:`kernels.inv_power_sum` call of at most ``_CHUNK`` terms at a time."""
+    for lo in range(j0, j1, _CHUNK):
+        acc += kernels.inv_power_sum(b, k, lo, min(lo + _CHUNK, j1) - 1)
+    return acc
+
+
 def hp_partial_sum(k: int, b: complex, n: int) -> complex:
     """Partial sum ``sum_{j=1..n} (i*j + b)**(-k)``.
 
     ``k = 1`` is allowed (the partial sums are finite; the full series
     diverges logarithmically, which the convergence scans exploit).  A ``b``
-    exactly on a pole ``-i*j`` within range is rejected.
+    exactly on a pole ``-i*j`` within range is rejected.  Summed as
+    ``(-i)**k * sum_{j=1..n} (j - i*b)**(-k)``, an exact rotation, so the
+    terms go through the power-sum kernel in ``np.longdouble``.
     """
     k = check_k(k, minimum=1)
     if n < 0:
@@ -445,12 +452,7 @@ def hp_partial_sum(k: int, b: complex, n: int) -> complex:
     j0 = round(-b.imag)
     if b.real == 0.0 and 1 <= j0 <= n and b + 1j * j0 == 0:
         raise DomainError(f"summand pole: b = -{j0}i makes the j = {j0} term infinite")
-    acc = 0.0 + 0.0j
-    step = 1 << 20
-    for lo in range(1, n + 1, step):
-        hi = min(lo + step - 1, n)
-        acc += kernels.rot_inv_power_sum(b, k, lo, hi)
-    return complex(acc)
+    return _I_POW[-k % 4] * _power_sum(0j, complex(b.imag, -b.real), k, 1, n + 1)
 
 
 def zeta_auto(k: int, b: complex, spec: QuadratureSpec | None = None):

@@ -1,9 +1,9 @@
-"""Vectorized integrand kernels and power sums, in numpy.
+"""Vectorized integrand kernels and a power sum, in numpy.
 
 Every integrand here is evaluated over a whole array of abscissae: the
 adaptive quadrature driver batches the nodes of all pending panels into a
 single call, so one call per refinement round is all the Python overhead a
-kernel costs.  The two power sums add a contiguous run of series terms in one
+kernel costs.  The power sum adds a contiguous run of series terms in one
 vector operation.  Callers reach the kernels as ``kernels.<name>``, so a
 profiler can wrap any of them by replacing that one module attribute.
 
@@ -32,7 +32,6 @@ __all__ = [
     "one_minus_cos_cot",
     "decay_one_minus_cos_cot",
     "inv_power_sum",
-    "rot_inv_power_sum",
 ]
 
 
@@ -92,8 +91,3 @@ def inv_power_sum(b, k, j0, j1):
     j = np.arange(j0, j1 + 1, dtype=np.longdouble)
     return complex(np.sum((j + np.clongdouble(b)) ** (-k)))
 
-
-def rot_inv_power_sum(b, k, j0, j1):
-    """sum_{j=j0..j1} (1j*j + b)**(-k), complex b, integer k >= 1."""
-    j = np.arange(j0, j1 + 1, dtype=np.float64)
-    return complex(np.sum((1j * j + b) ** (-k)))

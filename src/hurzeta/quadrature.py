@@ -272,7 +272,7 @@ def _panels(f, lefts, widths, rows, family, shared=False):
     ``max(1, _BLOCK // (15 L))`` panels per call."""
     step = max(1, _BLOCK // (_XK.size * rows.shape[0])) if shared else _BLOCK // _XK.size
     parts = []
-    for s in range(0, max(lefts.size, 1), step):  # no panels is one empty call
+    for s in range(0, lefts.size, step):
         u = _abscissae(lefts[s:s + step], widths[s:s + step])
         who = rows if shared else rows[s:s + step]
         if shared:
@@ -336,6 +336,8 @@ def _adapt(f, vals, errs, mesh, spec, abs_tol, family, first):
         split = np.flatnonzero(errs > theta[owner])
         nsplit = np.bincount(owner[split], minlength=todo.size)
         stuck[todo] = nsplit == 0
+        if not split.size:
+            break
         budget = spec.max_subdivisions - subdivisions
         if np.any(nsplit > budget):
             split = _budget_cap(split, errs, nsplit, budget)

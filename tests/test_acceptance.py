@@ -254,7 +254,7 @@ def test_criterion_08_log_asymptotic():
             assert all(r >= 2.0 for r in ratios)
 
 
-def test_criterion_09_sinh_kernel(btable):
+def test_criterion_09_sinh_kernel():
     with _Budget(1.0, "criterion 9"):
         rng = np.random.default_rng(SEED + 9)
         worst = 0.0
@@ -264,7 +264,7 @@ def test_criterion_09_sinh_kernel(btable):
             )
             u = float(rng.uniform())
             depth = sinh_series_depth(abs(c), tol=1e-12)
-            got = sinh_kernel_series(c, u, depth, btable)
+            got = sinh_kernel_series(c, u, depth)
             want = sinh_kernel(c, u)
             worst = max(worst, abs(got - want))
         print(f"[criterion 9] 20 draws, worst |series - closed| {worst:.2e} "

@@ -8,7 +8,6 @@ import pytest
 
 from _oracles import genfun_direct, hurwitz_direct, riemann_zeta
 from hurzeta import (
-    BernoulliTable,
     QuadratureSpec,
     classify_case,
     genfun_closed,
@@ -32,6 +31,7 @@ from hurzeta.errors import (
     RangeOverflowError,
     UnsupportedParameterError,
 )
+from hurzeta.special_functions import BERNOULLI_MAX_INDEX
 
 
 def _draw_generic(rng):
@@ -250,9 +250,9 @@ class TestRotatedParts:
 
 class TestOddZeta:
     @pytest.mark.parametrize("j", [1, 2, 3, 4])
-    def test_integral_reproduces_odd_zeta(self, j, btable):
+    def test_integral_reproduces_odd_zeta(self, j):
         ref = riemann_zeta(2 * j + 1)
-        v = odd_zeta_integral(j, table=btable)
+        v = odd_zeta_integral(j)
         assert abs(v - ref) / ref < 1e-9
 
     def test_domain(self):
@@ -268,7 +268,7 @@ class TestSinhKernel:
             assert sinh_kernel(c, u) == pytest.approx(
                 c * cmath.sinh(c * u) / cmath.sinh(c), rel=1e-14)
 
-    def test_series_matches_closed_form(self, btable):
+    def test_series_matches_closed_form(self):
         rng = np.random.default_rng(99)
         for _ in range(12):
             c = complex(rng.uniform(-2.5, 2.5), rng.uniform(-1.2, 1.2))
@@ -276,7 +276,7 @@ class TestSinhKernel:
                 continue
             u = float(rng.uniform(0.0, 1.0))
             n = sinh_series_depth(abs(c))
-            got = sinh_kernel_series(c, u, n, btable)
+            got = sinh_kernel_series(c, u, n)
             want = sinh_kernel(c, u)
             assert abs(got - want) <= 1e-10 * (1 + abs(want))
 
@@ -288,5 +288,6 @@ class TestSinhKernel:
     def test_degenerate_and_capacity(self):
         with pytest.raises(DomainError):
             sinh_kernel(0.0, 0.5)
+        # n_terms needs B_{2(n_terms-1)}
         with pytest.raises(CapacityError):
-            sinh_kernel_series(2.0, 0.5, 30, BernoulliTable.build(10))
+            sinh_kernel_series(2.0, 0.5, BERNOULLI_MAX_INDEX // 2 + 2)

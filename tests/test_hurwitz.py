@@ -2,7 +2,6 @@
 
 import math
 import time
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import catalan_constant, hurwitz_direct, rotated_direct
-import hurzeta.hurwitz
 from hurzeta import (
     ZetaParams,
     bracket_kernel,
@@ -23,7 +21,6 @@ from hurzeta import (
     hurwitz_series_oracle,
     hurwitz_zeta,
     imag_part_integral,
-    polylog_nonpos,
     real_part_formula,
     zeta_auto,
     zeta_from_genfun,
@@ -238,6 +235,17 @@ class TestErrorContract:
         with pytest.raises(RangeOverflowError):
             zeta_auto(24, 2 - 3e-15 + 1e-15j)
 
+    def test_infinite_polylog_is_typed(self):
+        # |1 - q| = 6e-14: (1 - q)**24 stays normal but Li_{-21}(q) is inf;
+        # this once surfaced as "DomainError: scale_hint must be finite"
+        with pytest.raises(RangeOverflowError, match=r"Li_\(-21\)"):
+            zeta_auto(24, 1 + 1e-14)
+
+    def test_pole_note_is_given_once(self):
+        with pytest.warns(ConditioningWarning):
+            br = zeta_auto(12, 2 - 3e-15 + 1e-15j)[2]
+        assert sum("pole" in w for w in br.warnings) == 1
+
     @pytest.mark.parametrize("k", [10**16, 10**30])
     def test_series_coefficients_past_double_range_are_typed(self, k):
         # (k)_23 B_24 / 24! overflows a float; this once escaped as an OverflowError
@@ -269,6 +277,24 @@ class TestOrderValidation:
         call(3.0)
 
 
+class TestRotatedPartialSum:
+    @pytest.mark.parametrize("k", [3, 60, 170])
+    @pytest.mark.parametrize("b", [1.1, 0.7 + 0.4j, 0.25 - 3.5j])
+    def test_against_mpmath(self, k, b):
+        mpmath = pytest.importorskip("mpmath")
+        n = 50
+        with mpmath.workdps(40):
+            ref = complex(mpmath.fsum((mpmath.mpc(b) + mpmath.mpc(0, j)) ** -k
+                                      for j in range(1, n + 1)))
+        assert abs(hp_partial_sum(k, b, n) - ref) <= 1e-15 * abs(ref), (k, b)
+
+    def test_summand_pole_is_refused(self):
+        # b = -3i makes the j = 3 term infinite, once that term is summed
+        with pytest.raises(DomainError, match="summand pole"):
+            hp_partial_sum(2, -3j, 5)
+        assert hp_partial_sum(2, -3j, 2) == (1j - 3j) ** -2 + (2j - 3j) ** -2
+
+
 class TestOracleExtended:
     @pytest.mark.parametrize("k,b", [(2, -1.3), (3, -0.5 + 0.2j), (4, -2.7 - 1j)])
     def test_non_positive_real_part_matches_direct_sum(self, k, b):
@@ -288,22 +314,6 @@ class TestOracleExtended:
         # zeta(6, 20) ~ 7e-8: an absolute tolerance leaves 4e-7 relative error
         ref = hurwitz_direct(k, complex(b))
         assert abs(hurwitz_series_oracle(k, b, tol=1e-12) - ref) <= 1e-11 * abs(ref)
-
-
-def test_closed_form_polylogs_are_polylog_nonpos_bitwise():
-    # the closed-form set-up evaluates Li_0 .. Li_{-(k-1)} from coefficients
-    # converted once per k; values and pole notes must be those of k
-    # polylog_nonpos calls, bit for bit
-    for k in (2, 5, 12, 24):
-        for b in (0.3 + 0.2j, 0.05 - 0.9j, 1.37, 1 + 1e-14):
-            q = complex(np.exp(-2j * math.pi * b))
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", ConditioningWarning)
-                ref = np.array([polylog_nonpos(m, q) for m in range(k)])
-            hurzeta.hurwitz._bracket_data.cache_clear()
-            _, _, li, notes, _ = hurzeta.hurwitz._bracket_data(k, b)
-            assert li.view(np.uint64).tolist() == ref.view(np.uint64).tolist()
-            assert list(notes) == [str(w.message) for w in caught]
 
 
 # The Euler--Maclaurin box: k 2..24 plus two large orders, Re b in [-6, 8],

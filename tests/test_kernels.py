@@ -10,7 +10,7 @@ from hurzeta import kernels
 KERNELS = {
     "cot_pi", "poly_exp_gap", "sin_ratio_gap", "sin_ratio_ucos_gap",
     "sinh_ratio_gap", "pow_sin_cot", "one_minus_cos_cot",
-    "decay_one_minus_cos_cot", "inv_power_sum", "rot_inv_power_sum",
+    "decay_one_minus_cos_cot", "inv_power_sum",
 }
 
 
@@ -40,12 +40,6 @@ def test_inv_power_sum_is_plain_sum():
     b, k = 1.3 + 0.4j, 4
     brute = sum((j + b) ** (-k) for j in range(2, 38))
     assert kernels.inv_power_sum(b, k, 2, 37) == pytest.approx(brute, rel=1e-14)
-
-
-def test_rot_inv_power_sum_is_rotated_sum():
-    b, k = 0.8, 3
-    brute = sum((1j * j + b) ** (-k) for j in range(0, 26))
-    assert kernels.rot_inv_power_sum(b, k, 0, 25) == pytest.approx(brute, rel=1e-14)
 
 
 def test_poly_exp_gap_matches_direct_evaluation():

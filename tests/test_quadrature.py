@@ -78,11 +78,15 @@ class TestIntegrateOpen:
     def test_row_that_cannot_split_stops_unconverged(self):
         # values near the top of the double range overflow the K15 and G7
         # sums, so the row's estimate is NaN and no panel qualifies for a split
+        sizes = []
+
         def family(u, rows):
+            sizes.append(u.size)
             return np.where(rows == 1, 1.7e308, u)
 
         with np.errstate(over="ignore", invalid="ignore"):
             fam = integrate_open(family, family=3)
+        assert sizes == [8 * 15]  # the stuck pass makes no empty call
         assert fam.row_converged.tolist() == [True, False, True]
         assert fam.row_evaluations[1] == 8 * 15
         assert "no panel can be split further" in fam.row_warnings[1][0]

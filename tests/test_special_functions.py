@@ -1,5 +1,6 @@
 """Exact and oracle-backed checks for the arithmetic bottom layer."""
 
+import cmath
 import math
 import warnings
 from fractions import Fraction
@@ -8,7 +9,6 @@ import pytest
 
 from _oracles import catalan_constant, euler_gamma
 from hurzeta import (
-    BernoulliTable,
     bernoulli,
     eulerian_row,
     harmonic_number,
@@ -21,10 +21,11 @@ from hurzeta.errors import (
     RangeOverflowError,
 )
 from hurzeta.special_functions import (
+    BERNOULLI_MAX_INDEX,
     CATALAN,
     EULER_GAMMA,
     PI,
-    PolylogRational,
+    _horner_rows,
     polylog_nonpos_orders,
 )
 
@@ -51,8 +52,8 @@ class TestBernoulli:
         assert bernoulli(12) == Fraction(-691, 2730)
 
     def test_odd_vanish(self):
-        for n in (3, 5, 7, 9, 11, 13, 63):
-            assert bernoulli(n, BernoulliTable.build(n)) == 0
+        for n in (3, 5, 7, 9, 11, 13, 63, 379):
+            assert bernoulli(n) == 0
 
     def test_von_staudt_clausen(self):
         # denominator of B_2n is the product of primes p with (p-1) | 2n
@@ -60,24 +61,21 @@ class TestBernoulli:
             return [p for p in range(2, n2 + 2)
                     if all(p % d for d in range(2, p)) and n2 % (p - 1) == 0]
 
-        t = BernoulliTable.build(40)
-        for n2 in (2, 10, 26, 40):
-            assert t[n2].denominator == math.prod(primes_dividing(n2))
+        for n2 in (2, 10, 26, 40, 300):
+            assert bernoulli(n2).denominator == math.prod(primes_dividing(n2))
 
     def test_capacity_contract(self):
-        t = BernoulliTable.build(10)
-        with pytest.raises(CapacityError):
-            t[11]
-        with pytest.raises(CapacityError):
-            bernoulli(70)  # default table stops at 64
+        bernoulli(BERNOULLI_MAX_INDEX)  # the last one served
+        with pytest.raises(CapacityError, match=f"B_{BERNOULLI_MAX_INDEX + 1}"):
+            bernoulli(BERNOULLI_MAX_INDEX + 1)
         with pytest.raises(DomainError):
             bernoulli(-1)
 
-    def test_float_mirror_saturates_not_raises(self, btable):
-        # B_300 exceeds double range; the float view must degrade to inf
-        # while the exact entry stays usable.
-        assert math.isinf(btable.as_float[300])
-        assert btable[300].denominator > 1
+    def test_past_double_range_stays_exact(self):
+        # B_300 exceeds double range; the exact value stays usable
+        with pytest.raises(OverflowError):
+            float(bernoulli(300))
+        assert abs(bernoulli(300)) > 10**308 and bernoulli(300).denominator > 1
 
 
 class TestEulerian:
@@ -141,9 +139,19 @@ class TestPolylog:
         # double range, and the division once raised ZeroDivisionError
         z = 1 + 6e-15 + 2e-14j
         with pytest.raises(RangeOverflowError):
-            polylog_nonpos(23, z, guard=0.0)
+            polylog_nonpos(23, z)
         with pytest.raises(RangeOverflowError):
             polylog_nonpos_orders(24, z)
+
+    def test_infinite_value_is_typed_at_its_order(self):
+        # q at b = 1 + 1e-14: (1 - q)**(m+1) stays normal, but Li_{-21}(q)
+        # .. Li_{-23}(q) are past double range and once came back as inf
+        q = complex(cmath.exp(-2j * math.pi * (1 + 1e-14)))
+        assert all(cmath.isfinite(v) for v in polylog_nonpos_orders(21, q)[0])
+        with pytest.raises(RangeOverflowError, match=r"Li_\(-21\)"):
+            polylog_nonpos_orders(24, q)
+        with pytest.raises(RangeOverflowError, match=r"Li_\(-21\)"):
+            polylog_nonpos(22, q)
 
     def test_orders_fail_as_single_calls_do(self):
         with pytest.raises(DomainError):
@@ -156,12 +164,14 @@ class TestPolylog:
         assert "pole" in note and all(math.isfinite(v.real) for v in values)
         assert polylog_nonpos_orders(3, 0.5)[1] is None
 
-    def test_build_rejects_negative_order(self):
+    def test_rejects_negative_order(self):
         with pytest.raises(DomainError):
-            PolylogRational.build(-1)
+            polylog_nonpos(-1, 0.5)
 
     def test_coefficients_are_eulerian(self):
-        assert PolylogRational.build(4).coeffs == (1, 11, 11, 1)
+        # the float rows the evaluator runs Horner's rule on, highest power first
+        assert _horner_rows(5)[4] == (1.0, 11.0, 11.0, 1.0)
+        assert _horner_rows(5)[0] == (1.0,)
 
 
 def test_harmonic_number_matches_direct_sum():
