@@ -59,6 +59,7 @@ ORACLE_GRID_B = (0.25, 0.5, 1.25, 2.0, 3.75, 1 + 0.5j, 2 + 1j, 0.6 - 0.2j)
 SCAN_NS = (100, 1000, 10000)
 ORACLE_TOL = 1e-13
 VERDICT_RTOL = 1e-8
+ENDPOINT_DRAWS = 300  # draws of the endpoint-identity suite
 _TINY = float(np.finfo(np.float64).tiny)
 
 
@@ -463,27 +464,27 @@ def _report_to_record(report, suite):
     }
 
 
-def _suite_theorem1(spec, seed):
+def _suite_theorem1(spec, _seed):
     return [_report_to_record(theorem1_scan(k, SCAN_NS, spec), "theorem1")
             for k in (0, 1, 3)]
 
 
-def _suite_zero_integral(spec, seed):
+def _suite_zero_integral(spec, _seed):
     return [_report_to_record(zero_integral_scan([1, 17, 100], spec), "zero-integral")]
 
 
-def _suite_log_asymptotic(spec, seed):
+def _suite_log_asymptotic(spec, _seed):
     return [_report_to_record(log_asymptotic_scan(float(k), SCAN_NS, spec),
                               "log-asymptotic")
             for k in (2, 3)]
 
 
-def _suite_oracle_grid(spec, seed):
+def _suite_oracle_grid(spec, _seed):
     return [{"suite": "oracle-grid", **_zeta_record(k, b, spec)[0]}
             for k in ORACLE_GRID_K for b in ORACLE_GRID_B]
 
 
-def _suite_endpoint_identity(spec, seed, draws=300):
+def _suite_endpoint_identity(_spec, seed):
     # The endpoint identity B(0) = B(1) is algebraic; this suite checks its
     # *transcription* in floats, so draws keep |1 - q| away from the
     # conditioning locus q = 1 (b near a real integer), where any formula
@@ -491,7 +492,7 @@ def _suite_endpoint_identity(spec, seed, draws=300):
     rng = np.random.default_rng(seed)
     worst = 0.0
     checked = 0
-    while checked < draws:
+    while checked < ENDPOINT_DRAWS:
         k = int(rng.integers(2, 13))
         re_b = float(rng.uniform(0.05, 6.0))
         im_b = float(rng.uniform(-2.5, 2.5))
@@ -511,7 +512,7 @@ def _suite_endpoint_identity(spec, seed, draws=300):
     return [
         {
             "suite": "endpoint-identity",
-            "draws": draws,
+            "draws": ENDPOINT_DRAWS,
             "worst_scaled_endpoint_residual": worst,
             "threshold": 1e-11,
             "verdict": "pass" if ok else "fail",

@@ -54,6 +54,9 @@ __all__ = [
 INT_EPS = 1e-9  # 2b this close to an integer takes an integer branch
 PROX_TOL = 1e-6  # x this close to a singular locus is refused
 WARN_BAND = 1e-6  # b within [INT_EPS, WARN_BAND) of an integer locus: warn, proceed
+COEFFICIENT_TOL = 1e-13  # relative tolerance of each series coefficient
+SERIES_MARGIN = 0.1  # genfun_series needs |x| < (1 - SERIES_MARGIN) * r(b)
+STABILITY_TOL = 1e-4  # relative spread between the two recovery circles that warns
 
 
 def _dist_to_int(w: complex) -> float:
@@ -303,38 +306,37 @@ def genfun_closed(x: complex, b: complex,
     )
 
 
-def series_coefficient(k: int, b: complex, tol: float = 1e-13) -> complex:
+def series_coefficient(k: int, b: complex) -> complex:
     """``zeta(k, b) - b**-k = sum_{j>=1} (j+b)**(-k)``, by direct summation.
 
     Computed as the series oracle at ``b + 1`` (``zeta(k, b+1)``) so no
     cancellation against ``b**-k`` ever happens; exact negative-integer ``b``
-    skips its singular term per the series convention.
+    skips its singular term per the series convention.  The oracle runs at
+    relative tolerance ``COEFFICIENT_TOL``.
     """
     b = complex(b)
     if b.imag == 0.0 and float(b.real).is_integer() and b.real < 0.0:
         # skip j = -b: remaining terms are zeta(k) + (-1)**k * H_k(|b|-1)
-        return hurwitz_series_oracle(k, 1.0, tol=tol) + (-1.0) ** k * harmonic_number(
-            k, -int(b.real) - 1
-        )
-    return hurwitz_series_oracle(k, b + 1.0, tol=tol)
+        return (hurwitz_series_oracle(k, 1.0, tol=COEFFICIENT_TOL)
+                + (-1.0) ** k * harmonic_number(k, -int(b.real) - 1))
+    return hurwitz_series_oracle(k, b + 1.0, tol=COEFFICIENT_TOL)
 
 
-def genfun_series(x: complex, b: complex, kmax: int,
-                  margin: float = 0.1) -> GenFunSeries:
+def genfun_series(x: complex, b: complex, kmax: int) -> GenFunSeries:
     """Partial sum of ``sum_{k=2..kmax} x**k * (zeta(k,b) - b**-k)``.
 
     Coefficients come from the series oracle (independent of every closed
-    form here).  Requires ``|x| < r(b)*(1 - margin)`` so the geometric tail
-    estimate ``A * rho**(kmax+1) / (1 - rho)``, ``rho = |x|/r(b)``, is
-    meaningful; it is returned alongside the value.
+    form here).  Requires ``|x| < r(b)*(1 - SERIES_MARGIN)`` so the
+    geometric tail estimate ``A * rho**(kmax+1) / (1 - rho)``, ``rho =
+    |x|/r(b)``, is meaningful; it is returned alongside the value.
     """
     kmax = check_k(kmax, name="kmax")
     x, b = complex(x), complex(b)
     r = radius_of_convergence(b)
-    if not abs(x) < r * (1.0 - margin):
+    if not abs(x) < r * (1.0 - SERIES_MARGIN):
         raise DomainError(
-            f"|x| = {abs(x):g} is not inside {1 - margin:g} * r(b) = "
-            f"{(1 - margin) * r:g}: series diverges or converges too slowly"
+            f"|x| = {abs(x):g} is not inside {1 - SERIES_MARGIN:g} * r(b) = "
+            f"{(1 - SERIES_MARGIN) * r:g}: series diverges or converges too slowly"
         )
     if x == 0:
         return GenFunSeries(value=0j, tail_estimate=0.0, kmax=kmax)
@@ -478,8 +480,7 @@ def sinh_kernel_series(c: complex, u: float, n_terms: int) -> complex:
 # ---------------------------------------------------------------------------
 
 def zeta_from_genfun(k: int, b: complex, radius: float, nodes: int,
-                     spec: QuadratureSpec | None = None,
-                     stability_tol: float = 1e-4) -> complex:
+                     spec: QuadratureSpec | None = None) -> complex:
     """``zeta(k, b) = b**-k + (k-th Taylor coefficient of f(., b) at 0)``.
 
     The coefficient is extracted by discrete circle averaging of the closed
@@ -487,7 +488,7 @@ def zeta_from_genfun(k: int, b: complex, radius: float, nodes: int,
     (spectrally accurate for analytic ``f``; the aliasing error is the
     ``k + nodes``-th coefficient's contribution).  A second pass at half
     the radius cross-checks the estimate; disagreement beyond
-    ``stability_tol`` relative emits :class:`InstabilityWarning`.
+    ``STABILITY_TOL`` relative emits :class:`InstabilityWarning`.
 
     Both circles are one family of ``2 * nodes`` cotangent integrals, made
     in one quadrature call.  A node at a singular locus raises
@@ -541,7 +542,7 @@ def zeta_from_genfun(k: int, b: complex, radius: float, nodes: int,
     a_k = coefficient(total[:nodes], radius)
     a_check = coefficient(total[nodes:], radius / 2.0)
     denom = max(abs(a_k), abs(a_check), 1e-300)
-    if abs(a_k - a_check) / denom > stability_tol:
+    if abs(a_k - a_check) / denom > STABILITY_TOL:
         warnings.warn(
             f"Taylor coefficient unstable across radii {radius:g} and "
             f"{radius / 2:g}: relative spread {abs(a_k - a_check) / denom:.2e}",

@@ -1,33 +1,31 @@
-"""Adaptive Gauss-Kronrod quadrature on panels, over one integrand or a whole
-family of them, plus two specializations: cotangent-weighted integrals on
-(0, 1) and high-frequency oscillatory ones.
+"""Adaptive Gauss-Kronrod quadrature on panels, plus two specializations:
+cotangent-weighted integrals on (0, 1), over one integrand or a whole family
+of them, and high-frequency oscillatory ones.
 
 A single integrand ``f(u)`` takes a float64 array and returns one value per
-abscissa (real or complex).  A family of ``M`` integrands is passed as
-``family=M`` and one function ``f(u, rows)``: ``u`` is a float64 array of
-shape ``(P, n)`` and ``rows`` an int array of shape ``(L, 1)`` naming the
-family row of each line of the result, which has shape ``(L, n)``.  The
-first pass shares its abscissae: ``u`` is ``(1, n)`` and ``rows`` is
-``(M, 1)``, so numpy broadcasting gives ``(M, n)`` and a factor that does
-not depend on the row is computed once.  Later passes give every line its
-own abscissae (``P == L``).  A result of the shape of ``u`` is taken to
-depend on ``u`` alone and is the same for every row.  A single integrand
-runs as a family of one: there is one driver.
+abscissa (real or complex).  :func:`integrate_cot_weighted` also takes a
+family of ``M`` integrands as ``family=M`` and one function ``f(u, rows)``:
+``u`` is a float64 array of shape ``(P, n)`` and ``rows`` an int array of
+shape ``(L, 1)`` naming the family row of each line of the result, which
+has shape ``(L, n)``.  The first pass shares its abscissae: ``u`` is
+``(1, n)`` and ``rows`` is ``(M, 1)``.  Later passes give every line its
+own abscissae (``P == L``).  A single integrand runs as a family of one:
+there is one driver.
 
 Each row is integrated as if it were alone, with its own panels, error
 estimate (per-panel ``|K15 - G7|`` differences, summed), convergence test
 (the estimate meets ``max(rel_tol * |value|, abs_tol)``) and
 ``max_subdivisions`` budget.  The first pass evaluates every row on the
 shared initial mesh; each later pass splits the panels of the rows that
-have not converged yet.  Either pass hands the integrand its panels in
-blocks of at most ``2**14`` values (rows times abscissae) per call, so the
-working set stays near cache size however fine the mesh; a pass that fits
-one block is one call.  (A first pass of more than 1092 rows takes one
-panel per call; the cotangent driver's first pass is one call of 189
-values per row.)  A non-finite value raises :class:`EvaluationError`
-for its row, the first met in block order.  Running out of subdivision
-budget, or an estimate that no split can lower (NaN), is reported through
-``converged=False`` with a note, never as an exception.
+have not converged yet.  :func:`integrate_open`'s first pass and every
+later pass hand the integrand its panels in blocks of at most ``2**14``
+values (``2**14 // 15`` panels) per call, so the working set stays near
+cache size however fine the mesh; a pass that fits one block is one call.
+(The cotangent driver's first pass is one call of 189 values per row.)  A
+non-finite value raises :class:`EvaluationError` for its row, the first
+met in block order.  Running out of subdivision budget, or an estimate
+that no split can lower (NaN), is reported through ``converged=False``
+with a note, never as an exception.
 
 For a family, ``value`` and ``error_estimate`` of the result are ``(M,)``
 arrays and the ``row_*`` fields hold the per-row evaluations, convergence
@@ -61,14 +59,11 @@ class QuadratureSpec:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-13
     max_subdivisions: int = 200
-    endpoint_margin: float = 1e-8
 
     def __post_init__(self):
         # a NaN tolerance would pass the sign checks and stop refinement
         if not (0 <= self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
             raise DomainError("need finite rel_tol >= 0 and abs_tol > 0")
-        if not 0 < self.endpoint_margin <= 0.1:
-            raise DomainError("endpoint_margin must lie in (0, 0.1]")
         if self.max_subdivisions < 0:
             raise DomainError("max_subdivisions must be >= 0")
 
@@ -140,6 +135,7 @@ _NODE_FRAC = 0.5 * (_XK + 1.0)
 # The cotangent-weighted driver probes g at both endpoints and on a 1/32 grid,
 # models g on each margin strip from three points, and starts the interior
 # from breakpoints 0.1, 0.2, ..., 0.9 plus the margins.
+ENDPOINT_MARGIN = 1e-8  # width of each margin strip
 _PROBE = np.concatenate(([0.0, 1.0], np.linspace(0.03125, 0.96875, 31)))
 _INNER_EDGES = np.linspace(0.1, 0.9, 9)
 _TINY = float(np.finfo(np.float64).tiny)
@@ -163,10 +159,10 @@ class _Mesh(NamedTuple):
 
 
 class _CotLayout(NamedTuple):
-    """Everything the cotangent-weighted driver needs that depends on the
-    endpoint margin alone: the abscissae of its first evaluation (probe,
-    then three left and three right strip points, then the interior mesh,
-    as one line) and the matrix of its first-pass functionals.
+    """Everything the cotangent-weighted driver needs that does not depend
+    on ``g``: the abscissae of its first evaluation (probe, then three left
+    and three right strip points, then the interior mesh, as one line) and
+    the matrix of its first-pass functionals.
 
     A row ``gv`` of first-pass values gives ``gv @ weights``: the Kronrod
     values of the ``P`` interior panels of ``g * cot(pi*u)``, their
@@ -180,11 +176,11 @@ class _CotLayout(NamedTuple):
     cweights: np.ndarray     # the same as complex, for complex g
     mesh: _Mesh
     strip_weight: float      # integral of the model against the cotangent
-    m: float
 
 
-@functools.lru_cache(maxsize=16)
-def _cot_layout(m):
+@functools.cache
+def _cot_layout():
+    m = ENDPOINT_MARGIN
     left = np.array([0.25 * m, 0.5 * m, 0.75 * m])
     right = 1.0 - left[::-1]
     mesh = _Mesh.from_edges(np.concatenate(([m], _INNER_EDGES, [1.0 - m])))
@@ -214,9 +210,8 @@ def _cot_layout(m):
         cweights=w.astype(np.complex128),
         mesh=mesh,
         strip_weight=m / math.pi - math.pi * m**3 / 9.0,
-        m=m,
     )
-    # shared by every call with this margin, so nothing may write to them
+    # shared by every call, so nothing may write to them
     for a in (lay.u, lay.weights, lay.cweights, mesh.lefts, mesh.widths):
         a.setflags(write=False)
     return lay
@@ -224,21 +219,17 @@ def _cot_layout(m):
 
 def _single(f):
     """A plain integrand ``f(u)`` as a family of one."""
-    def family(u, rows):
+    def family(u, _rows):
         fv = np.asarray(f(u.ravel()))
         return fv.reshape(u.shape) if fv.shape == (u.size,) else fv
     return family
 
 
 def _evaluate(f, u, rows):
-    """``f(u, rows)`` as an array of one line per line of ``rows``; a result
-    of the shape of ``u`` is every row's (see the module docstring)."""
+    """``f(u, rows)`` as an array of one line per line of ``rows``."""
     fv = np.asarray(f(u, rows))
-    shape = (rows.shape[0], u.shape[1])
-    if fv.shape != shape:
-        if fv.shape != u.shape:
-            raise ValueError("integrand must return one value per abscissa")
-        fv = np.broadcast_to(fv, shape)
+    if fv.shape != (rows.shape[0], u.shape[1]):
+        raise ValueError("integrand must return one value per abscissa")
     return fv
 
 
@@ -263,29 +254,22 @@ def _gauss_kronrod(fv, half):
     return ik, np.abs(ik - half * (fv[..., _GAUSS_IDX] @ _WG))
 
 
-def _panels(f, lefts, widths, rows, family, shared=False):
-    """Kronrod values and ``|K15 - G7|`` estimates of panels ``lefts``,
-    ``widths``, from calls of at most ``_BLOCK`` values.  Line ``i`` of
-    ``rows`` (L, 1) owns panel ``i`` and gets (L,) arrays, ``_BLOCK // 15``
-    panels per call; with ``shared`` (a first pass) every row sees every
-    panel through ``u`` of shape (1, n) and gets (L, P) arrays,
-    ``max(1, _BLOCK // (15 L))`` panels per call."""
-    step = max(1, _BLOCK // (_XK.size * rows.shape[0])) if shared else _BLOCK // _XK.size
+def _panels(f, lefts, widths, rows, family):
+    """Kronrod values and ``|K15 - G7|`` estimates, as (L,) arrays, of panels
+    ``lefts``, ``widths``, from calls of ``_BLOCK // 15`` panels at most.
+    Line ``i`` of ``rows`` (L, 1) owns panel ``i``."""
+    step = _BLOCK // _XK.size
     parts = []
     for s in range(0, lefts.size, step):
         u = _abscissae(lefts[s:s + step], widths[s:s + step])
-        who = rows if shared else rows[s:s + step]
-        if shared:
-            u = u.reshape(1, -1)
+        who = rows[s:s + step]
         fv = _evaluate(f, u, who)
         _check_finite(fv, u, who, family)
-        if shared:
-            fv = fv.reshape(who.shape[0], -1, _XK.size)
         parts.append(_gauss_kronrod(fv, 0.5 * widths[s:s + step]))
     if len(parts) == 1:
         return parts[0]
     vals, errs = zip(*parts)
-    return np.concatenate(vals, axis=-1), np.concatenate(errs, axis=-1)
+    return np.concatenate(vals), np.concatenate(errs)
 
 
 def _budget_cap(split, errs, nsplit, budget):
@@ -404,38 +388,20 @@ def _result(value, error, evaluations, converged, notes, family):
     )
 
 
-def integrate_open(f, spec=None, interval=(0.0, 1.0), initial_panels=8,
-                   max_panel_width=None, family=None):
-    """Adaptive integration of ``f`` over ``interval`` with an open rule.
-
-    ``max_panel_width`` caps the width of the initial uniform mesh (used by
-    the oscillatory front end); adaptivity proceeds from whatever mesh that
-    implies.  ``initial_panels`` may also be an explicit breakpoint sequence
-    covering the interval.  ``family=M`` integrates the M rows of a family
-    ``f(u, rows)`` (see the module docstring).
-    """
+def integrate_open(f, spec=None, initial_panels=8):
+    """Adaptive integration of ``f`` over (0, 1) with an open rule, from a
+    uniform mesh of ``initial_panels`` panels."""
     spec = spec or QuadratureSpec()
-    a0, b0 = float(interval[0]), float(interval[1])
-    if not b0 > a0:
-        raise ValueError("interval must have positive width")
-
-    if np.ndim(initial_panels) > 0:
-        edges = np.asarray(initial_panels, dtype=np.float64)
-        if edges[0] != a0 or edges[-1] != b0 or np.any(np.diff(edges) <= 0):
-            raise ValueError("breakpoints must increase from interval start to end")
-    else:
-        count = int(initial_panels)
-        if max_panel_width is not None:
-            count = max(count, math.ceil((b0 - a0) / max_panel_width))
-        edges = np.linspace(a0, b0, count + 1)
-    mesh = _Mesh.from_edges(edges)
-    rows = 1 if family is None else int(family)
-    f = _single(f) if family is None else f
-    vals, errs = _panels(f, mesh.lefts, mesh.widths, np.arange(rows)[:, None], family,
-                         shared=True)
-    parts = _adapt(f, vals, errs, mesh, spec, np.full(rows, spec.abs_tol), family,
+    if initial_panels < 1:
+        raise DomainError("initial_panels must be >= 1")
+    mesh = _Mesh.from_edges(np.linspace(0.0, 1.0, int(initial_panels) + 1))
+    f = _single(f)
+    # every panel is row 0's; a zero-stride view, not a (P, 1) array
+    rows = np.broadcast_to(0, (mesh.lefts.size, 1))
+    vals, errs = _panels(f, mesh.lefts, mesh.widths, rows, None)
+    parts = _adapt(f, vals[None], errs[None], mesh, spec, np.full(1, spec.abs_tol), None,
                    _XK.size * mesh.lefts.size)
-    return _result(*parts, family)
+    return _result(*parts, None)
 
 
 def integrate_cot_weighted(g, spec=None, scale_hint=0.0, family=None):
@@ -473,7 +439,7 @@ def integrate_cot_weighted(g, spec=None, scale_hint=0.0, family=None):
     spec = spec or QuadratureSpec()
     if not np.isfinite(scale_hint).all():
         raise DomainError(f"scale_hint must be finite, got {scale_hint!r}")
-    lay = _cot_layout(spec.endpoint_margin)
+    lay = _cot_layout()
     rows = 1 if family is None else int(family)
     f = _single(g) if family is None else g
     everyone = np.arange(rows)[:, None]
@@ -509,8 +475,8 @@ def integrate_cot_weighted(g, spec=None, scale_hint=0.0, family=None):
     fused = gv @ (lay.cweights if np.iscomplexobj(gv) else lay.weights)
     size = np.abs(fused[:, p:])
     strip_value = fused[:, 2 * p:2 * p + 2].sum(axis=1) * lay.strip_weight
-    strip_err = (size[:, p + 2:].max(axis=1) * lay.m / math.pi
-                 + size[:, p:p + 2].sum(axis=1) * lay.m**3)
+    strip_err = (size[:, p + 2:].max(axis=1) * ENDPOINT_MARGIN / math.pi
+                 + size[:, p:p + 2].sum(axis=1) * ENDPOINT_MARGIN**3)
 
     # Absolute target referenced to the integrand scale, floored at the
     # rounding noise the evaluation of g can actually deliver, and at the
@@ -534,13 +500,11 @@ def integrate_cot_weighted(g, spec=None, scale_hint=0.0, family=None):
 def integrate_oscillatory(f, n, spec=None):
     """Integrate ``f`` over (0, 1) when it oscillates at integer frequency ``n``.
 
-    Starts from a uniform mesh of width at most ``1/(4n)`` so every panel sees
-    at most a quarter period, then refines adaptively as usual.  ``f`` must be
-    bounded on the closed interval (the oscillatory integrands here all have
-    removable endpoint singularities).
+    Starts from a uniform mesh of ``4n`` panels so every panel sees a quarter
+    period, then refines adaptively as usual.  ``f`` must be bounded on the
+    closed interval (the oscillatory integrands here all have removable
+    endpoint singularities).
     """
     if n < 1 or n != int(n):
-        raise ValueError("frequency n must be a positive integer")
-    spec = spec or QuadratureSpec()
-    return integrate_open(f, spec, interval=(0.0, 1.0), initial_panels=4,
-                          max_panel_width=1.0 / (4.0 * int(n)))
+        raise DomainError("frequency n must be a positive integer")
+    return integrate_open(f, spec, initial_panels=max(4, 4 * int(n)))

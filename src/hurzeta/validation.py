@@ -236,8 +236,7 @@ def _hp_limit(k: int, b: complex) -> complex:
     return full - 1.0 / b**k
 
 
-def hp_limit_scan(k: int, b: complex, n_values,
-                  spec: QuadratureSpec | None = None) -> ConvergenceReport:
+def hp_limit_scan(k: int, b: complex, n_values) -> ConvergenceReport:
     """Partial sums of the rotated series against their closed-form limit;
     the tail is ~ n**(1-k)/(k-1), so the deviation must decay like n**(1-k).
 

@@ -19,6 +19,7 @@ import time
 import numpy as np
 import pytest
 
+from hurzeta.cli import envelope_signature
 from hurzeta.genfun import (
     genfun_closed,
     genfun_series,
@@ -279,23 +280,13 @@ def test_criterion_10_cli_contract(tmp_path):
         return subprocess.run(base + list(args), capture_output=True,
                               text=True, timeout=60)
 
-    def signature(text):
-        def strip(node):
-            if isinstance(node, dict):
-                return {k: strip(v) for k, v in sorted(node.items())
-                        if k not in ("timing_s", "wall_time_s")}
-            if isinstance(node, list):
-                return [strip(v) for v in node]
-            return node
-
-        return json.dumps(strip(json.loads(text)), sort_keys=True)
-
     with _Budget(10.0, "criterion 10"):
         a = run("eval", "--k", "2", "--b", "1.25", "--format", "json")
         assert a.returncode == 0
         assert json.loads(a.stdout)["results"][0]["discrepancy_rel"] < 1e-10
         b = run("eval", "--k", "2", "--b", "1.25", "--format", "json")
-        assert signature(a.stdout) == signature(b.stdout)
+        assert envelope_signature(json.loads(a.stdout)) == envelope_signature(
+            json.loads(b.stdout))
 
         assert run("eval", "--k", "1", "--b", "0.5").returncode == 2
         bad = run("eval", "--k", "200", "--b", "0.5", "--format", "json")

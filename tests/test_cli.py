@@ -1,8 +1,9 @@
 """Black-box CLI checks: exit codes, schemas, determinism.
 
 Everything but the last test goes through ``python -m hurzeta`` in a
-subprocess and reaches into nothing, so these tests pin the observable
-contract scripts will depend on.  (The memory guard starts the package
+subprocess and reaches into nothing but ``envelope_signature``, the
+canonical form of the determinism contract, so these tests pin the
+observable contract scripts will depend on.  (The memory guard starts the package
 with ``runpy`` under ``python -c``, so that each child can print its own
 peak memory.)  The last one runs ``main`` in process to count the work a
 record does.
@@ -17,6 +18,8 @@ import sys
 
 import pytest
 
+from hurzeta.cli import envelope_signature
+
 BASE = [sys.executable, "-m", "hurzeta"]
 
 
@@ -24,19 +27,6 @@ def run(*args, **kw):
     return subprocess.run(BASE + list(args), capture_output=True, text=True,
                           timeout=120, **kw)
 
-
-def signature(report_text):
-    """Canonical JSON with volatile timing fields removed."""
-
-    def strip(node):
-        if isinstance(node, dict):
-            return {k: strip(v) for k, v in sorted(node.items())
-                    if k not in ("timing_s", "wall_time_s")}
-        if isinstance(node, list):
-            return [strip(v) for v in node]
-        return node
-
-    return json.dumps(strip(json.loads(report_text)), sort_keys=True)
 
 
 class TestEval:
@@ -101,7 +91,8 @@ class TestEval:
     def test_determinism_modulo_timing(self):
         a = run("eval", "--k", "4", "--b", "0.6-0.2i", "--format", "json")
         b = run("eval", "--k", "4", "--b", "0.6-0.2i", "--format", "json")
-        assert signature(a.stdout) == signature(b.stdout)
+        assert envelope_signature(json.loads(a.stdout)) == envelope_signature(
+            json.loads(b.stdout))
 
     def test_output_file(self, tmp_path):
         out = tmp_path / "r.json"

@@ -220,6 +220,14 @@ class TestErrorContract:
     def test_factorial_range_cap(self):
         with pytest.raises(RangeOverflowError):
             hurwitz_zeta(ZetaParams.create(200, 0.5))
+        # 171! overflows a float; this once escaped as a bare OverflowError
+        with pytest.raises(RangeOverflowError):
+            real_part_formula(172, 1.3)
+
+    @pytest.mark.parametrize("tol", [0.0, 1.0, math.nan])
+    def test_oracle_tolerance_is_a_domain_error(self, tol):
+        with pytest.raises(DomainError, match="tol"):
+            hurwitz_series_oracle(2, 0.7, tol=tol)
 
     def test_imaginary_cap(self):
         with pytest.raises(RangeOverflowError):

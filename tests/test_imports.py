@@ -1,4 +1,6 @@
-"""Every name a module imports is used in it or re-exported by it."""
+"""Every name a module imports is used in it or re-exported by it, and
+every parameter of a function is read in its body.  A parameter that exists
+only for a calling protocol takes a name that starts with an underscore."""
 
 import ast
 from pathlib import Path
@@ -24,6 +26,25 @@ def _unused_imports(tree):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def _unread_parameters(tree):
+    """(line, function, parameter) for each parameter, not named ``_*``,
+    that nothing in its function's body reads."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        out += [(node.lineno, name, a.arg) for a in params
+                if not a.arg.startswith("_") and a.arg not in read]
+    return out
+
+
 def test_sources_are_found():
     assert len(SOURCES) >= 10
 
@@ -32,3 +53,9 @@ def test_sources_are_found():
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _unread_parameters(tree) == []

@@ -28,10 +28,6 @@ class TestIntegrateOpen:
         r = integrate_open(lambda u: np.sin(2 * np.pi * u) ** 2)
         assert r.value.real == pytest.approx(0.5, abs=1e-13)
 
-    def test_custom_interval(self):
-        r = integrate_open(lambda u: np.exp(u), interval=(-1.0, 2.0))
-        assert r.value.real == pytest.approx(math.e**2 - math.e**-1, rel=1e-13)
-
     def test_error_estimate_is_honest(self):
         # a moderately oscillatory integrand with a known value:
         # integral_0^1 sin(20u) du = (1 - cos 20)/20
@@ -56,9 +52,9 @@ class TestIntegrateOpen:
         with pytest.raises(ValueError):
             integrate_open(lambda u: 1.0)  # scalar, not one value per node
 
-    def test_bad_interval(self):
-        with pytest.raises(ValueError):
-            integrate_open(lambda u: u, interval=(1.0, 1.0))
+    def test_panel_count_must_be_positive(self):
+        with pytest.raises(DomainError):
+            integrate_open(lambda u: u, initial_panels=0)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -66,7 +62,7 @@ class TestIntegrateOpen:
         with pytest.raises(ValueError):
             QuadratureSpec(abs_tol=0.0)
         with pytest.raises(ValueError):
-            QuadratureSpec(endpoint_margin=0.5)
+            QuadratureSpec(max_subdivisions=-1)
 
     @pytest.mark.parametrize("knob", [{"rel_tol": math.nan}, {"abs_tol": math.nan},
                                       {"rel_tol": math.inf}, {"abs_tol": math.inf}])
@@ -77,19 +73,19 @@ class TestIntegrateOpen:
 
     def test_row_that_cannot_split_stops_unconverged(self):
         # values near the top of the double range overflow the K15 and G7
-        # sums, so the row's estimate is NaN and no panel qualifies for a split
+        # sums, so the estimate is NaN and no panel qualifies for a split
         sizes = []
 
-        def family(u, rows):
+        def f(u):
             sizes.append(u.size)
-            return np.where(rows == 1, 1.7e308, u)
+            return np.full_like(u, 1.7e308)
 
         with np.errstate(over="ignore", invalid="ignore"):
-            fam = integrate_open(family, family=3)
+            r = integrate_open(f)
         assert sizes == [8 * 15]  # the stuck pass makes no empty call
-        assert fam.row_converged.tolist() == [True, False, True]
-        assert fam.row_evaluations[1] == 8 * 15
-        assert "no panel can be split further" in fam.row_warnings[1][0]
+        assert not r.converged
+        assert r.evaluations == 8 * 15
+        assert "no panel can be split further" in r.warnings[0]
 
 
 class TestCotWeighted:
@@ -157,8 +153,14 @@ class TestOscillatory:
         assert r.value.real == pytest.approx(-1.0 / (2 * math.pi * n), rel=1e-10)
 
     def test_frequency_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             integrate_oscillatory(lambda u: u, 0)
+
+    def test_first_mesh_is_four_panels_per_period(self):
+        # 1/(1/(4n)) rounds up past 4n for n = 49; the mesh is 196 panels
+        r = integrate_oscillatory(lambda u: np.sin(2 * np.pi * 49 * u), 49,
+                                  QuadratureSpec(max_subdivisions=0))
+        assert r.evaluations == 4 * 49 * 15 == 2940
 
     def test_high_frequency_stays_resolved(self):
         # with panels capped at 1/(4n) the quadrature must not alias even at
@@ -170,10 +172,16 @@ class TestOscillatory:
 
 class TestFamily:
     # rows n = 1..5 of sin(2 pi n u) * amp, whose cotangent integrals are
-    # amp (the Dirichlet family above), and one row of sin(50 u) exp(u) for
-    # integrate_open that needs refinement at a tight tolerance
+    # amp (the Dirichlet family above); ``refine`` needs refinement at a
+    # tight tolerance
     N = np.array([1, 2, 3, 5, 8])
     AMP = np.array([1.0, -0.5 + 0.25j, 2.0, 1e-3, 3.0 - 1.0j])
+
+    FIRST = 33 + 6 + 10 * 15  # first-pass evaluations of every row
+
+    @staticmethod
+    def refine(u):
+        return u * (1 - u) * np.cos(40 * u) * np.exp(3 * u)
 
     def dirichlet(self, u, rows):
         return self.AMP[rows] * np.sin(2 * np.pi * self.N[rows] * u)
@@ -190,40 +198,38 @@ class TestFamily:
         assert fam.evaluations == fam.row_evaluations.sum()
         assert fam.converged is True
 
-    def test_open_family_matches_separate_calls(self):
-        spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-15)
-        funcs = [lambda u: u * u, lambda u: np.sin(50 * u) * np.exp(u),
-                 lambda u: np.exp(u)]
-
-        def family(u, rows):
-            return np.choose(rows, [fn(u) for fn in funcs])
-
-        fam = integrate_open(family, spec, family=3)
-        for m, fn in enumerate(funcs):
-            one = integrate_open(fn, spec)
-            assert abs(fam.value[m] - one.value) <= max(one.error_estimate, 1e-15)
-            assert fam.row_evaluations[m] == one.evaluations
-
     def test_converged_rows_keep_first_mesh_count(self):
         spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-15)
 
         def family(u, rows):
-            # row 0 is a quadratic, exact on the first mesh; row 1 refines
-            return np.where(rows == 0, u * u, np.sin(50 * u) * np.exp(u))
+            # row 0 converges on the first pass; row 1 refines
+            return np.where(rows == 0, np.sin(2 * np.pi * u), self.refine(u))
 
-        fam = integrate_open(family, spec, family=2)
-        assert fam.row_evaluations[0] == 8 * 15
-        assert fam.row_evaluations[1] > 8 * 15
+        fam = integrate_cot_weighted(family, spec, family=2)
+        assert fam.row_evaluations[0] == self.FIRST
+        assert fam.row_evaluations[1] > self.FIRST
         assert fam.row_converged.all()
 
-        def cot_family(u, rows):
-            return np.where(rows == 0, np.sin(2 * np.pi * u),
-                            u * (1 - u) * np.cos(40 * u) * np.exp(3 * u))
+    def test_row_that_cannot_split_stops_without_a_further_call(self):
+        # in the refinement pass, row 1's values near the top of the double
+        # range overflow the K15 and G7 sums, so its estimate is NaN and no
+        # panel qualifies for a further split
+        spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-15)
+        calls = []
 
-        fam = integrate_cot_weighted(cot_family, spec, family=2)
-        first = 33 + 6 + 10 * 15
-        assert fam.row_evaluations[0] == first
-        assert fam.row_evaluations[1] > first
+        def family(u, rows):
+            calls.append(u.shape)
+            row1 = 1.7e308 * np.sin(np.pi * u) if len(calls) > 1 else self.refine(u)
+            return np.where(rows == 1, row1, np.sin(2 * np.pi * u))
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            fam = integrate_cot_weighted(family, spec, family=3)
+        assert len(calls) == 2  # the first pass and one refinement pass
+        assert fam.row_converged.tolist() == [True, False, True]
+        assert fam.row_evaluations[[0, 2]].tolist() == [self.FIRST] * 2
+        assert fam.row_evaluations[1] == self.FIRST + 15 * calls[1][0]
+        assert np.isnan(fam.error_estimate[1])
+        assert "no panel can be split further" in fam.row_warnings[1][0]
 
     def test_nonfinite_row_raises_for_that_row(self):
         def family(u, rows):
@@ -233,9 +239,23 @@ class TestFamily:
             integrate_cot_weighted(family, family=4)
         assert info.value.row == 2
         assert "family row 2" in str(info.value)
+
+        # a non-finite value in a refinement pass names its family row too;
+        # row 0 converges on the first pass, so rows 1 and 2 refine
+        spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-15)
+        calls = []
+
+        def later(u, rows):
+            calls.append(u.shape)
+            bad = (rows == 2) & (len(calls) > 1)
+            g = np.where(rows == 0, np.sin(2 * np.pi * u), self.refine(u))
+            return np.where(bad, np.inf, 1.0) * g
+
         with pytest.raises(EvaluationError) as info:
-            integrate_open(lambda u, rows: np.where(rows == 1, np.inf, u), family=3)
-        assert info.value.row == 1
+            integrate_cot_weighted(later, spec, family=3)
+        assert len(calls) == 2
+        assert info.value.row == 2
+        assert "family row 2" in str(info.value)
 
     def test_nonvanishing_endpoint_row_diverges(self):
         def family(u, rows):
@@ -249,16 +269,19 @@ class TestFamily:
         spec = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-18, max_subdivisions=3)
 
         def family(u, rows):
-            return np.where(rows == 0, u, np.sin(50 * u) * np.exp(u))
+            return np.where(rows == 0, np.sin(2 * np.pi * u), self.refine(u))
 
-        fam = integrate_open(family, spec, family=2)
+        fam = integrate_cot_weighted(family, spec, family=2)
         assert fam.row_converged.tolist() == [True, False]
         assert fam.converged is False
         assert fam.row_warnings[0] == []
         assert "budget (3)" in fam.row_warnings[1][0]
         assert fam.warnings == ["row 1: " + fam.row_warnings[1][0]]
-        one = integrate_open(lambda u: np.sin(50 * u) * np.exp(u), spec)
-        assert fam.row(1) == one
+        # a lone call of row 1 spends the same budget to the same value
+        one = integrate_cot_weighted(self.refine, spec)
+        assert fam.row_evaluations[1] == one.evaluations
+        assert one.warnings[0].startswith("subdivision budget (3) exhausted")
+        assert abs(fam.value[1] - one.value) <= one.error_estimate
 
     def test_identical_calls_agree_bitwise(self):
         spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-15)
@@ -317,31 +340,29 @@ class TestBlockedPasses:
         assert abs(r.error_estimate - np.abs(kron - gauss).sum()) <= ulps
 
     def test_family_across_blocks_matches_lone_calls(self):
-        # 1000 panels of 3 rows are three first-pass calls; with no budget
-        # each row is its first pass, within 8 ulps of sum |w f| <= e of a
-        # lone call.  The tight target then refines two rows in blocks.
-        funcs = [lambda u: np.sin(200 * u) * np.exp(u), lambda u: u * u,
-                 lambda u: np.cos(300 * u) / (1 + u)]
+        # rows 0 and 2 of this cotangent family refine to thousands of
+        # panels, so their later passes take several calls; each row still
+        # spends what a lone call spends, to the same value
+        funcs = [lambda u: u * (1 - u) * np.cos(4000 * u),
+                 lambda u: np.sin(2 * np.pi * u),
+                 lambda u: u * (1 - u) * np.cos(3000 * u) * np.exp(u)]
         sizes = []
 
         def family(u, rows):
             sizes.append(math.prod(np.broadcast_shapes(u.shape, rows.shape)))
             return np.choose(rows, [np.broadcast_to(fn(u), u.shape) for fn in funcs])
 
-        ulps = 8 * np.finfo(float).eps * math.e
-        for spec in (QuadratureSpec(max_subdivisions=0),
-                     QuadratureSpec(rel_tol=1e-15, abs_tol=1e-17, max_subdivisions=3000)):
-            sizes.clear()
-            fam = integrate_open(family, spec, max_panel_width=1e-3, family=3)
-            assert len(sizes) >= 3 and max(sizes) <= self.BLOCK
-            for m, fn in enumerate(funcs):
-                one = integrate_open(fn, spec, max_panel_width=1e-3)
-                assert fam.row_evaluations[m] == one.evaluations
-                assert abs(fam.value[m] - one.value) <= max(ulps, one.error_estimate)
-                if spec.max_subdivisions == 0:
-                    assert abs(fam.error_estimate[m] - one.error_estimate) <= ulps
-        assert fam.row_evaluations.tolist() == [1000 * 15 + 3000 * 30, 1000 * 15,
-                                                1000 * 15 + 3000 * 30]
+        spec = QuadratureSpec(max_subdivisions=3000)
+        fam = integrate_cot_weighted(family, spec, family=3)
+        assert fam.converged
+        assert sum(sizes) == fam.evaluations
+        full = self.BLOCK // 15 * 15  # one block of whole panels
+        assert max(sizes) == full and sizes.count(full) >= 2
+        for m, fn in enumerate(funcs):
+            one = integrate_cot_weighted(fn, spec)
+            assert fam.row_evaluations[m] == one.evaluations
+            assert abs(fam.value[m] - one.value) <= one.error_estimate
+        assert fam.row_evaluations[1] == 33 + 6 + 10 * 15
 
 
 def _cot_first_pass_reference(g, m):
@@ -392,7 +413,7 @@ class TestFusedFirstPass:
 
     def test_single_row_matches_per_panel_reference(self):
         for g in self.ROWS:
-            ref = _cot_first_pass_reference(g, self.SPEC.endpoint_margin)
+            ref = _cot_first_pass_reference(g, quadrature.ENDPOINT_MARGIN)
             self.check(integrate_cot_weighted(g, self.SPEC), *ref)
 
     def test_family_rows_match_per_panel_reference(self):
@@ -401,7 +422,7 @@ class TestFusedFirstPass:
 
         fam = integrate_cot_weighted(family, self.SPEC, family=len(self.ROWS))
         for r, g in enumerate(self.ROWS):
-            self.check(fam.row(r), *_cot_first_pass_reference(g, self.SPEC.endpoint_margin))
+            self.check(fam.row(r), *_cot_first_pass_reference(g, quadrature.ENDPOINT_MARGIN))
             assert fam.row_evaluations[r] == 33 + 6 + 10 * 15
 
     def test_gauss_nodes_are_gauss_legendre(self):
@@ -427,19 +448,8 @@ class TestFusedFirstPass:
             assert fam.row_evaluations[r] == one.evaluations
             assert abs(fam.value[r] - one.value) <= one.error_estimate
 
-    def test_row_independent_result_broadcasts(self):
-        shapes = []
-
-        def family(u, rows):
-            shapes.append((u.shape, rows.shape))
-            return np.sin(2 * np.pi * u)  # the shape of u, for every row
-
-        fam = integrate_cot_weighted(family, family=4)
-        assert shapes[0] == ((1, 33 + 6 + 150), (4, 1))
-        assert np.allclose(fam.value, 1.0, rtol=0, atol=1e-12)
-        fam = integrate_open(lambda u, rows: u * u, family=3)
-        assert np.allclose(fam.value, 1.0 / 3.0, rtol=0, atol=1e-14)
-
     def test_wrong_shape_still_rejected(self):
         with pytest.raises(ValueError):
             integrate_cot_weighted(lambda u, rows: np.sin(2 * np.pi * u[0]), family=2)
+        with pytest.raises(ValueError):  # one line for two rows
+            integrate_cot_weighted(lambda u, rows: np.sin(2 * np.pi * u), family=2)
