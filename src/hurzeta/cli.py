@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import math
+import random
 import re
 import sys
 import time
@@ -489,14 +490,15 @@ def _suite_endpoint_identity(_spec, seed):
     # *transcription* in floats, so draws keep |1 - q| away from the
     # conditioning locus q = 1 (b near a real integer), where any formula
     # measures rounding amplification rather than correctness.
-    rng = np.random.default_rng(seed)
+    # stdlib random is loaded anyway; numpy.random would add 5.4 MiB of RSS
+    rng = random.Random(seed)
     worst = 0.0
     checked = 0
     while checked < ENDPOINT_DRAWS:
-        k = int(rng.integers(2, 13))
-        re_b = float(rng.uniform(0.05, 6.0))
-        im_b = float(rng.uniform(-2.5, 2.5))
-        if rng.uniform() < 0.3:
+        k = rng.randrange(2, 13)
+        re_b = rng.uniform(0.05, 6.0)
+        im_b = rng.uniform(-2.5, 2.5)
+        if rng.random() < 0.3:
             im_b = 0.0
         b = complex(re_b, im_b)
         if im_b == 0.0 and abs(re_b - round(re_b)) < 1e-6:

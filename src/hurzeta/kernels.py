@@ -18,6 +18,16 @@ Conventions
   ``sin(2*pi*n*(1-u))*cot(pi*(1-u)) == sin(2*pi*n*r)/tan(pi*r)`` and
   ``(1-cos(2*pi*n*(1-u)))*cot(pi*(1-u)) == -2*sin(pi*n*r)**2/tan(pi*r)``
   hold identically, and the reduced forms are what is implemented.
+* The three scan kernels (``pow_sin_cot``, ``one_minus_cos_cot``,
+  ``decay_one_minus_cos_cot``) take their sines from ``t = tan(theta)``,
+  ``theta = pi*n*r``, by the half-angle identities
+  ``sin(2*theta) == 2*t/(1 + t**2)`` and
+  ``2*sin(theta)**2 == 2*t**2/(1 + t**2)``.  ``tan`` is evaluated at the
+  same rounded argument ``sin`` would be, and the results agree with the
+  ``sin`` expressions to within 1e-15 of ``max(|value|, 1)``.  The reason is
+  speed: with numpy 2.4 on x86-64 with AVX-512, float64 ``tan`` runs
+  vectorized at 2-4 ns per value while ``sin`` falls back to scalar libm at
+  10-32 ns, and these kernels take most of the time of ``validate``'s scans.
 """
 
 import numpy as np
@@ -67,21 +77,22 @@ def sinh_ratio_gap(u, a1, s1inv, a2, s2inv):
 def pow_sin_cot(u, p, n):
     """u**p * sin(2*pi*n*u) * cot(pi*u), reduced; p, n integers."""
     r = u - np.floor(u + 0.5)
-    return u**p * np.sin((2.0 * np.pi * n) * r) / np.tan(np.pi * r)
+    t = np.tan((np.pi * n) * r)
+    return u**p * (2.0 * t) / ((1.0 + t * t) * np.tan(np.pi * r))
 
 
 def one_minus_cos_cot(u, n):
     """(1 - cos(2*pi*n*(1-u))) * cot(pi*(1-u)), reduced; n integer."""
     r = u - np.floor(u + 0.5)
-    s = np.sin((np.pi * n) * r)
-    return -2.0 * s * s / np.tan(np.pi * r)
+    t2 = np.tan((np.pi * n) * r) ** 2
+    return -2.0 * t2 / ((1.0 + t2) * np.tan(np.pi * r))
 
 
 def decay_one_minus_cos_cot(u, kexp, n):
     """(1-u)**kexp * (1 - cos(2*pi*n*u)) * cot(pi*u), reduced; n integer."""
     r = u - np.floor(u + 0.5)
-    s = np.sin((np.pi * n) * r)
-    return (1.0 - u) ** kexp * 2.0 * s * s / np.tan(np.pi * r)
+    t2 = np.tan((np.pi * n) * r) ** 2
+    return (1.0 - u) ** kexp * 2.0 * t2 / ((1.0 + t2) * np.tan(np.pi * r))
 
 
 def inv_power_sum(b, k, j0, j1):

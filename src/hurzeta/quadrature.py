@@ -24,8 +24,9 @@ cache size however fine the mesh; a pass that fits one block is one call.
 (The cotangent driver's first pass is one call of 189 values per row.)  A
 non-finite value raises :class:`EvaluationError` for its row, the first
 met in block order.  Running out of subdivision budget, or an estimate
-that no split can lower (NaN), is reported through ``converged=False``
-with a note, never as an exception.
+that no split can lower (NaN), or a cotangent-weighted total that is not
+finite, is reported through ``converged=False`` with a note, never as an
+exception.
 
 For a family, ``value`` and ``error_estimate`` of the result are ``(M,)``
 arrays and the ``row_*`` fields hold the per-row evaluations, convergence
@@ -494,17 +495,26 @@ def integrate_cot_weighted(g, spec=None, scale_hint=0.0, family=None):
     error = error + strip_err
     value[zero] = 0.0
     error[zero] = 0.0
+    # _adapt judged the interior alone: a total that is not finite (the sums
+    # overflowed) has not converged, whatever the interior estimate said
+    for r in np.flatnonzero(~np.isfinite(value + error)):
+        converged[r] = False
+        notes[r].append(f"total overflowed: value {complex(value[r])!r}, "
+                        f"error estimate {error[r]:.3e}")
     return _result(value, error, evaluations, converged, notes, family)
 
 
 def integrate_oscillatory(f, n, spec=None):
     """Integrate ``f`` over (0, 1) when it oscillates at integer frequency ``n``.
 
-    Starts from a uniform mesh of ``4n`` panels so every panel sees a quarter
-    period, then refines adaptively as usual.  ``f`` must be bounded on the
-    closed interval (the oscillatory integrands here all have removable
-    endpoint singularities).
+    Starts from a uniform mesh of ``2n`` panels (at least 2), half a period
+    each, then refines adaptively as usual.  The 15-point Kronrod rule
+    resolves half a period of the validation scan kernels well inside the
+    default ``rel_tol``: at n = 100, 10**3 and 10**4 every theorem-1 and
+    log-asymptotic scan integral converges on this first mesh.  ``f`` must
+    be bounded on the closed interval (the oscillatory integrands here all
+    have removable endpoint singularities).
     """
     if n < 1 or n != int(n):
         raise DomainError("frequency n must be a positive integer")
-    return integrate_open(f, spec, initial_panels=max(4, 4 * int(n)))
+    return integrate_open(f, spec, initial_panels=max(2, 2 * int(n)))

@@ -75,8 +75,13 @@ def fit_rate(n_values, deviations, floor: float = 0.0) -> float:
             ds.append(math.log(float(d)))
     if len(ns) < 3:
         return math.nan
-    slope = np.polyfit(ns, ds, 1)[0]
-    return float(-slope)
+    # the closed-form slope: np.polyfit would call LAPACK, whose buffers add
+    # 1.3 MiB to the resident memory of a process that fits a few points
+    mx, my = sum(ns) / len(ns), sum(ds) / len(ds)
+    sxx = sum((x - mx) ** 2 for x in ns)
+    if sxx == 0.0:
+        return math.nan
+    return -sum((x - mx) * (y - my) for x, y in zip(ns, ds)) / sxx
 
 
 def _check_n_values(n_values, lo: int = 1):

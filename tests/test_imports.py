@@ -1,6 +1,8 @@
 """Every name a module imports is used in it or re-exported by it, and
 every parameter of a function is read in its body.  A parameter that exists
-only for a calling protocol takes a name that starts with an underscore."""
+only for a calling protocol takes a name that starts with an underscore.
+No module uses ``numpy.random``: importing it costs every CLI child about
+5 MiB of resident memory, and stdlib ``random`` is loaded anyway."""
 
 import ast
 from pathlib import Path
@@ -45,6 +47,24 @@ def _unread_parameters(tree):
     return out
 
 
+def _numpy_random_uses(tree):
+    """Lines that import or name ``numpy.random`` (also as ``np.random``)."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        elif (isinstance(node, ast.Attribute) and node.attr == "random"
+              and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            names = ["numpy.random"]
+        else:
+            continue
+        out += [node.lineno for name in names
+                if name == "numpy.random" or name.startswith("numpy.random.")]
+    return out
+
+
 def test_sources_are_found():
     assert len(SOURCES) >= 10
 
@@ -59,3 +79,16 @@ def test_no_unused_imports(path):
 def test_every_parameter_is_read(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unread_parameters(tree) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_numpy_random(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _numpy_random_uses(tree) == []
+
+
+def test_numpy_random_uses_are_found():
+    tree = ast.parse("import numpy.random\nfrom numpy import random\n"
+                     "from numpy.random import default_rng\nimport numpy as np\n"
+                     "np.random.default_rng(1)\nimport random\nrandom.Random(1)\n")
+    assert _numpy_random_uses(tree) == [1, 2, 3, 5]

@@ -71,3 +71,30 @@ def test_decay_one_minus_cos_cot_is_product():
     n = 9
     direct = (1 - u) ** 2 * (1 - np.cos(2 * np.pi * n * u)) / np.tan(np.pi * u)
     assert kernels.decay_one_minus_cos_cot(u, 2.0, n) == pytest.approx(direct, rel=1e-12)
+
+
+def _scan_abscissae(n):
+    """Random u, both ends and the middle, and the odd quarter-period nodes
+    (2j+1)/(4n), where tan(pi*n*r) is largest."""
+    rng = np.random.default_rng(n)
+    ends = [1e-12, 1e-8, 0.5, 1 - 1e-8, 1 - 1e-12]
+    return np.concatenate([rng.uniform(0.0, 1.0, 4000), ends,
+                           (2 * np.arange(2 * n) + 1) / (4 * n)])
+
+
+@pytest.mark.parametrize("n", [1, 17, 100, 10_000])
+def test_scan_kernels_match_their_sine_forms(n):
+    # the scan kernels take their sines from t = tan(pi*n*r) by half-angle
+    # identities; the references are the reduced products written with sin
+    u = _scan_abscissae(n)
+    r = u - np.floor(u + 0.5)
+    s = np.sin((np.pi * n) * r)
+    tan = np.tan(np.pi * r)
+    pairs = [
+        (kernels.pow_sin_cot(u, 3.0, n), u**3 * np.sin((2 * np.pi * n) * r) / tan),
+        (kernels.pow_sin_cot(u, 0.0, n), np.sin((2 * np.pi * n) * r) / tan),
+        (kernels.one_minus_cos_cot(u, n), -2.0 * s * s / tan),
+        (kernels.decay_one_minus_cos_cot(u, 2.0, n), (1 - u) ** 2 * 2.0 * s * s / tan),
+    ]
+    for got, ref in pairs:
+        assert np.all(np.abs(got - ref) <= 4e-15 * np.maximum(np.abs(ref), 1.0))

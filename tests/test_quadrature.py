@@ -137,6 +137,15 @@ class TestCotWeighted:
         with pytest.raises(DivergenceError):
             integrate_cot_weighted(g, scale_hint=1.0)
 
+    def test_overflowing_total_is_not_converged(self):
+        # every value of g is finite, but the first-pass sums overflow; the
+        # margin strips are added after the interior has been judged
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = integrate_cot_weighted(lambda u: 1e308 * np.sin(np.pi * u))
+        assert not math.isfinite(abs(r.value)) or not math.isfinite(r.error_estimate)
+        assert r.converged is False
+        assert "total overflowed" in r.warnings[0]
+
     def test_non_finite_scale_hint_is_a_domain_error(self):
         with pytest.raises(DomainError):
             integrate_cot_weighted(lambda u: np.sin(2 * np.pi * u), scale_hint=math.nan)
@@ -156,14 +165,20 @@ class TestOscillatory:
         with pytest.raises(DomainError):
             integrate_oscillatory(lambda u: u, 0)
 
-    def test_first_mesh_is_four_panels_per_period(self):
-        # 1/(1/(4n)) rounds up past 4n for n = 49; the mesh is 196 panels
-        r = integrate_oscillatory(lambda u: np.sin(2 * np.pi * 49 * u), 49,
-                                  QuadratureSpec(max_subdivisions=0))
-        assert r.evaluations == 4 * 49 * 15 == 2940
+    def test_first_mesh_is_two_panels_per_period(self):
+        # 2n panels, half a period each: 98 panels at n = 49
+        sizes = []
+
+        def f(u):
+            sizes.append(u.size)
+            return np.sin(2 * np.pi * 49 * u)
+
+        r = integrate_oscillatory(f, 49, QuadratureSpec(max_subdivisions=0))
+        assert r.evaluations == sum(sizes) == 2 * 49 * 15 == 1470
+        assert integrate_oscillatory(lambda u: u, 1).evaluations == 2 * 15
 
     def test_high_frequency_stays_resolved(self):
-        # with panels capped at 1/(4n) the quadrature must not alias even at
+        # with half-period panels the quadrature must not alias even at
         # n = 10**4; the integral of sin(2 pi n u) alone is exactly 0
         n = 10_000
         r = integrate_oscillatory(lambda u: np.sin(2 * np.pi * n * u), n)
@@ -230,6 +245,19 @@ class TestFamily:
         assert fam.row_evaluations[1] == self.FIRST + 15 * calls[1][0]
         assert np.isnan(fam.error_estimate[1])
         assert "no panel can be split further" in fam.row_warnings[1][0]
+
+    def test_overflowing_row_is_not_converged(self):
+        # row 0's sums overflow; row 1 is the Dirichlet row and converges
+        def family(u, rows):
+            return np.where(rows == 0, 1e308, 1.0) * np.sin(np.pi * (rows + 1) * u)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            fam = integrate_cot_weighted(family, family=2)
+        assert fam.row_converged.tolist() == [False, True]
+        assert fam.converged is False
+        assert "total overflowed" in fam.row_warnings[0][0]
+        assert fam.row_warnings[1] == []
+        assert fam.value[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_nonfinite_row_raises_for_that_row(self):
         def family(u, rows):
@@ -314,14 +342,18 @@ class TestBlockedPasses:
     def test_scan_at_the_cap_is_blocked(self):
         r, sizes = self.recorded(N_CAP)
         assert r.converged
-        assert r.evaluations == 600_000 == sum(sizes)
+        assert r.evaluations == 300_000 == sum(sizes)
         assert len(sizes) > 1 and max(sizes) <= self.BLOCK
 
     def test_refinement_pass_is_blocked(self):
-        # a tight target splits 5000 panels in one pass: 150000 values
+        # a tight target splits 5000 of the 20000 first-pass panels in one
+        # pass: 150000 values after the first 300000
         spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-16, max_subdivisions=5000)
         r, sizes = self.recorded(N_CAP, spec)
-        assert r.evaluations == 750_000 == sum(sizes)
+        assert r.evaluations == 450_000 == sum(sizes)
+        first = int(np.searchsorted(np.cumsum(sizes), 300_000)) + 1
+        assert sum(sizes[:first]) == 300_000 and sum(sizes[first:]) == 150_000
+        assert len(sizes) - first > 1
         assert "budget (5000)" in r.warnings[0]
         assert max(sizes) <= self.BLOCK
 

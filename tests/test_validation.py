@@ -13,8 +13,9 @@ from hurzeta import (
     theorem1_scan,
     zero_integral_scan,
 )
-from hurzeta import kernels
+from hurzeta import cli, kernels, validation
 from hurzeta.errors import DomainError
+from hurzeta.quadrature import QuadratureSpec
 
 
 class TestFitRate:
@@ -37,6 +38,9 @@ class TestFitRate:
     def test_too_few_points_is_nan(self):
         assert math.isnan(fit_rate(np.array([10, 100]), np.array([1e-2, 1e-3]),
                                    floor=1e-4))
+
+    def test_one_repeated_n_is_nan(self):
+        assert math.isnan(fit_rate([10, 10, 10], [1e-2, 1e-3, 1e-4]))
 
 
 class TestConvergenceReport:
@@ -143,3 +147,23 @@ class TestScanFailures:
         assert len(rep.notes) == 2
         assert "EvaluationError" in rep.notes[0]
         assert rep.verdict == "fail"
+
+
+def test_validate_scans_stay_within_their_evaluation_budget(monkeypatch):
+    # from half-period first panels the theorem-1, zero-integral and
+    # log-asymptotic suites of ``validate`` make 1,673,880 evaluations;
+    # quarter-period panels made 3,337,080
+    counts = []
+    real = validation.integrate_oscillatory
+
+    def counted(f, n, spec):
+        res = real(f, n, spec)
+        counts.append(res.evaluations)
+        return res
+
+    monkeypatch.setattr(validation, "integrate_oscillatory", counted)
+    for suite in ("theorem1", "zero-integral", "log-asymptotic"):
+        records = cli.SUITE_RUNNERS[suite](QuadratureSpec(), cli.DEFAULT_SEED)
+        assert all(r["verdict"] == "pass" for r in records), suite
+    assert len(counts) == 18
+    assert sum(counts) <= 1_700_000
