@@ -47,7 +47,7 @@ from .hurwitz import (
     hurwitz_series_oracle,
     zeta_auto,
 )
-from .quadrature import QuadratureSpec
+from .quadrature import DEFAULT_SPEC, QuadratureSpec
 from .validation import (
     log_asymptotic_scan,
     theorem1_scan,
@@ -74,7 +74,7 @@ class RunConfig:
     seed: int = DEFAULT_SEED
 
     def spec(self) -> QuadratureSpec:
-        return QuadratureSpec(**self.tolerances) if self.tolerances else QuadratureSpec()
+        return QuadratureSpec(**self.tolerances) if self.tolerances else DEFAULT_SPEC
 
 
 @dataclass

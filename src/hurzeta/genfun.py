@@ -31,7 +31,12 @@ from .errors import (
     UnsupportedParameterError,
 )
 from .hurwitz import check_k, hurwitz_series_oracle
-from .quadrature import QuadratureResult, QuadratureSpec, integrate_cot_weighted
+from .quadrature import (
+    DEFAULT_SPEC,
+    QuadratureResult,
+    QuadratureSpec,
+    integrate_cot_weighted,
+)
 from .special_functions import bernoulli, harmonic_number
 
 __all__ = [
@@ -281,7 +286,7 @@ def genfun_closed(x: complex, b: complex,
     ``[INT_EPS, WARN_BAND)`` of an integer locus proceeds on the generic branch
     with a :class:`ConditioningWarning`.
     """
-    spec = spec or QuadratureSpec()
+    spec = spec or DEFAULT_SPEC
     x, b = complex(x), complex(b)
     case = classify_case(x, b)
     notes = _admit(b, case.tag, case.proximity_flags.two_b_int)
@@ -569,7 +574,7 @@ def genfun_parts_real_imag(x: float, b: float,
     :func:`genfun_closed` (``F(x, b) = f(-i*x, -i*b)`` on the generic
     branch), kept separate so the two can be tested against each other.
     """
-    spec = spec or QuadratureSpec()
+    spec = spec or DEFAULT_SPEC
     x, b = float(x), float(b)
     if abs(b) < 1e-9:
         raise IllConditionedError(f"|b| = {abs(b):.2e} < 1e-9", locus="b = 0")

@@ -31,7 +31,12 @@ from .errors import (
     UnsupportedParameterError,
     CapacityError,
 )
-from .quadrature import QuadratureResult, QuadratureSpec, integrate_cot_weighted
+from .quadrature import (
+    DEFAULT_SPEC,
+    QuadratureResult,
+    QuadratureSpec,
+    integrate_cot_weighted,
+)
 from .special_functions import bernoulli, polylog_nonpos_orders
 
 __all__ = [
@@ -60,6 +65,7 @@ CANCELLATION_WARN_REL = 1e-8
 
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # i**k by quadrant, exact
 _TINY = float(np.finfo(np.float64).tiny)
+_EPS = float(np.finfo(np.float64).eps)
 
 # The series oracle sums terms directly until Re(b + N) >= EM_SHIFT and
 # adds EM_TERMS Euler--Maclaurin corrections (B_2 .. B_24) for the rest.
@@ -159,12 +165,19 @@ def _denominators(k: int) -> tuple:
         ) from None
 
 
-def _coefficients(values) -> list:
+def _coefficients(values) -> tuple:
     """``(delta_{1j} + values[j-1]) / ((j-1)! (k-j)!)`` for ``j = 1..k``,
-    ``k = len(values)``.  With ``values[m] = Li_{-m}(q)`` these are the
-    bracket coefficients ``c_j``, highest power of ``u`` first."""
-    return [((1.0 if j == 0 else 0.0) + v) / d
-            for j, (v, d) in enumerate(zip(values, _denominators(len(values))))]
+    ``k = len(values)``, and the sum, in that order, of the same terms with
+    ``|values[j-1]|`` in place of ``values[j-1]``.  With ``values[m] =
+    Li_{-m}(q)`` the first are the bracket coefficients ``c_j``, highest
+    power of ``u`` first, and the sum is the size of their uncancelled
+    constituents (see :func:`bracket_scale`)."""
+    coeffs, size = [], 0.0
+    for j, (v, d) in enumerate(zip(values, _denominators(len(values)))):
+        delta = 1.0 if j == 0 else 0.0
+        coeffs.append((delta + v) / d)
+        size += (delta + abs(v)) / d
+    return coeffs, size
 
 
 def _polylogs(k: int, p: float) -> list:
@@ -176,25 +189,23 @@ def _polylogs(k: int, p: float) -> list:
 
 
 @functools.lru_cache(maxsize=512)
-def _bracket_data(k: int, b: complex):
-    """Coefficients c_j, the endpoint value B(1) = q * sum_j c_j, the
-    polylogarithms ``Li_{-m}(q)`` for ``m = 0..k-1``, the conditioning
-    note of their evaluation (or None) and :func:`bracket_scale`.
+def _bracket_data(k: int, q: complex):
+    """Coefficients c_j, the endpoint value B(1) = q * sum_j c_j,
+    ``Li_{1-k}(q)``, the conditioning note of the polylogarithm evaluation
+    (or None) and :func:`bracket_scale`, for ``q = exp(-2*pi*i*b)``.
 
-    The polylogarithms are cached as one array, not as k complex objects:
-    with those, the resident size grew steadily (0.12 MiB per 1266
-    distinct (k, b) keys, measured over 25 passes) although the cache
-    itself is bounded.
+    ``q`` fixes all of them, and :class:`ZetaParams` holds it.  Of the
+    polylogarithms only ``Li_{1-k}(q)``, the one the closed form uses on its
+    own, is kept: with all k of them as complex objects, the resident size
+    grew steadily (0.12 MiB per 1266 distinct (k, b) keys, measured over 25
+    passes) although the cache itself is bounded.
     """
-    q = complex(np.exp(-2j * math.pi * b))
     li, note = polylog_nonpos_orders(k, q)
-    coeffs = np.array(_coefficients(li), dtype=np.complex128)
+    coeffs, total = _coefficients(li)
+    coeffs = np.array(coeffs, dtype=np.complex128)
     b1 = q * complex(coeffs.sum())
-    total = 0.0
-    for c in _coefficients([abs(v) for v in li]):
-        total += c
     scale = float(max(1.0, abs(q)) * total + abs(b1))
-    return coeffs, b1, np.array(li, dtype=np.complex128), note, scale
+    return coeffs, b1, li[-1], note, scale
 
 
 def bracket_kernel(params: ZetaParams, u):
@@ -204,8 +215,10 @@ def bracket_kernel(params: ZetaParams, u):
     both ``u = 0`` and ``u = 1``; the ``u = 0`` zero is an algebraic identity
     between the polylogarithms (checked exactly in the tests), not a
     numerical accident.  Accepts a scalar or an ndarray.
+    :func:`hurwitz_zeta` integrates the same :func:`kernels.poly_exp_gap`
+    call on the quadrature's float64 abscissae directly.
     """
-    coeffs, b1 = _bracket_data(params.k, params.b)[:2]
+    coeffs, b1 = _bracket_data(params.k, params.q)[:2]
     c = -2j * math.pi * params.b
     scalar = np.ndim(u) == 0
     arr = np.atleast_1d(np.asarray(u, dtype=np.float64))
@@ -224,7 +237,7 @@ def bracket_scale(params: ZetaParams) -> float:
     kernel is a difference of quantities this large, so its attainable
     accuracy is ``eps * bracket_scale``, not ``eps * max|kernel|``.
     """
-    return _bracket_data(params.k, params.b)[4]
+    return _bracket_data(params.k, params.q)[4]
 
 
 def _check_power_range(k: int, q: complex):
@@ -255,10 +268,10 @@ def hurwitz_zeta(params: ZetaParams, spec: QuadratureSpec | None = None) -> Eval
     the four terms cancel numerically, and the size of the leftover imaginary
     dust is one of the library's accuracy diagnostics.
     """
-    spec = spec or QuadratureSpec()
+    spec = spec or DEFAULT_SPEC
     k, b, q = params.k, params.b, params.q
     _check_power_range(k, q)
-    _, b1, li, note, _ = _bracket_data(k, b)
+    coeffs, b1, li_top, note, bscale = _bracket_data(k, q)
     diag = []
     if note:
         warnings.warn(note, ConditioningWarning, stacklevel=2)
@@ -268,13 +281,15 @@ def hurwitz_zeta(params: ZetaParams, spec: QuadratureSpec | None = None) -> Eval
 
     bk = b.real**k if b.imag == 0.0 else b**k
     t1 = 1.0 / (2.0 * bk)
-    t2 = ipk * complex(li[k - 1]) / (4.0 * _denominators(k)[-1])  # (k-1)!
+    t2 = ipk * li_top / (4.0 * _denominators(k)[-1])  # (k-1)!
     t3 = ipk * b1 / 4.0
-    # The kernel inherits rounding at the size of the bracket's uncancelled
-    # constituents (see bracket_scale), so that is the gap's noise floor.
-    bscale = bracket_scale(params)
+    # The integrand is bracket_kernel(params, u) without its scalar and
+    # dtype handling: the driver hands it a float64 array.  It inherits
+    # rounding at the size of the bracket's uncancelled constituents (see
+    # bracket_scale), so that is the gap's noise floor.
+    c = -2j * math.pi * b
     quad = integrate_cot_weighted(
-        lambda u: bracket_kernel(params, u), spec, scale_hint=bscale
+        lambda u: kernels.poly_exp_gap(u, coeffs, c, b1), spec, scale_hint=bscale
     )
     t4 = -0.5j * ipk * quad.value
     total = t1 + t2 + t3 + t4
@@ -287,10 +302,9 @@ def hurwitz_zeta(params: ZetaParams, spec: QuadratureSpec | None = None) -> Eval
     # value rides on kernel samples noisy at eps * bscale before the
     # (2*pi)**k / 2 prefactor.  Flag the evaluation when their combined size
     # is no longer negligible against the answer.
-    eps = float(np.finfo(np.float64).eps)
     t_max = max(abs(t1), abs(t2), abs(t3), abs(t4))
     twopik = (2.0 * math.pi) ** k
-    noise = 4.0 * eps * t_max + 0.5 * twopik * (quad.error_estimate + eps * bscale)
+    noise = 4.0 * _EPS * t_max + 0.5 * twopik * (quad.error_estimate + _EPS * bscale)
     est_rel = noise / max(abs(total), _TINY)
     if est_rel > CANCELLATION_WARN_REL:
         diag.append(
@@ -324,7 +338,7 @@ def real_part_formula(k: int, b: float) -> float:
     twopik = (2.0 * math.pi) ** k
     single = twopik * li[k - 1] / (4.0 * _denominators(k)[-1])  # (k-1)!
     acc = 0.0
-    for c in _coefficients(li):
+    for c in _coefficients(li)[0]:
         acc += c
     return 1.0 / (2.0 * b**k) + single + twopik * p * acc / 4.0
 
@@ -344,10 +358,10 @@ def imag_part_integral(k: int, b: float, spec: QuadratureSpec | None = None) -> 
     b = float(b)
     if not b > 0.0:
         raise DomainError("imag_part_integral needs real b > 0")
-    spec = spec or QuadratureSpec()
+    spec = spec or DEFAULT_SPEC
     p = math.exp(-2.0 * math.pi * b)
     coeffs = np.array(
-        _coefficients(_polylogs(k, p)), dtype=np.complex128
+        _coefficients(_polylogs(k, p))[0], dtype=np.complex128
     )
     b1 = p * complex(coeffs.sum())
     c = complex(-2.0 * math.pi * b)

@@ -52,11 +52,21 @@ def cot_pi(u):
 
 
 def poly_exp_gap(u, coeffs, c, offset):
-    """polyval(coeffs, u) * exp(c*u) - offset  (coeffs highest power first)."""
+    """polyval(coeffs, u) * exp(c*u) - offset  (coeffs highest power first).
+
+    ``u`` is cast to complex once: numpy multiplies a complex array by a
+    float one through that same cast, so the bits are those of ``p * u``,
+    but a mixed-type operand costs a buffered cast in every Horner step.
+    The steps run in place.
+    """
+    uc = u.astype(np.complex128)
     p = np.full(u.shape, coeffs[0], dtype=np.complex128)
-    for j in range(1, coeffs.shape[0]):
-        p = p * u + coeffs[j]
-    return p * np.exp(c * u) - offset
+    for cj in coeffs[1:]:
+        p *= uc
+        p += cj
+    p *= np.exp(c * uc)
+    p -= offset
+    return p
 
 
 def sin_ratio_gap(u, a1, s1inv, a2, s2inv):

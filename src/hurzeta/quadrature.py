@@ -10,7 +10,20 @@ shape ``(L, 1)`` naming the family row of each line of the result, which
 has shape ``(L, n)``.  The first pass shares its abscissae: ``u`` is
 ``(1, n)`` and ``rows`` is ``(M, 1)``.  Later passes give every line its
 own abscissae (``P == L``).  A single integrand runs as a family of one:
-there is one driver.
+there is one driver.  ``family`` must be an integer >= 1 and a
+``scale_hint`` one value or one per row (:class:`DomainError` otherwise).
+
+The single-row path is what one closed-form ``zeta(k, b)`` pays on every
+call: one integrand call of 189 values, one matrix product and a fixed
+set of operations on arrays of one row.  Their fixed cost, not the
+arithmetic, is what that path spends, so it is kept small without a
+second path: a default ``spec`` is the one instance ``DEFAULT_SPEC``; the
+``rows`` column of a first pass is built once per family size; two-column
+sums are single additions; and each check that almost never fires (a
+non-finite value, an endpoint violation, a row whose probe values all
+vanish, a total that overflowed) is one count over a small array before
+any search or masking runs.  The checks run in the same order for one
+row as for a family.
 
 Each row is integrated as if it were alone, with its own panels, error
 estimate (per-panel ``|K15 - G7|`` differences, summed), convergence test
@@ -36,6 +49,7 @@ a bool that holds only when every row converged.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -46,6 +60,7 @@ from .errors import DivergenceError, DomainError, EvaluationError
 
 __all__ = [
     "QuadratureSpec",
+    "DEFAULT_SPEC",
     "QuadratureResult",
     "integrate_open",
     "integrate_cot_weighted",
@@ -67,6 +82,11 @@ class QuadratureSpec:
             raise DomainError("need finite rel_tol >= 0 and abs_tol > 0")
         if self.max_subdivisions < 0:
             raise DomainError("max_subdivisions must be >= 0")
+
+
+# What every ``spec=None`` means; one instance, as building and validating a
+# spec on each call costs about a microsecond.
+DEFAULT_SPEC = QuadratureSpec()
 
 
 @dataclass
@@ -218,6 +238,25 @@ def _cot_layout():
     return lay
 
 
+def _family_rows(family):
+    """The row count of a cotangent-weighted call: 1 for a single integrand
+    (``family=None``), else ``family``, which must be an integer >= 1."""
+    if family is None:
+        return 1
+    if not isinstance(family, numbers.Integral) or family < 1:
+        raise DomainError(f"family must be an integer >= 1, got {family!r}")
+    return int(family)
+
+
+@functools.lru_cache(maxsize=16)
+def _row_index(rows):
+    """``rows`` family row numbers as a read-only (rows, 1) column: the
+    ``rows`` argument of a first pass, shared by every call of that size."""
+    index = np.arange(rows)[:, None]
+    index.setflags(write=False)
+    return index
+
+
 def _single(f):
     """A plain integrand ``f(u)`` as a family of one."""
     def family(u, _rows):
@@ -299,7 +338,7 @@ def _adapt(f, vals, errs, mesh, spec, abs_tol, family, first):
     converged = error <= target
     evaluations = np.full(rows, first)
     notes = [[] for _ in range(rows)]
-    if converged.all():
+    if np.count_nonzero(converged) == rows:
         return value, error, evaluations, converged, notes
 
     # The rows still refining, and their panels flat, grouped by row, each
@@ -392,7 +431,7 @@ def _result(value, error, evaluations, converged, notes, family):
 def integrate_open(f, spec=None, initial_panels=8):
     """Adaptive integration of ``f`` over (0, 1) with an open rule, from a
     uniform mesh of ``initial_panels`` panels."""
-    spec = spec or QuadratureSpec()
+    spec = spec or DEFAULT_SPEC
     if initial_panels < 1:
         raise DomainError("initial_panels must be >= 1")
     mesh = _Mesh.from_edges(np.linspace(0.0, 1.0, int(initial_panels) + 1))
@@ -434,33 +473,39 @@ def integrate_cot_weighted(g, spec=None, scale_hint=0.0, family=None):
 
     ``family=M`` integrates the M rows of a family ``g(u, rows)`` (see the
     module docstring); ``scale_hint`` is then a scalar or one value per row.
+    Any other shape of hint, or a ``family`` that is not an integer >= 1, is
+    a :class:`DomainError`.
     Every row gets its own scale, endpoint check, strip model and absolute
     target.
     """
-    spec = spec or QuadratureSpec()
-    if not np.isfinite(scale_hint).all():
-        raise DomainError(f"scale_hint must be finite, got {scale_hint!r}")
+    spec = spec or DEFAULT_SPEC
+    rows = _family_rows(family)
+    hint = np.asarray(scale_hint, dtype=np.float64)
+    # math.isfinite per value: for the usual one-value hint, a tenth of the
+    # cost of a numpy reduction
+    if hint.shape not in ((), (rows,)) or not all(map(math.isfinite, hint.flat)):
+        raise DomainError("scale_hint must be finite, and a scalar or one value "
+                          f"per row, got {scale_hint!r}")
     lay = _cot_layout()
-    rows = 1 if family is None else int(family)
     f = _single(g) if family is None else g
-    everyone = np.arange(rows)[:, None]
+    everyone = _row_index(rows)
     gv = _evaluate(f, lay.u, everyone)
     n_probe = _PROBE.size
-    finite = np.isfinite(gv).all()
+    finite = np.count_nonzero(np.isfinite(gv)) == gv.size
     if not finite:
         _check_finite(gv[:, :n_probe], lay.u[:, :n_probe], everyone, family,
                       "integrand factor")
     probe = np.abs(gv[:, :n_probe])
     scale = probe.max(axis=1)
-    eval_scale = np.maximum(scale, scale_hint)
+    eval_scale = np.maximum(scale, hint)
 
     # floored at rounding noise so a tight abs_tol cannot demand an endpoint
     # residual below what evaluating g in doubles can produce
     tol_end = max(spec.abs_tol, _NOISE) * eval_scale
     ends = probe[:, :2]
-    bad = np.flatnonzero((ends > tol_end[:, None]).any(axis=1))
-    if bad.size:
-        r = bad[0]
+    over = ends > tol_end[:, None]
+    if np.count_nonzero(over):
+        r = np.flatnonzero(over.any(axis=1))[0]
         raise DivergenceError(
             "cotangent-weighted integrand must vanish at the endpoints: "
             f"|g(0)| = {ends[r, 0]:.3e}, |g(1)| = {ends[r, 1]:.3e}, "
@@ -472,12 +517,14 @@ def integrate_cot_weighted(g, spec=None, scale_hint=0.0, family=None):
 
     # Margin strips: the model g ~ c*t through the endpoint zero is
     # integrated against the exact cotangent expansion 1/(pi*t) - pi*t/3 + ...
+    # Two-column sums are written as one addition: the same bits as
+    # ``.sum(axis=1)``, without a reduction's set-up.
     p = lay.mesh.lefts.size
-    fused = gv @ (lay.cweights if np.iscomplexobj(gv) else lay.weights)
+    fused = gv @ (lay.cweights if gv.dtype.kind == "c" else lay.weights)
     size = np.abs(fused[:, p:])
-    strip_value = fused[:, 2 * p:2 * p + 2].sum(axis=1) * lay.strip_weight
+    strip_value = (fused[:, 2 * p] + fused[:, 2 * p + 1]) * lay.strip_weight
     strip_err = (size[:, p + 2:].max(axis=1) * ENDPOINT_MARGIN / math.pi
-                 + size[:, p:p + 2].sum(axis=1) * ENDPOINT_MARGIN**3)
+                 + (size[:, p] + size[:, p + 1]) * ENDPOINT_MARGIN**3)
 
     # Absolute target referenced to the integrand scale, floored at the
     # rounding noise the evaluation of g can actually deliver, and at the
@@ -485,22 +532,26 @@ def integrate_cot_weighted(g, spec=None, scale_hint=0.0, family=None):
     # A row whose probe values all vanish integrates to 0: an infinite
     # target keeps it out of refinement.
     abs_tol = np.maximum(np.maximum(spec.abs_tol * scale, _NOISE * eval_scale), _TINY)
-    zero = scale == 0.0
-    abs_tol[zero] = np.inf
+    zero = scale == 0.0 if np.count_nonzero(scale) < rows else None
+    if zero is not None:
+        abs_tol[zero] = np.inf
     value, error, evaluations, converged, notes = _adapt(
         lambda u, r: f(u, r) * kernels.cot_pi(u),
         fused[:, :p], size[:, :p], lay.mesh, spec, abs_tol, family, gv.shape[1],
     )
     value = value + strip_value
     error = error + strip_err
-    value[zero] = 0.0
-    error[zero] = 0.0
+    if zero is not None:
+        value[zero] = 0.0
+        error[zero] = 0.0
     # _adapt judged the interior alone: a total that is not finite (the sums
     # overflowed) has not converged, whatever the interior estimate said
-    for r in np.flatnonzero(~np.isfinite(value + error)):
-        converged[r] = False
-        notes[r].append(f"total overflowed: value {complex(value[r])!r}, "
-                        f"error estimate {error[r]:.3e}")
+    total = value + error
+    if np.count_nonzero(np.isfinite(total)) < rows:
+        for r in np.flatnonzero(~np.isfinite(total)):
+            converged[r] = False
+            notes[r].append(f"total overflowed: value {complex(value[r])!r}, "
+                            f"error estimate {error[r]:.3e}")
     return _result(value, error, evaluations, converged, notes, family)
 
 

@@ -24,6 +24,7 @@ from .hurwitz import (
     real_part_formula,
 )
 from .quadrature import (
+    DEFAULT_SPEC,
     QuadratureSpec,
     integrate_cot_weighted,
     integrate_oscillatory,
@@ -129,7 +130,7 @@ def theorem1_scan(k: int, n_values, spec: QuadratureSpec | None = None) -> Conve
     """
     k = check_k(k, minimum=0)
     ns = _check_n_values(n_values, lo=1)
-    spec = spec or QuadratureSpec()
+    spec = spec or DEFAULT_SPEC
     target = 1.0 if k == 0 else 0.5
     observed, floor, notes = _scan(
         ns, lambda u, n: kernels.pow_sin_cot(u, float(k), n), spec)
@@ -159,7 +160,7 @@ def zero_integral_scan(n_values, spec: QuadratureSpec | None = None) -> Converge
     """``integral_0^1 (1 - cos(2*pi*n*(1-u))) cot(pi*(1-u)) du = 0`` for every
     integer n; observed values are pure quadrature residue."""
     ns = _check_n_values(n_values, lo=1)
-    spec = spec or QuadratureSpec()
+    spec = spec or DEFAULT_SPEC
     observed, _, notes = _scan(
         ns, lambda u, n: kernels.one_minus_cos_cot(u, n), spec)
     devs = tuple(abs(o) for o in observed)
@@ -191,7 +192,7 @@ def log_asymptotic_scan(k: float, n_values,
     if not k > 0.0:
         raise DomainError(f"k must satisfy Re(k) > 0, got {k!r}")
     ns = _check_n_values(n_values, lo=10)
-    spec = spec or QuadratureSpec()
+    spec = spec or DEFAULT_SPEC
 
     def gap(u):
         u = np.asarray(u, dtype=np.float64)

@@ -31,7 +31,12 @@ from hurzeta.errors import (
     DomainError,
     RangeOverflowError,
 )
-from hurzeta.hurwitz import EM_SHIFT, EM_TERMS, _em_constants, _em_tail
+from hurzeta.hurwitz import EM_SHIFT, EM_TERMS, _I_POW, _em_constants, _em_tail
+from hurzeta.quadrature import integrate_cot_weighted
+
+
+def _bits(z: complex) -> tuple:
+    return z.real.hex(), z.imag.hex()
 
 
 def _li_exact(m: int, q: Fraction) -> Fraction:
@@ -102,6 +107,23 @@ class TestClosedFormValues:
         s = (br.term_half_bk + br.term_polylog_single
              + br.term_polylog_sum + br.term_integral)
         assert s == br.total
+
+    # (4, 6.1-2.9i) refines its integral past the first pass
+    @pytest.mark.parametrize("k, b", [(2, 0.3 + 0.2j), (7, 0.8), (12, 0.35 - 0.4j),
+                                      (24, 0.25 + 0.1j), (4, 6.1 - 2.9j)])
+    def test_integral_term_is_the_public_kernel_integral_bitwise(self, k, b):
+        # hurwitz_zeta integrates kernels.poly_exp_gap directly; it must be
+        # the integral of bracket_kernel against bracket_scale, bit for bit
+        params = ZetaParams.create(k, b)
+        br = hurwitz_zeta(params)
+        quad = integrate_cot_weighted(lambda u: bracket_kernel(params, u),
+                                      scale_hint=bracket_scale(params))
+        ipk = _I_POW[k % 4] * (2.0 * math.pi) ** k
+        assert _bits(br.quadrature.value) == _bits(quad.value)
+        assert _bits(br.term_integral) == _bits(-0.5j * ipk * quad.value)
+        assert br.quadrature.error_estimate.hex() == quad.error_estimate.hex()
+        assert br.quadrature.evaluations == quad.evaluations
+        assert br.quadrature.warnings == quad.warnings
 
 
 class TestRotatedDecomposition:

@@ -2,7 +2,10 @@
 every parameter of a function is read in its body.  A parameter that exists
 only for a calling protocol takes a name that starts with an underscore.
 No module uses ``numpy.random``: importing it costs every CLI child about
-5 MiB of resident memory, and stdlib ``random`` is loaded anyway."""
+5 MiB of resident memory, and stdlib ``random`` is loaded anyway.  No
+function builds ``QuadratureSpec()`` with no arguments: a default spec is
+``quadrature.DEFAULT_SPEC``, one instance, where a new one costs every
+closed-form evaluation a dataclass build and validation."""
 
 import ast
 from pathlib import Path
@@ -65,6 +68,23 @@ def _numpy_random_uses(tree):
     return out
 
 
+def _bare_spec_calls(tree):
+    """Lines inside a function that call ``QuadratureSpec()`` (also as
+    ``<module>.QuadratureSpec()``) with no arguments."""
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        for node in ast.walk(fn):
+            if not (isinstance(node, ast.Call) and not node.args and not node.keywords):
+                continue
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name == "QuadratureSpec":
+                out.append(node.lineno)
+    return sorted(set(out))
+
+
 def test_sources_are_found():
     assert len(SOURCES) >= 10
 
@@ -92,3 +112,22 @@ def test_numpy_random_uses_are_found():
                      "from numpy.random import default_rng\nimport numpy as np\n"
                      "np.random.default_rng(1)\nimport random\nrandom.Random(1)\n")
     assert _numpy_random_uses(tree) == [1, 2, 3, 5]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_default_spec_built_per_call(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _bare_spec_calls(tree) == []
+
+
+def test_bare_spec_calls_are_found():
+    tree = ast.parse("DEFAULT_SPEC = QuadratureSpec()\n"
+                     "def f(spec=None):\n"
+                     "    spec = spec or QuadratureSpec()\n"
+                     "    tight = QuadratureSpec(rel_tol=1e-12)\n"
+                     "    return quadrature.QuadratureSpec()\n"
+                     "g = lambda: QuadratureSpec()\n"
+                     "class C:\n"
+                     "    def spec(self):\n"
+                     "        return QuadratureSpec(**self.tolerances) or QuadratureSpec()\n")
+    assert _bare_spec_calls(tree) == [3, 5, 6, 9]

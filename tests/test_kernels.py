@@ -51,6 +51,25 @@ def test_poly_exp_gap_matches_direct_evaluation():
     assert kernels.poly_exp_gap(u, coeffs, c, offset) == pytest.approx(direct, rel=1e-13)
 
 
+@pytest.mark.parametrize("k", [1, 2, 7, 24])
+def test_poly_exp_gap_is_the_plain_horner_loop_bitwise(k):
+    # the kernel casts u to complex once and runs Horner in place; numpy
+    # casts a float operand to complex in every mixed step anyway, so the
+    # bits must be those of the plain loop
+    rng = np.random.default_rng(k)
+    u = np.concatenate([[0.0, 1.0], rng.random(300)])
+    coeffs = rng.normal(size=k) + 1j * rng.normal(size=k)
+    c = -2j * np.pi * complex(rng.uniform(0.05, 3), rng.uniform(-2, 2))
+    offset = complex(rng.normal(), rng.normal())
+    p = np.full(u.shape, coeffs[0], dtype=np.complex128)
+    for j in range(1, k):
+        p = p * u + coeffs[j]
+    ref = p * np.exp(c * u) - offset
+    got = kernels.poly_exp_gap(u, coeffs, c, offset)
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
 def test_pow_sin_cot_is_product():
     u = np.linspace(0.1, 0.9, 7)
     n = 17

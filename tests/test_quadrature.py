@@ -153,6 +153,42 @@ class TestCotWeighted:
             integrate_cot_weighted(lambda u, rows: np.sin(2 * np.pi * u), family=2,
                                    scale_hint=np.array([1.0, math.inf]))
 
+    @pytest.mark.parametrize("family", [-2, 0, 2.5, "2"])
+    def test_malformed_family_is_a_domain_error(self, family):
+        # refused, not run as an empty "converged" family or truncated to 2 rows
+        with pytest.raises(DomainError, match="family"):
+            integrate_cot_weighted(lambda u, rows: np.sin(2 * np.pi * u) + 0 * rows,
+                                   family=family)
+
+    @pytest.mark.parametrize("family, hint", [
+        (None, np.ones(2)), (2, np.ones(3)), (2, np.ones((2, 1))), (2, np.ones((1, 2))),
+    ])
+    def test_scale_hint_of_another_shape_is_a_domain_error(self, family, hint):
+        # a hint is one value, or one value per row; any other shape is
+        # refused, not broadcast against the rows
+        if family is None:
+            def g(u):
+                return np.sin(2 * np.pi * u)
+        else:
+            def g(u, rows):
+                return np.sin(2 * np.pi * u) + 0 * rows
+        with pytest.raises(DomainError, match="scale_hint"):
+            integrate_cot_weighted(g, scale_hint=hint, family=family)
+
+    def test_converged_single_row_is_one_call_of_the_first_pass(self):
+        # a single integrand is a family of one: one call, on the 189
+        # first-pass abscissae, and nothing more when that pass converges
+        calls = []
+
+        def g(u):
+            calls.append(u.copy())
+            return np.sin(2 * np.pi * u)
+
+        r = integrate_cot_weighted(g)
+        assert r.converged and r.evaluations == 189
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], quadrature._cot_layout().u.ravel())
+
 
 class TestOscillatory:
     @pytest.mark.parametrize("n", [3, 10, 100])
