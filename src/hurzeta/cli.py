@@ -34,6 +34,7 @@ from .errors import (
     UnsupportedParameterError,
 )
 from .genfun import (
+    classify_case,
     genfun_closed,
     genfun_series,
     odd_zeta_integral,
@@ -412,6 +413,8 @@ def _genfun_point(x: float, b: complex, spec: QuadratureSpec, series_kmax: int):
 def cmd_genfun(cfg: RunConfig) -> tuple[ReportEnvelope, int]:
     xs = parse_grid(cfg.params["x"])
     b = parse_complex(cfg.params["b"])
+    for x in xs:  # a non-finite x or b is a usage error
+        _checked(classify_case, x, b=b)
     series_kmax = cfg.params.get("series_kmax", 0)
     spec = cfg.spec()
     t0 = time.perf_counter()

@@ -69,6 +69,16 @@ def _dist_to_int(w: complex) -> float:
     return abs(w - round(w.real))
 
 
+def _finite(value, name: str) -> complex:
+    """``value`` as a complex; :class:`DomainError` unless both parts are
+    finite.  (``hurwitz.check_b`` does not serve: the generating function
+    admits b = 0 and the negative integers.)"""
+    z = complex(value)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise DomainError(f"{name} must be finite")
+    return z
+
+
 @dataclass(frozen=True)
 class ProximityFlags:
     """Distances from (x, b) to every singular locus of the closed forms."""
@@ -124,8 +134,9 @@ def _branch_tag(b: complex):
 
 def classify_case(x: complex, b: complex) -> GenFunCase:
     """Assign the closed-form branch from ``b`` alone (with tolerance
-    ``INT_EPS`` for integer membership) and record proximity diagnostics."""
-    x, b = complex(x), complex(b)
+    ``INT_EPS`` for integer membership) and record proximity diagnostics.
+    A non-finite ``x`` or ``b`` is a :class:`DomainError`."""
+    x, b = _finite(x, "x"), _finite(b, "b")
     tag, two_b_int = _branch_tag(b)
     flags = ProximityFlags(
         x_minus_b=abs(x - b),
@@ -176,40 +187,53 @@ def _admit(b: complex, tag: str, two_b_int: float) -> list:
     return []
 
 
-def _dist_to_ints(w):
-    """``_dist_to_int`` over an array."""
-    return np.abs(w - np.round(w.real))
+# The guarded loci of each branch, in the order they are tried: the message
+# and the locus named.  Row j of _first_guard's distances is locus j.
+_LOCI = {
+    "generic": (
+        ("|x - b| = {d:.2e} < {tol:g}", "x = b"),
+        ("x - b within {d:.2e} of an integer", "sin(pi*(x-b)) = 0"),
+        ("2(x - b) within {d:.2e} of an integer", "sin(2*pi*(x-b)) = 0"),
+    ),
+    "integer": (
+        ("|x - b| = {d:.2e} < {tol:g}", "x = b"),
+        ("x within {d:.2e} of a nonzero integer", "cot(pi*x) pole"),
+        ("2x within {d:.2e} of a nonzero integer", "sin(2*pi*x) = 0"),
+    ),
+}
+_LOCUS_SCALE = np.array([[1.0], [1.0], [2.0]])
 
 
 def _first_guard(x, b: complex, tag: str):
     """``(index, message, locus)`` of the first point of the array ``x`` within
     ``PROX_TOL`` of a singular locus of the branch ``tag``, or None.  Each
     point's loci are tried in a fixed order, so the first one it is near is
-    the one named."""
-    if tag == "generic":
-        w = x - b
-        loci = (
-            (np.abs(w), True, "|x - b| = {d:.2e} < {tol:g}", "x = b"),
-            (_dist_to_ints(w), True, "x - b within {d:.2e} of an integer",
-             "sin(pi*(x-b)) = 0"),
-            (_dist_to_ints(2 * w), True, "2(x - b) within {d:.2e} of an integer",
-             "sin(2*pi*(x-b)) = 0"),
-        )
-    else:
-        loci = (
-            (np.abs(x - b), round(b.real) != 0, "|x - b| = {d:.2e} < {tol:g}", "x = b"),
-            (_dist_to_ints(x), np.round(x.real) != 0,
-             "x within {d:.2e} of a nonzero integer", "cot(pi*x) pole"),
-            (_dist_to_ints(2 * x), np.round(2 * x.real) != 0,
-             "2x within {d:.2e} of a nonzero integer", "sin(2*pi*x) = 0"),
-        )
-    near = np.array([(dist < PROX_TOL) & live for dist, live, _, _ in loci])
-    hit = near.any(axis=0)
-    if not hit.any():
+    the one named.
+
+    The distances of all points to all three loci are one (3, n) array:
+    ``|x - b|``, then the distances of ``v`` and ``2v`` from the integers,
+    with ``v = x - b`` on the generic branch and ``x`` on the integer ones
+    (whose integer loci count only away from 0, as does ``x = b`` only for
+    b != 0).  A few operations on it, whatever ``n``, are what a single
+    point pays; the search runs only when a point is near."""
+    generic = tag == "generic"
+    w = x - b
+    z = _LOCUS_SCALE * (w if generic else x)
+    z[0] = w
+    r = np.round(z.real)
+    r[0] = 0.0
+    dist = np.abs(z - r)
+    near = dist < PROX_TOL
+    if not generic:
+        live = r != 0.0
+        live[0] = round(b.real) != 0
+        near &= live
+    if not np.count_nonzero(near):
         return None
-    i = int(np.argmax(hit))
-    dist, _, text, locus = loci[int(np.argmax(near[:, i]))]
-    return i, text.format(d=dist[i], tol=PROX_TOL), locus
+    i = int(np.argmax(near.any(axis=0)))
+    j = int(np.argmax(near[:, i]))
+    text, locus = _LOCI["generic" if generic else "integer"][j]
+    return i, text.format(d=dist[j, i], tol=PROX_TOL), locus
 
 
 def _closed_terms(x, b: complex, tag: str, spec: QuadratureSpec):
@@ -336,7 +360,7 @@ def genfun_series(x: complex, b: complex, kmax: int) -> GenFunSeries:
     |x|/r(b)``, is meaningful; it is returned alongside the value.
     """
     kmax = check_k(kmax, name="kmax")
-    x, b = complex(x), complex(b)
+    x, b = _finite(x, "x"), _finite(b, "b")
     r = radius_of_convergence(b)
     if not abs(x) < r * (1.0 - SERIES_MARGIN):
         raise DomainError(
@@ -502,12 +526,13 @@ def zeta_from_genfun(k: int, b: complex, radius: float, nodes: int,
     node, the circle at ``radius`` first.
     """
     k = check_k(k)
-    b = complex(b)
+    b = _finite(b, "b")
     r = radius_of_convergence(b)
     if not 0.0 < radius < r:
         raise DomainError(
             f"radius must lie in (0, r(b)) = (0, {r:g}), got {radius:g}"
         )
+    nodes = check_k(nodes, name="nodes")
     if nodes < 4 * k:
         raise DomainError(f"nodes = {nodes} < 4k = {4 * k}: aliasing would bite")
     tag, two_b_int = _branch_tag(b)

@@ -31,10 +31,13 @@ estimate (per-panel ``|K15 - G7|`` differences, summed), convergence test
 ``max_subdivisions`` budget.  The first pass evaluates every row on the
 shared initial mesh; each later pass splits the panels of the rows that
 have not converged yet.  :func:`integrate_open`'s first pass and every
-later pass hand the integrand its panels in blocks of at most ``2**14``
-values (``2**14 // 15`` panels) per call, so the working set stays near
-cache size however fine the mesh; a pass that fits one block is one call.
-(The cotangent driver's first pass is one call of 189 values per row.)  A
+later pass hand the integrand its panels in blocks of at most ``2**12``
+values (``2**12 // 15`` panels) per call, so the working set stays near
+cache size however fine the mesh, and a kernel's temporaries are small
+enough that the allocator reuses them instead of returning their pages
+after every call and faulting them in again at the next; a pass that fits
+one block is one call.  (The cotangent driver's first pass is one call of
+189 values per row.)  A
 non-finite value raises :class:`EvaluationError` for its row, the first
 met in block order.  Running out of subdivision budget, or an estimate
 that no split can lower (NaN), or a cotangent-weighted total that is not
@@ -147,7 +150,7 @@ _XK = np.concatenate([-_XK_HALF[:7], _XK_HALF[::-1]])
 _WK = np.concatenate([_WK_HALF[:7], _WK_HALF[::-1]])
 _GAUSS_IDX = np.arange(1, 15, 2)
 _WG = np.concatenate([_WG_HALF[:3], _WG_HALF[::-1]])
-_BLOCK = 1 << 14  # most values (rows times abscissae) one integrand call gets
+_BLOCK = 1 << 12  # most values (rows times abscissae) one integrand call gets
 
 # Panels mapped from (-1,1) never touch their endpoints: the rule is open.
 _NODE_FRAC = 0.5 * (_XK + 1.0)

@@ -147,6 +147,14 @@ class TestGenfun:
         assert rec["status"] == "ok"
         assert rec["case"] == "generic"
 
+    @pytest.mark.parametrize("x,b", [("nan", "1.3"), ("0.2", "nan"), ("inf", "1.3"),
+                                     ("0.1:nan:3", "1.3"), ("0.2", "0,inf")])
+    def test_non_finite_input_exits_2(self, x, b):
+        # once a traceback and exit 1
+        p = run("genfun", "--x", x, "--b", b)
+        assert p.returncode == 2, p.stderr
+        assert "must be finite" in p.stderr and "Traceback" not in p.stderr
+
     def test_half_integer_b_exits_3(self):
         p = run("genfun", "--x", "0.2", "--b", "0.5", "--format", "json")
         assert p.returncode == 3

@@ -119,6 +119,21 @@ class TestGuards:
         with pytest.raises(DomainError):
             genfun_series(0.95, 0.0, 50)  # r(0) = 1, margin 0.1
 
+    @pytest.mark.parametrize("x,b", [
+        (math.nan, 1.3), (0.2, math.nan), (math.inf, 1.3), (0.2, complex(0, -math.inf)),
+        (complex(0.1, math.nan), 0.0), (0.2, math.inf)])
+    def test_non_finite_input_is_a_domain_error(self, x, b):
+        # once a bare ValueError or OverflowError from round()
+        for call in (lambda: classify_case(x, b), lambda: genfun_closed(x, b),
+                     lambda: genfun_series(x, b, 20)):
+            with pytest.raises(DomainError, match="must be finite"):
+                call()
+
+    @pytest.mark.parametrize("b", [math.nan, math.inf, complex(1.3, -math.inf)])
+    def test_recovery_of_non_finite_b_is_a_domain_error(self, b):
+        with pytest.raises(DomainError, match="b must be finite"):
+            zeta_from_genfun(3, b, 0.3, 32)
+
     def test_series_tail_estimate_is_honest(self):
         x, b = 0.45, 0.77
         short = genfun_series(x, b, 40)
@@ -174,6 +189,17 @@ class TestZetaRecovery:
             zeta_from_genfun(2, 0.7, 1.9, 32)  # outside r(b)
         with pytest.raises(DomainError):
             zeta_from_genfun(2, 0.7, 0.3, 6)  # too few nodes for k
+
+    @pytest.mark.parametrize("nodes", [32.5, "32", None, 1])
+    def test_nodes_must_be_an_integer(self, nodes):
+        # once a bare TypeError from the aliasing comparison
+        with pytest.raises(DomainError, match="nodes must be an integer"):
+            zeta_from_genfun(3, 1.25, 0.3, nodes)
+
+    def test_integer_valued_nodes_are_accepted(self):
+        assert zeta_from_genfun(3, 1.25, 0.3, 32.0) == zeta_from_genfun(3, 1.25, 0.3, 32)
+        with pytest.raises(DomainError, match="aliasing would bite"):
+            zeta_from_genfun(3, 1.25, 0.3, 11.0)
 
     def test_near_radius_instability_is_reported(self):
         with pytest.warns(InstabilityWarning):

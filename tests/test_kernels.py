@@ -1,11 +1,14 @@
 """Numerical kernels: the kernel set and a few analytic anchors."""
 
+import cmath
 import inspect
 
 import numpy as np
 import pytest
 
-from hurzeta import kernels
+from hurzeta import kernels, quadrature
+
+_N_PROBE = quadrature._PROBE.size  # the strip points follow the probe grid
 
 KERNELS = {
     "cot_pi", "poly_exp_gap", "sin_ratio_gap", "sin_ratio_ucos_gap",
@@ -117,3 +120,60 @@ def test_scan_kernels_match_their_sine_forms(n):
     ]
     for got, ref in pairs:
         assert np.all(np.abs(got - ref) <= 4e-15 * np.maximum(np.abs(ref), 1.0))
+
+
+def _amplitudes(rows):
+    """Complex amplitudes with |Re a| <= 60 and |Im a| <= 25, both limits
+    and a real one among them, as a (rows, 1) column."""
+    rng = np.random.default_rng(rows)
+    n = max(rows, 4)
+    a = rng.uniform(-60, 60, n) + 1j * rng.uniform(-25, 25, n)
+    a[:4] = [60 + 25j, -60 - 25j, 0.3 + 25j, 17.5]
+    return a[:rows, None]
+
+
+def _cmath_sin(a, u):
+    """sin(a*u) by cmath, for a (rows, 1) column ``a`` against ``u`` of one
+    line or one line per row."""
+    lines = np.broadcast_to(u, (a.shape[0], u.shape[1]))
+    return np.array([[cmath.sin(complex(ai) * float(ui)) for ui in line]
+                     for ai, line in zip(a[:, 0], lines)])
+
+
+@pytest.mark.parametrize("rows,shared", [(1, True), (64, True), (64, False)])
+def test_genfun_kernel_sines_match_cmath(rows, shared):
+    # the genfun kernels take sin(a*u) from tan(x/2), sinh(y) and cosh(y);
+    # on the cotangent driver's first-pass abscissae (u = 0, the strip points
+    # at 2.5e-9 and the rest), shared by every row as in a first pass or one
+    # line per row as in a refinement pass
+    u = quadrature._cot_layout().u
+    assert u[0, 0] == 0.0 and u[0, _N_PROBE] == 2.5e-9
+    if not shared:
+        u = np.repeat(u, rows, axis=0)
+    a = _amplitudes(rows)
+    ref = _cmath_sin(a, u)
+    ones = np.ones((rows, 1))
+    # sin(0*u) is exactly 0, so the second term of sin_ratio_gap drops out
+    got = kernels.sin_ratio_gap(u, a, ones, 0j, 1.0)
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= 2e-15 * np.abs(ref))
+    assert np.all(got[:, 0] == 0)
+    # sin_ratio_ucos_gap subtracts u*cos(w*u) last: its rounding, at most one
+    # half ulp of the result, comes on top
+    w = 2 * np.pi * 3
+    term = u * np.cos(w * u)
+    got = kernels.sin_ratio_ucos_gap(u, a, ones, w)
+    want = ref - term
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(got - want) <= 2e-15 * np.abs(ref) + eps * np.abs(want))
+    assert np.all(got[:, 0] == 0)
+
+
+def test_genfun_kernel_of_a_scalar_amplitude():
+    # the b-only term of a family is one scalar amplitude against every row
+    u = quadrature._cot_layout().u
+    a = 4.2 - 19.5j
+    got = kernels.sin_ratio_gap(u, a, 1.0, 0j, 1.0)
+    ref = _cmath_sin(np.array([[a]]), u)
+    assert np.all(np.abs(got - ref) <= 2e-15 * np.abs(ref))
+    assert got[0, 0] == 0

@@ -362,9 +362,9 @@ class TestFamily:
 
 class TestBlockedPasses:
     # integrate_open's first pass and every refinement pass hand the
-    # integrand at most 2**14 values (rows times abscissae) per call,
+    # integrand at most 2**12 values (rows times abscissae) per call,
     # whatever the mesh
-    BLOCK = 2**14
+    BLOCK = 2**12
 
     def recorded(self, n, spec=None):
         sizes = []
