@@ -67,11 +67,15 @@ def bernoulli(n: int) -> Fraction:
         )
     if n == 0:
         return Fraction(1)
-    # sum_{j<n} C(n+1, j) B_j = 0 for n >= 1 rearranged for B_n; the B_j
-    # come from the cache in increasing j, so the recursion stays shallow
+    if n >= 3 and n % 2:
+        return Fraction(0)
+    # sum_{j<n} C(n+1, j) B_j = 0 for n >= 1 rearranged for B_n, over the
+    # nonzero B_j (j = 1 and the even j); they come from the cache in
+    # increasing j, so the recursion stays shallow
     acc = Fraction(0)
     for j in range(n):
-        acc += comb(n + 1, j) * bernoulli(j)
+        if j == 1 or j % 2 == 0:
+            acc += comb(n + 1, j) * bernoulli(j)
     return -acc / (n + 1)
 
 

@@ -174,6 +174,27 @@ class TestGenfun:
         rec = json.loads(p.stdout)["results"][0]
         assert rec["series_discrepancy"] < 1e-10
 
+    def test_series_miss_exits_3(self):
+        # near x = 0 the closed form cancels O(1) terms down to the O(x^2)
+        # answer: at (1e-4, 4) it misses the series by 7e-4 relative
+        p = run("genfun", "--x", "1e-4", "--b", "4", "--series-kmax", "40",
+                "--format", "json")
+        assert p.returncode == 3
+        doc = json.loads(p.stdout)
+        rec = doc["results"][0]
+        assert rec["status"] == "ok" and rec["verdict"] == "fail"
+        series = abs(complex(rec["series_value"]["re"], rec["series_value"]["im"]))
+        assert rec["series_discrepancy"] > 1e-4 * series
+        assert doc["summary"]["fail"] == 1
+
+    def test_series_cross_check_passes_inside_the_radius(self):
+        p = run("genfun", "--x", "0.05:0.45:9", "--b", "0.77", "--series-kmax", "120",
+                "--format", "json")
+        assert p.returncode == 0
+        rows = json.loads(p.stdout)["results"]
+        assert [r["verdict"] for r in rows] == ["pass"] * 9
+        assert max(r["series_discrepancy"] for r in rows) < 1e-12
+
     def test_grid_of_x_values(self):
         p = run("genfun", "--x", "0.05:0.25:5", "--b", "0.77",
                 "--format", "json")

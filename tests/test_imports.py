@@ -5,9 +5,16 @@ No module uses ``numpy.random``: importing it costs every CLI child about
 5 MiB of resident memory, and stdlib ``random`` is loaded anyway.  No
 function builds ``QuadratureSpec()`` with no arguments: a default spec is
 ``quadrature.DEFAULT_SPEC``, one instance, where a new one costs every
-closed-form evaluation a dataclass build and validation."""
+closed-form evaluation a dataclass build and validation.
+
+``cli.py`` imports ``csv`` only inside ``render_csv``, so a JSON or human
+report does not load it.  ``cli.main`` freezes the garbage collector over
+the import-time heap; no library call touches it."""
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -131,3 +138,77 @@ def test_bare_spec_calls_are_found():
                      "    def spec(self):\n"
                      "        return QuadratureSpec(**self.tolerances) or QuadratureSpec()\n")
     assert _bare_spec_calls(tree) == [3, 5, 6, 9]
+
+
+def _module_level_csv_imports(tree):
+    """Lines outside any function body that import ``csv`` or a submodule
+    of it: imports that run when the module is imported."""
+    out = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            names = []
+        out.extend(node.lineno for name in names
+                   if name == "csv" or name.startswith("csv."))
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return out
+
+
+def test_cli_imports_csv_lazily():
+    path = SOURCES[0].parent / "cli.py"
+    assert _module_level_csv_imports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_module_level_csv_imports_are_found():
+    tree = ast.parse("import csv\n"
+                     "from . import csv as local\n"
+                     "try:\n"
+                     "    from csv import DictWriter\n"
+                     "except ImportError:\n"
+                     "    pass\n"
+                     "def f():\n"
+                     "    import csv\n"
+                     "class C:\n"
+                     "    import csv.x\n"
+                     "import csvkit\n")
+    assert _module_level_csv_imports(tree) == [1, 4, 10]
+
+
+def _child(code):
+    """Run ``code`` in a fresh interpreter; its last stderr line as JSON."""
+    p = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, timeout=120)
+    assert p.stderr, p.stdout
+    return json.loads(p.stderr.splitlines()[-1])
+
+
+def test_json_report_does_not_load_csv():
+    loaded = _child("import json, sys\n"
+                    "from hurzeta import cli\n"
+                    "cli.main(['eval', '--k', '3', '--b', '0.3'])\n"
+                    "print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n")
+    assert "hurzeta.cli" in loaded and "csv" not in loaded
+
+
+def test_only_the_cli_freezes_the_collector():
+    counts = _child(
+        "import gc, json, sys\n"
+        "from hurzeta import genfun, hurwitz, validation\n"
+        "hurwitz.zeta_auto(3, 0.3 + 0.2j)\n"
+        "genfun.zeta_from_genfun(3, 1.25, 0.3, 32)\n"
+        "validation.theorem1_scan(1, (100, 1000))\n"
+        "library = gc.get_freeze_count()\n"
+        "from hurzeta import cli\n"
+        "cli.main(['eval', '--k', '3', '--b', '0.3'])\n"
+        "print(json.dumps([library, gc.get_freeze_count()]), file=sys.stderr)\n")
+    assert counts[0] == 0
+    assert counts[1] > 0

@@ -55,6 +55,14 @@ class TestBernoulli:
         for n in (3, 5, 7, 9, 11, 13, 63, 379):
             assert bernoulli(n) == 0
 
+    def test_matches_the_full_recurrence(self):
+        # bernoulli() leaves the zero B_j (odd j >= 3) out of its sum; the
+        # sum over every j < n gives the same Fractions
+        full = [Fraction(1)]
+        for n in range(1, BERNOULLI_MAX_INDEX + 1):
+            full.append(-sum(math.comb(n + 1, j) * full[j] for j in range(n)) / (n + 1))
+        assert [bernoulli(n) for n in range(BERNOULLI_MAX_INDEX + 1)] == full
+
     def test_von_staudt_clausen(self):
         # denominator of B_2n is the product of primes p with (p-1) | 2n
         def primes_dividing(n2):
