@@ -43,12 +43,15 @@ Conventions
   one value at a time, about 50 ns each, while float64 ``tan``, ``sinh``
   and ``cosh`` run at 1-3 ns per value; over the 12,096 first-pass values
   of a 64-node recovery (timeit best) complex ``sin`` took 590 us against
-  26-33 for ``tan``, 19-20 for ``sinh`` and 13-14 for ``cosh``.  The
-  steps run in place, so a call makes few temporaries of its size; a
-  recovery's first pass, 64 x 189 values in one call, faults no pages.
+  26-33 for ``tan``, 19-20 for ``sinh`` and 13-14 for ``cosh``.  The steps
+  run in place, in blocks of at most ``_SINE_BLOCK`` values: in one block a
+  64-node first pass (65 x 189 values) faulted 110 pages (~460 us against 185)
+  per call in a fresh process, as glibc returned its ~0.6 MB after each call.
 """
 
 import numpy as np
+
+_SINE_BLOCK = 1 << 13  # most values one pass of the genfun sines' steps runs over
 
 __all__ = [
     "cot_pi",
@@ -88,8 +91,21 @@ def poly_exp_gap(u, coeffs, c, offset):
 
 
 def _sin_complex(a, u):
-    """sin(a*u) for complex ``a`` and real ``u``, from real ufuncs (see the
-    Conventions); the steps run in place."""
+    """sin(a*u), ``a`` a complex scalar or column and ``u`` one real line or one
+    per row, from real ufuncs (see the Conventions) in blocks of ``_SINE_BLOCK``."""
+    rows, n = max(np.size(a), len(u)), u.shape[1]
+    if rows * n <= _SINE_BLOCK:
+        return _sines(a, u)
+    s = np.empty((rows, n), np.complex128)
+    step = _SINE_BLOCK // n
+    for i in range(0, rows, step):
+        block = slice(i, i + step)
+        _sines(a[block] if np.size(a) > 1 else a, u[block] if len(u) > 1 else u, s[block])
+    return s
+
+
+def _sines(a, u, s=None):
+    """sin(a*u) into ``s`` (a new array by default); the steps run in place."""
     t = (0.5 * a.real) * u
     np.tan(t, t)
     y = a.imag * u
@@ -98,7 +114,7 @@ def _sin_complex(a, u):
     np.divide(2.0, w, w)  # 1 + cos(x)
     t *= w                # sin(x)
     w -= 1.0              # cos(x)
-    s = np.empty(t.shape, np.complex128)
+    s = np.empty(t.shape, np.complex128) if s is None else s
     np.multiply(t, np.cosh(y), s.real)
     np.sinh(y, y)
     np.multiply(w, y, s.imag)
@@ -106,10 +122,13 @@ def _sin_complex(a, u):
 
 
 def sin_ratio_gap(u, a1, s1inv, a2, s2inv):
-    """sin(a1*u)*s1inv - sin(a2*u)*s2inv for complex amplitudes."""
-    s = _sin_complex(a1, u)
+    """sin(a1*u)*s1inv - sin(a2*u)*s2inv; on one shared line ``u``, one call."""
+    if len(u) == 1:
+        s = _sin_complex(np.append(a1, a2)[:, None], u)
+        s, s2 = s[:-1], s[-1]
+    else:
+        s, s2 = _sin_complex(a1, u), _sin_complex(a2, u)
     s *= s1inv
-    s2 = _sin_complex(a2, u)
     s2 *= s2inv
     s -= s2
     return s

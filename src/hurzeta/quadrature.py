@@ -391,10 +391,10 @@ def _adapt(f, vals, errs, mesh, spec, abs_tol, family, first):
             vals, errs = vals[order], errs[order]
 
         count = np.bincount(owner, minlength=todo.size)
-        ends = np.cumsum(count)
-        bounds = list(zip((ends - count).tolist(), ends.tolist()))
-        value[todo] = [vals[a:b].sum() for a, b in bounds]
-        error[todo] = [errs[a:b].sum() for a, b in bounds]
+        assert count.all()  # reduceat gives an empty segment the next row's first panel
+        starts = np.cumsum(count) - count
+        value[todo] = np.add.reduceat(vals, starts)
+        error[todo] = np.add.reduceat(errs, starts)
         target[todo] = np.maximum(spec.rel_tol * np.abs(value[todo]), abs_tol[todo])
         converged[todo] = error[todo] <= target[todo]
 

@@ -1,7 +1,14 @@
 """Generating function: branch closed forms, series, and the sinh identity."""
 
 import cmath
+import compileall
+import json
 import math
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +28,7 @@ from hurzeta import (
     sinh_series_depth,
     zeta_from_genfun,
 )
-from hurzeta import kernels
+from hurzeta import genfun, kernels
 from hurzeta.errors import (
     CapacityError,
     DomainError,
@@ -31,6 +38,7 @@ from hurzeta.errors import (
     RangeOverflowError,
     UnsupportedParameterError,
 )
+from hurzeta.quadrature import DEFAULT_SPEC
 from hurzeta.special_functions import BERNOULLI_MAX_INDEX
 
 
@@ -134,11 +142,47 @@ class TestGuards:
         with pytest.raises(DomainError, match="b must be finite"):
             zeta_from_genfun(3, b, 0.3, 32)
 
+    @pytest.mark.parametrize("b", [0.0, -1.0, -3.0, complex(-3.0, 0.0)])
+    def test_recovery_at_a_pole_of_zeta_is_a_domain_error(self, b):
+        # b = 0 once raised a bare ZeroDivisionError, and b = -3 returned a
+        # finite value for the infinite zeta(2, -3)
+        with pytest.raises(DomainError, match="pole"):
+            zeta_from_genfun(2, b, 0.3, 32)
+
     def test_series_tail_estimate_is_honest(self):
         x, b = 0.45, 0.77
         short = genfun_series(x, b, 40)
         long = genfun_series(x, b, 140)
         assert abs(short.value - long.value) <= 10 * short.tail_estimate
+
+
+def _radius_by_scan(b):
+    """r(b) by its first definition: every j from 1 to |b| + 2, skipping
+    the exact pole."""
+    b = complex(b)
+    jmax = max(2, math.ceil(abs(b)) + 2)
+    return min(d for d in (abs(j + b) for j in range(1, jmax + 1)) if d > 1e-12)
+
+
+class TestRadius:
+    def test_matches_a_scan_over_every_term(self):
+        grid = [complex(re, im) for re in np.arange(-30.0, 30.0, 0.25)
+                for im in (0.0, 1e-13, -0.7, 2.5)]
+        grid += [0.5, -0.5, -1e-13, -3 + 1e-13, -3 - 1e-13, 999.0, -999.0,
+                 -1000.0, -999.5, -998.6 + 2j, 1e3j, 700 - 700j, -700 + 0.1j]
+        for b in grid:
+            assert radius_of_convergence(b) == _radius_by_scan(b), b
+
+    def test_huge_b_costs_no_more_than_a_small_one(self):
+        # the scan once built a list of |b| + 2 distances
+        assert radius_of_convergence(1e15) == 1e15 + 1
+        assert radius_of_convergence(-1e15) == 1.0
+        assert radius_of_convergence(complex(-1e15, 3.0)) == 3.0
+
+    @pytest.mark.parametrize("b", [math.nan, math.inf, complex(0, -math.inf)])
+    def test_non_finite_b_is_a_domain_error(self, b):
+        with pytest.raises(DomainError, match="b must be finite"):
+            radius_of_convergence(b)
 
 
 class TestEvalStructure:
@@ -151,6 +195,28 @@ class TestEvalStructure:
         for b in (0.37, 0.21 - 0.13j, 0.8 + 0.3j):
             ev = genfun_closed(2 * b, b)
             assert abs(ev.integral_term) <= 1e-9
+
+
+    @pytest.mark.parametrize("b", [1.3 + 0.4j, 0.0, 3.0, -4.0])
+    def test_lone_point_matches_its_row_of_an_array(self, b):
+        # genfun_closed sets up one numpy scalar, a recovery an array of
+        # points: the rational and trig terms agree to rounding; the
+        # integrals to the rounding of a lone first pass against a family
+        # row's, which sum in another order
+        rng = np.random.default_rng(7)
+        xs = rng.uniform(-0.45, 0.45, 40) + 1j * rng.uniform(-0.45, 0.45, 40)
+        xs = xs[np.abs(xs) > 0.1]
+        b = complex(b)
+        rational, trig, integral, total, _ = genfun._closed_terms(
+            xs, b, classify_case(0.1, b).tag, DEFAULT_SPEC)
+        rational = np.broadcast_to(rational, xs.shape)
+        for i, x in enumerate(xs):
+            ev = genfun_closed(x, b)
+            big = max(abs(ev.rational_term), abs(ev.trig_term), abs(ev.integral_term))
+            assert abs(ev.rational_term - rational[i]) <= 1e-15 * big
+            assert abs(ev.trig_term - trig[i]) <= 1e-15 * big
+            assert abs(ev.integral_term - integral[i]) <= 1e-14 * big
+            assert abs(ev.total - total[i]) <= 1e-14 * big
 
 
 class TestSeriesCoefficient:
@@ -201,6 +267,27 @@ class TestZetaRecovery:
         with pytest.raises(DomainError, match="aliasing would bite"):
             zeta_from_genfun(3, 1.25, 0.3, 11.0)
 
+    @pytest.mark.parametrize("orders", [range(2, 9), [8, 3, 5], np.arange(2, 9)])
+    def test_range_of_orders_matches_single_calls(self, orders):
+        b, radius, nodes = 1.3 + 0.7j, 0.3, 32
+        got = zeta_from_genfun(orders, b, radius, nodes)
+        assert got.shape == (len(orders),)
+        # each order's sums run alone, so a range changes no bits
+        for k, v in zip(orders, got):
+            assert v == zeta_from_genfun(int(k), b, radius, nodes)
+
+    @pytest.mark.parametrize("orders", [[2, 9], [2, 1], [2, 2.5], [2, "3"], []])
+    def test_range_is_checked_order_by_order(self, orders):
+        # 9 needs 36 nodes; 1, 2.5 and "3" are no orders
+        with pytest.raises(DomainError):
+            zeta_from_genfun(orders, 1.3 + 0.7j, 0.3, 32)
+
+    def test_instability_names_the_unstable_orders(self):
+        # at half of radius 0.5, (0.25/1.7)**20 * a_20 sinks below the
+        # rounding of f; order 2 stays stable
+        with pytest.warns(InstabilityWarning, match=r"k = \[20\] unstable"):
+            zeta_from_genfun([2, 20], 0.7, 0.5, 80)
+
     def test_near_radius_instability_is_reported(self):
         with pytest.warns(InstabilityWarning):
             zeta_from_genfun(2, 0.7, 0.98 * radius_of_convergence(0.7), 32)
@@ -233,6 +320,34 @@ class TestZetaRecovery:
         # the first pass shares its 189 abscissae across the 64 nodes, so
         # the b-only term sin(2*pi*b*u)/sin(2*pi*b) is computed once
         assert calls[0] == ((1, 33 + 6 + 150), (64, 1))
+
+    def test_recoveries_fault_no_pages_with_cached_bytecode(self, tmp_path):
+        # compiling the sources at import happens to raise glibc's trim
+        # threshold; from cached bytecode nothing does, and a first pass
+        # whose sines ran as one block faulted ~100 fresh pages per recovery
+        src = Path(__file__).parent.parent / "src" / "hurzeta"
+        shutil.copytree(src, tmp_path / "hurzeta")
+        assert compileall.compile_dir(tmp_path / "hurzeta", quiet=1)
+        code = ("import json, resource, statistics, sys\n"
+                "from hurzeta import genfun\n"
+                "calls = [(k, b, 0.3 * abs(1 + b)) for k, b in ((5, 1.3 + 0.7j),\n"
+                "         (3, 0.37 + 2.2j), (7, 2.6 - 1.1j), (8, 5.132 - 1.584j))]\n"
+                "faults = []\n"
+                "def minflt():\n"
+                "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                "for i, (k, b, r) in enumerate(calls * 6):\n"
+                "    f0 = minflt()\n"
+                "    genfun.zeta_from_genfun(k, b, r, 32)\n"
+                "    if i >= len(calls):\n"
+                "        faults.append(minflt() - f0)\n"
+                "print(json.dumps([genfun.__cached__, statistics.median(faults)]),\n"
+                "      file=sys.stderr)\n")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+        p = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=dict(env, PYTHONPATH=str(tmp_path)), timeout=120)
+        cached, faults = json.loads(p.stderr.splitlines()[-1])
+        assert cached.startswith(str(tmp_path))
+        assert faults <= 5
 
     def test_unconverged_node_is_an_error(self):
         # with no subdivision budget, nodes 14..19 of the first circle stop
@@ -282,10 +397,14 @@ class TestOddZeta:
         assert abs(v - ref) / ref < 1e-9
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            odd_zeta_integral(0)
-        with pytest.raises(DomainError):
-            odd_zeta_integral(11)
+        for j in (0, 11, np.int64(11), 3.5, "3", None):
+            with pytest.raises(DomainError):
+                odd_zeta_integral(j)
+
+    @pytest.mark.parametrize("j", [np.int64(3), 3.0])
+    def test_integer_valued_j_is_accepted(self, j):
+        # as every order entry point accepts them
+        assert odd_zeta_integral(j) == odd_zeta_integral(3)
 
 
 class TestSinhKernel:

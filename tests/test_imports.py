@@ -8,8 +8,9 @@ function builds ``QuadratureSpec()`` with no arguments: a default spec is
 closed-form evaluation a dataclass build and validation.
 
 ``cli.py`` imports ``csv`` only inside ``render_csv``, so a JSON or human
-report does not load it.  ``cli.main`` freezes the garbage collector over
-the import-time heap; no library call touches it."""
+report does not load it, and no module loads ``numpy.fft``.  ``cli.main``
+freezes the garbage collector over the import-time heap; no library call
+touches it."""
 
 import ast
 import json
@@ -197,6 +198,9 @@ def test_json_report_does_not_load_csv():
                     "cli.main(['eval', '--k', '3', '--b', '0.3'])\n"
                     "print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n")
     assert "hurzeta.cli" in loaded and "csv" not in loaded
+    # every hurzeta module is loaded here; the recovery's Taylor sums are a
+    # twiddle product, since numpy.fft costs ~1.5 ms and 0.6 MiB to load
+    assert "numpy.fft" not in loaded
 
 
 def test_only_the_cli_freezes_the_collector():

@@ -177,3 +177,39 @@ def test_genfun_kernel_of_a_scalar_amplitude():
     ref = _cmath_sin(np.array([[a]]), u)
     assert np.all(np.abs(got - ref) <= 2e-15 * np.abs(ref))
     assert got[0, 0] == 0
+
+
+@pytest.mark.parametrize("rows,shared", [(64, True), (200, True), (64, False)])
+def test_genfun_sines_run_in_blocks_with_the_bits_of_one_pass(monkeypatch, rows, shared):
+    # in one pass, a 64-node recovery's first pass (65 x 189 values) needs
+    # ~0.6 MB of temporaries, which glibc can hand back to the kernel after
+    # every call and fault in again at the next
+    u = quadrature._cot_layout().u
+    if not shared:
+        u = np.repeat(u, rows, axis=0)
+    a = _amplitudes(rows)
+    whole = kernels._sines(a, u)
+    sizes = []
+    sines = kernels._sines
+    monkeypatch.setattr(kernels, "_sines",
+                        lambda a, u, s: (sizes.append(s.size), sines(a, u, s)))
+    assert np.array_equal(kernels._sin_complex(a, u), whole)
+    assert len(sizes) > 1 and max(sizes) <= kernels._SINE_BLOCK
+    assert sum(sizes) == whole.size
+
+
+@pytest.mark.parametrize("rows", [1, 64])
+def test_shared_line_takes_both_sines_in_one_call(monkeypatch, rows):
+    # with one line of abscissae shared by every row, the b-only sines are
+    # one more row of the same call, and the bits are those of two calls
+    u = quadrature._cot_layout().u
+    a1 = _amplitudes(rows)
+    s1inv = 1.0 / np.sin(a1)
+    a2, s2inv = 4.2 - 19.5j, 0.3 + 0.1j
+    want = kernels._sin_complex(a1, u) * s1inv - kernels._sin_complex(a2, u) * s2inv
+    calls = []
+    sin_complex = kernels._sin_complex
+    monkeypatch.setattr(kernels, "_sin_complex",
+                        lambda a, u: (calls.append(np.shape(a)), sin_complex(a, u))[1])
+    assert np.array_equal(kernels.sin_ratio_gap(u, a1, s1inv, a2, s2inv), want)
+    assert calls == [(rows + 1, 1)]

@@ -261,6 +261,24 @@ class TestFamily:
         assert fam.row_evaluations[1] > self.FIRST
         assert fam.row_converged.all()
 
+    def test_many_refining_rows_match_lone_calls(self):
+        # every row refines, so each pass sums many rows' panels at once;
+        # each row still gets what its lone call gets, up to the rounding
+        # of the fused first pass
+        freq = 32.0 + 3.0 * np.arange(24)
+        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-15)
+        fam = integrate_cot_weighted(
+            lambda u, rows: u * (1 - u) * np.cos(freq[rows] * u) * np.exp(u),
+            spec, family=freq.size)
+        assert np.count_nonzero(fam.row_evaluations > self.FIRST) >= 20
+        assert fam.converged
+        for m, c in enumerate(freq):
+            one = integrate_cot_weighted(
+                lambda u, c=c: u * (1 - u) * np.cos(c * u) * np.exp(u), spec)
+            assert fam.row_evaluations[m] == one.evaluations
+            assert abs(fam.value[m] - one.value) <= 1e-15 * abs(one.value)
+            assert abs(fam.error_estimate[m] - one.error_estimate) <= 1e-15 * abs(one.value)
+
     def test_row_that_cannot_split_stops_without_a_further_call(self):
         # in the refinement pass, row 1's values near the top of the double
         # range overflow the K15 and G7 sums, so its estimate is NaN and no
