@@ -1,130 +1,16 @@
 """hurzeta: Hurwitz zeta at integer order, its generating function, and the
 supporting singular quadrature, with cross-validating convergence scans.
 
-Public surface re-exported here; see the module docstrings for the math.
+Public surface re-exported here: every name in each module's ``__all__``,
+imported eagerly; see the module docstrings for the math.
 """
 
-from .errors import (
-    CapacityError,
-    ConditioningWarning,
-    DivergenceError,
-    DomainError,
-    EvaluationError,
-    HurzetaError,
-    IllConditionedError,
-    InstabilityWarning,
-    RangeOverflowError,
-    UnsupportedParameterError,
-)
-from .genfun import (
-    GenFunCase,
-    GenFunEval,
-    GenFunSeries,
-    ProximityFlags,
-    classify_case,
-    genfun_closed,
-    genfun_parts_real_imag,
-    genfun_series,
-    odd_zeta_integral,
-    radius_of_convergence,
-    series_coefficient,
-    sinh_kernel,
-    sinh_kernel_series,
-    sinh_series_depth,
-    zeta_from_genfun,
-)
-from .hurwitz import (
-    EvalBreakdown,
-    ZetaParams,
-    bracket_kernel,
-    bracket_scale,
-    hp_partial_sum,
-    hurwitz_series_oracle,
-    hurwitz_zeta,
-    imag_part_integral,
-    real_part_formula,
-    zeta_auto,
-)
-from .quadrature import (
-    QuadratureResult,
-    QuadratureSpec,
-    integrate_cot_weighted,
-    integrate_open,
-    integrate_oscillatory,
-)
-from .special_functions import (
-    CATALAN,
-    EULER_GAMMA,
-    PI,
-    bernoulli,
-    eulerian_row,
-    harmonic_number,
-    polylog_nonpos,
-)
-from .validation import (
-    ConvergenceReport,
-    fit_rate,
-    hp_limit_scan,
-    log_asymptotic_scan,
-    theorem1_scan,
-    zero_integral_scan,
-)
+from . import errors, genfun, hurwitz, quadrature, special_functions, validation
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "HurzetaError",
-    "DomainError",
-    "UnsupportedParameterError",
-    "RangeOverflowError",
-    "CapacityError",
-    "EvaluationError",
-    "DivergenceError",
-    "IllConditionedError",
-    "ConditioningWarning",
-    "InstabilityWarning",
-    "QuadratureSpec",
-    "QuadratureResult",
-    "integrate_open",
-    "integrate_cot_weighted",
-    "integrate_oscillatory",
-    "CATALAN",
-    "EULER_GAMMA",
-    "PI",
-    "bernoulli",
-    "polylog_nonpos",
-    "eulerian_row",
-    "harmonic_number",
-    "ZetaParams",
-    "EvalBreakdown",
-    "bracket_kernel",
-    "bracket_scale",
-    "real_part_formula",
-    "imag_part_integral",
-    "hurwitz_zeta",
-    "hurwitz_series_oracle",
-    "hp_partial_sum",
-    "zeta_auto",
-    "ProximityFlags",
-    "GenFunCase",
-    "GenFunEval",
-    "GenFunSeries",
-    "classify_case",
-    "genfun_closed",
-    "genfun_series",
-    "series_coefficient",
-    "radius_of_convergence",
-    "odd_zeta_integral",
-    "sinh_kernel",
-    "sinh_kernel_series",
-    "sinh_series_depth",
-    "zeta_from_genfun",
-    "genfun_parts_real_imag",
-    "ConvergenceReport",
-    "fit_rate",
-    "theorem1_scan",
-    "zero_integral_scan",
-    "log_asymptotic_scan",
-    "hp_limit_scan",
-]
+__all__ = ["__version__"]
+for _module in (errors, quadrature, special_functions, hurwitz, genfun, validation):
+    globals().update({name: getattr(_module, name) for name in _module.__all__})
+    __all__ += _module.__all__
+del _module

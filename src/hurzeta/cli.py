@@ -22,7 +22,7 @@ import random
 import re
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -383,7 +383,6 @@ def _genfun_point(x: float, b: complex, spec: QuadratureSpec, series_kmax: int):
             "locus": exc.locus, "message": str(exc), "verdict": "fail",
             "timing_s": time.perf_counter() - t0,
         }
-    fl = ev.case.proximity_flags
     record = {
         "x": complex(x),
         "b": b,
@@ -394,14 +393,7 @@ def _genfun_point(x: float, b: complex, spec: QuadratureSpec, series_kmax: int):
         "trig_term": ev.trig_term,
         "integral_term": ev.integral_term,
         "total": ev.total,
-        "proximity": {
-            "x_minus_b": fl.x_minus_b,
-            "two_b_int": fl.two_b_int,
-            "two_xmb_int": fl.two_xmb_int,
-            "xmb_int": fl.xmb_int,
-            "x_int": fl.x_int,
-            "two_x_int": fl.two_x_int,
-        },
+        "proximity": vars(ev.case.proximity_flags),
         "warnings": list(ev.warnings),
     }
     if abs(complex(x) - 2 * b) < 1e-12:
@@ -464,17 +456,10 @@ def cmd_oddzeta(cfg: RunConfig) -> tuple[ReportEnvelope, int]:
 # -- validation suites -------------------------------------------------------
 
 def _report_to_record(report, suite):
-    return {
-        "suite": suite,
-        "parameter": report.parameter,
-        "n_values": list(report.n_values),
-        "observed": list(report.observed),
-        "target": report.target,
-        "deviations": list(report.deviations),
-        "fitted_rate": report.fitted_rate,
-        "verdict": report.verdict,
-        "notes": list(report.notes),
-    }
+    """``suite`` and every field of the ``ConvergenceReport`` but its
+    ``noise_floor``, in field order."""
+    return {"suite": suite, **{f.name: getattr(report, f.name) for f in fields(report)
+                               if f.name != "noise_floor"}}
 
 
 def _suite_theorem1(spec, _seed):

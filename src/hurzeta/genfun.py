@@ -52,6 +52,7 @@ __all__ = [
     "odd_zeta_integral",
     "sinh_kernel",
     "sinh_kernel_series",
+    "sinh_series_depth",
     "zeta_from_genfun",
     "genfun_parts_real_imag",
 ]
@@ -444,7 +445,7 @@ def sinh_series_depth(c_abs: float, tol: float = 1e-12) -> int:
     """Number of j-terms of the sinh double series needed so the geometric
     tail (ratio ``(|c|/pi)**2``) drops below ``tol``."""
     q = (c_abs / math.pi) ** 2
-    if q >= 1.0:
+    if not q < 1.0:
         raise DomainError(f"series diverges for |c| >= pi (|c| = {c_abs:g})")
     if q == 0.0:
         return 1
@@ -462,8 +463,7 @@ def sinh_kernel_series(c: complex, u: float, n_terms: int) -> complex:
     ``special_functions.BERNOULLI_MAX_INDEX // 2 + 1`` (:class:`CapacityError`
     beyond).
     """
-    if n_terms < 1:
-        raise DomainError("n_terms must be >= 1")
+    n_terms = check_k(n_terms, minimum=1, name="n_terms")
     c, u = complex(c), float(u)
     jmax = n_terms - 1
     # A_p built iteratively through exact Bernoulli ratios: the individual
@@ -582,6 +582,8 @@ def genfun_parts_real_imag(x: float, b: float,
     """
     spec = spec or DEFAULT_SPEC
     x, b = float(x), float(b)
+    if not (math.isfinite(x) and math.isfinite(b)):
+        raise DomainError("x and b must be finite")
     if abs(b) < 1e-9:
         raise IllConditionedError(f"|b| = {abs(b):.2e} < 1e-9", locus="b = 0")
     if abs(x - b) < 1e-9:

@@ -46,6 +46,7 @@ __all__ = [
     "ZetaParams",
     "EvalBreakdown",
     "bracket_kernel",
+    "bracket_scale",
     "real_part_formula",
     "imag_part_integral",
     "hurwitz_zeta",
@@ -178,14 +179,6 @@ def _coefficients(values) -> tuple:
         coeffs.append((delta + v) / d)
         size += (delta + abs(v)) / d
     return coeffs, size
-
-
-def _polylogs(k: int, p: float) -> list:
-    """``Li_{-m}(p)`` for ``m = 0..k-1``, warning once near the pole."""
-    li, note = polylog_nonpos_orders(k, p)
-    if note:
-        warnings.warn(note, ConditioningWarning, stacklevel=3)
-    return li
 
 
 @functools.lru_cache(maxsize=512)
@@ -327,20 +320,21 @@ def real_part_formula(k: int, b: float) -> float:
 
     With ``p = exp(-2*pi*b)`` this is ``1/(2*b**k) + (2*pi)**k *
     Li_{1-k}(p)/(4*(k-1)!) + (2*pi)**k * p/4 * sum_j (delta_{1j} +
-    Li_{1-j}(p)) / ((j-1)!(k-j)!)`` -- no quadrature involved.
+    Li_{1-j}(p)) / ((j-1)!(k-j)!)`` -- no quadrature involved.  The
+    polylogarithm and the endpoint value ``B(1)`` are the closed form's
+    bracket set-up at ``q = p``, whose real parts they take.
     """
     k = check_k(k)
     b = float(b)
-    if not b > 0.0:
-        raise DomainError("real_part_formula needs real b > 0")
+    if not 0.0 < b < math.inf:
+        raise DomainError("real_part_formula needs finite real b > 0")
     p = math.exp(-2.0 * math.pi * b)
-    li = [v.real for v in _polylogs(k, p)]
+    b1, li_top, note = _bracket_data(k, complex(p))[1:4]
+    if note:
+        warnings.warn(note, ConditioningWarning, stacklevel=2)
     twopik = (2.0 * math.pi) ** k
-    single = twopik * li[k - 1] / (4.0 * _denominators(k)[-1])  # (k-1)!
-    acc = 0.0
-    for c in _coefficients(li)[0]:
-        acc += c
-    return 1.0 / (2.0 * b**k) + single + twopik * p * acc / 4.0
+    single = twopik * li_top.real / (4.0 * _denominators(k)[-1])  # (k-1)!
+    return 1.0 / (2.0 * b**k) + single + twopik * b1.real / 4.0
 
 
 def imag_part_integral(k: int, b: float, spec: QuadratureSpec | None = None) -> float:
@@ -350,26 +344,23 @@ def imag_part_integral(k: int, b: float, spec: QuadratureSpec | None = None) -> 
     ``-(2*pi)**k / 2 * integral of (B(u) - B(1)) * cot(pi*u)`` where the
     bracket uses the real decay ``exp(-2*pi*b*u)`` in place of the complex
     phase (``p = exp(-2*pi*b) < 1`` keeps every polylog off its pole, for
-    integer ``b`` included).  Together with :func:`real_part_formula` this
-    reassembles the rotated zeta value exactly -- the pair is the
-    cross-check for the combined evaluation.
+    integer ``b`` included).  The coefficients, ``B(1)`` and the noise
+    hint are the closed form's bracket set-up at ``q = p``.  Together with
+    :func:`real_part_formula` this reassembles the rotated zeta value
+    exactly -- the pair is the cross-check for the combined evaluation.
     """
     k = check_k(k)
     b = float(b)
-    if not b > 0.0:
-        raise DomainError("imag_part_integral needs real b > 0")
+    if not 0.0 < b < math.inf:
+        raise DomainError("imag_part_integral needs finite real b > 0")
     spec = spec or DEFAULT_SPEC
     p = math.exp(-2.0 * math.pi * b)
-    coeffs = np.array(
-        _coefficients(_polylogs(k, p))[0], dtype=np.complex128
-    )
-    b1 = p * complex(coeffs.sum())
+    coeffs, b1, _, note, bscale = _bracket_data(k, complex(p))
+    if note:
+        warnings.warn(note, ConditioningWarning, stacklevel=2)
     c = complex(-2.0 * math.pi * b)
-    hint = float(np.abs(coeffs).sum()) + abs(b1)
     quad = integrate_cot_weighted(
-        lambda u: kernels.poly_exp_gap(np.asarray(u, dtype=np.float64), coeffs, c, b1),
-        spec,
-        scale_hint=hint,
+        lambda u: kernels.poly_exp_gap(u, coeffs, c, b1), spec, scale_hint=bscale
     )
     return -((2.0 * math.pi) ** k) / 2.0 * quad.value.real
 
@@ -459,8 +450,7 @@ def hp_partial_sum(k: int, b: complex, n: int) -> complex:
     terms go through the power-sum kernel in ``np.longdouble``.
     """
     k = check_k(k, minimum=1)
-    if n < 0:
-        raise DomainError("n must be >= 0")
+    n = check_k(n, minimum=0, name="n")
     b = complex(b)
     j0 = round(-b.imag)
     if b.real == 0.0 and 1 <= j0 <= n and b + 1j * j0 == 0:

@@ -86,7 +86,7 @@ def fit_rate(n_values, deviations, floor: float = 0.0) -> float:
 
 
 def _check_n_values(n_values, lo: int = 1):
-    out = [int(n) for n in n_values]
+    out = [check_k(n, minimum=0, name="n_values") for n in n_values]
     if not out:
         raise DomainError("n_values must be non-empty")
     if out != sorted(set(out)):

@@ -2,6 +2,7 @@
 
 import math
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from hurzeta import (
     bracket_kernel,
     bracket_scale,
     eulerian_row,
+    genfun_parts_real_imag,
     genfun_series,
     hp_limit_scan,
     hp_partial_sum,
@@ -22,6 +24,9 @@ from hurzeta import (
     hurwitz_zeta,
     imag_part_integral,
     real_part_formula,
+    sinh_kernel_series,
+    sinh_series_depth,
+    theorem1_scan,
     zeta_auto,
     zeta_from_genfun,
 )
@@ -146,6 +151,20 @@ class TestRotatedDecomposition:
             real_part_formula(2, -0.5)
         with pytest.raises(DomainError):
             imag_part_integral(2, 0.0)
+
+    @pytest.mark.parametrize("part,value", [(real_part_formula, 9.998922675745358e27),
+                                            (imag_part_integral, 91487298714.41197)])
+    def test_pole_note_is_warned_at_the_caller_on_every_call(self, part, value):
+        # p = exp(-2*pi*b) is within POLE_GUARD of 1; the second call finds
+        # the bracket set-up, note included, in the cache and warns again.
+        # The values are pinned, not checked: the real part is off by about
+        # 1e-4 relative here, which is what the note warns of.
+        for _ in range(2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert part(2, 1e-14) == value
+            assert [w.category for w in caught] == [ConditioningWarning]
+            assert caught[0].filename == __file__
 
 
 class TestBracketEndpoint:
@@ -305,6 +324,44 @@ class TestOrderValidation:
             with pytest.raises(DomainError):
                 call(bad)
         call(3.0)
+
+
+# Every entry point that takes a count, with its minimum and a call that is
+# valid at a count of 3.  A fractional scan frequency was once truncated and
+# scanned without complaint.
+COUNT_ENTRY_POINTS = {
+    "hp_partial_sum": (0, lambda n: hp_partial_sum(2, 0.5, n)),
+    "theorem1_scan": (0, lambda n: theorem1_scan(3, [n, 1000, 10000])),
+    "sinh_kernel_series": (1, lambda n: sinh_kernel_series(1.0, 0.5, n)),
+}
+
+
+class TestCountValidation:
+    @pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
+    def test_rejects_non_counts_and_accepts_integral_values(self, entry):
+        minimum, call = COUNT_ENTRY_POINTS[entry]
+        for bad in (minimum - 1, 2.5, "3"):
+            with pytest.raises(DomainError):
+                call(bad)
+        assert call(3.0) == call(np.int64(3)) == call(3)
+
+
+# Calls with a NaN or infinite real input.
+NON_FINITE_CALLS = {
+    "real_part_formula(3, inf)": lambda: real_part_formula(3, math.inf),
+    "real_part_formula(3, nan)": lambda: real_part_formula(3, math.nan),
+    "imag_part_integral(3, inf)": lambda: imag_part_integral(3, math.inf),
+    "imag_part_integral(3, nan)": lambda: imag_part_integral(3, math.nan),
+    "genfun_parts_real_imag(nan, 0.3)": lambda: genfun_parts_real_imag(math.nan, 0.3),
+    "genfun_parts_real_imag(0.3, nan)": lambda: genfun_parts_real_imag(0.3, math.nan),
+    "sinh_series_depth(nan)": lambda: sinh_series_depth(math.nan),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NON_FINITE_CALLS))
+def test_non_finite_real_input_is_a_domain_error(call):
+    with pytest.raises(DomainError):
+        NON_FINITE_CALLS[call]()
 
 
 class TestRotatedPartialSum:

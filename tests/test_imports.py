@@ -10,9 +10,14 @@ closed-form evaluation a dataclass build and validation.
 ``cli.py`` imports ``csv`` only inside ``render_csv``, so a JSON or human
 report does not load it, and no module loads ``numpy.fft``.  ``cli.main``
 freezes the garbage collector over the import-time heap; no library call
-touches it."""
+touches it.
+
+Every public top-level definition of a module is in its ``__all__``, and the
+package's ``__all__`` is ``__version__`` followed by those lists: each public
+name is declared once."""
 
 import ast
+import importlib
 import json
 import subprocess
 import sys
@@ -216,3 +221,29 @@ def test_only_the_cli_freezes_the_collector():
         "print(json.dumps([library, gc.get_freeze_count()]), file=sys.stderr)\n")
     assert counts[0] == 0
     assert counts[1] > 0
+
+
+SURFACE_MODULES = ("errors", "quadrature", "special_functions", "hurwitz", "genfun",
+                   "validation")
+
+
+@pytest.mark.parametrize("module", SURFACE_MODULES)
+def test_every_public_definition_is_exported(module):
+    path = SOURCES[0].parent / f"{module}.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    public = [node.name for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")]
+    exported = importlib.import_module(f"hurzeta.{module}").__all__
+    assert [name for name in public if name not in exported] == []
+
+
+def test_package_surface_is_the_modules_lists():
+    import hurzeta
+
+    modules = [importlib.import_module(f"hurzeta.{m}") for m in SURFACE_MODULES]
+    assert hurzeta.__all__ == ["__version__"] + [n for m in modules for n in m.__all__]
+    assert len(set(hurzeta.__all__)) == len(hurzeta.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(hurzeta, name) is getattr(module, name), name
