@@ -32,9 +32,10 @@ from .errors import (
     HurzetaError,
     IllConditionedError,
     UnsupportedParameterError,
+    check_finite,
+    check_k,
 )
 from .genfun import (
-    classify_case,
     genfun_closed,
     genfun_series,
     odd_zeta_integral,
@@ -44,7 +45,6 @@ from .hurwitz import (
     bracket_kernel,
     bracket_scale,
     check_b,
-    check_k,
     hurwitz_series_oracle,
     zeta_auto,
 )
@@ -236,19 +236,6 @@ def emit(envelope: ReportEnvelope, cfg: RunConfig) -> None:
         sys.stdout.write(text)
 
 
-def _config_echo(cfg: RunConfig) -> dict:
-    return jsonify(
-        {
-            "command": cfg.command,
-            "params": cfg.params,
-            "tolerances": cfg.tolerances,
-            "output_format": cfg.output_format,
-            "output_path": cfg.output_path,
-            "seed": cfg.seed,
-        }
-    )
-
-
 def envelope_signature(envelope_dict: dict) -> str:
     """Canonical JSON of an envelope minus timing (the determinism contract:
     everything but wall-clock must reproduce bitwise under the echoed config)."""
@@ -286,7 +273,7 @@ def _report(cfg: RunConfig, results: list, t0: float) -> tuple[ReportEnvelope, i
     n_pass = sum(1 for r in results if r["verdict"] == "pass")
     env = ReportEnvelope(
         tool_version=__version__,
-        config_echo=_config_echo(cfg),
+        config_echo=jsonify(vars(cfg)),
         results=results,
         summary={
             "pass": n_pass,
@@ -413,9 +400,9 @@ def _genfun_point(x: float, b: complex, spec: QuadratureSpec, series_kmax: int):
 
 def cmd_genfun(cfg: RunConfig) -> tuple[ReportEnvelope, int]:
     xs = parse_grid(cfg.params["x"])
-    b = parse_complex(cfg.params["b"])
     for x in xs:  # a non-finite x or b is a usage error
-        _checked(classify_case, x, b=b)
+        _checked(check_finite, x, name="x")
+    b = _checked(check_finite, parse_complex(cfg.params["b"]), name="b")
     series_kmax = cfg.params.get("series_kmax", 0)
     spec = cfg.spec()
     t0 = time.perf_counter()
@@ -623,19 +610,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the argparse destinations each command echoes as its params
-COMMAND_PARAMS = {
-    "eval": ("k", "b"),
-    "genfun": ("x", "b", "series_kmax"),
-    "oddzeta": ("j",),
-    "validate": ("suite",),
-    "sweep": ("k", "b", "b_im"),
-}
+# the argparse destinations of every command (_add_common); the rest are its params
+_TOLERANCES = ("rel_tol", "abs_tol", "max_subdivisions")
+_COMMON_ARGS = ("command", "format", "output", "seed") + _TOLERANCES
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     tolerances = {}
-    for key in ("rel_tol", "abs_tol", "max_subdivisions"):
+    for key in _TOLERANCES:
         val = getattr(args, key)
         if val is None:
             continue
@@ -645,7 +627,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         tolerances[key] = val
     return RunConfig(
         command=args.command,
-        params={name: getattr(args, name) for name in COMMAND_PARAMS[args.command]},
+        params={k: v for k, v in vars(args).items() if k not in _COMMON_ARGS},
         tolerances=tolerances,
         output_format=args.format,
         output_path=args.output,

@@ -4,7 +4,13 @@ Everything numeric that can go wrong maps to a subclass of
 :class:`HurzetaError`, so callers (and the CLI) can distinguish
 "you asked for something outside the domain" from "the computation
 itself could not be completed".
+
+It also holds the argument validators that raise :class:`DomainError`, which
+every layer uses: :func:`check_k` for counts and :func:`check_finite` for points.
 """
+
+import math
+import numbers
 
 __all__ = [
     "HurzetaError",
@@ -17,6 +23,8 @@ __all__ = [
     "IllConditionedError",
     "ConditioningWarning",
     "InstabilityWarning",
+    "check_k",
+    "check_finite",
 ]
 
 
@@ -92,3 +100,23 @@ class ConditioningWarning(UserWarning):
 
 class InstabilityWarning(UserWarning):
     """A cross-check (e.g. two-radius coefficient recovery) disagrees."""
+
+
+def check_k(k, minimum: int = 2, name: str = "k") -> int:
+    """``k`` as an ``int``; :class:`DomainError` unless it is an integer
+    ``>= minimum``.  Integer-valued floats such as ``3.0`` are accepted;
+    other floats and strings are not."""
+    if isinstance(k, float) and k.is_integer():
+        k = int(k)
+    if not isinstance(k, numbers.Integral) or k < minimum:
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {k!r}")
+    return int(k)
+
+
+def check_finite(value, name: str) -> complex:
+    """``value`` as a complex; :class:`DomainError` unless both parts are
+    finite."""
+    z = complex(value)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise DomainError(f"{name} must be finite")
+    return z

@@ -29,8 +29,10 @@ from .errors import (
     InstabilityWarning,
     RangeOverflowError,
     UnsupportedParameterError,
+    check_finite,
+    check_k,
 )
-from .hurwitz import check_b, check_k, hurwitz_series_oracle
+from .hurwitz import check_b, hurwitz_series_oracle
 from .quadrature import (
     DEFAULT_SPEC,
     QuadratureResult,
@@ -68,16 +70,6 @@ STABILITY_TOL = 1e-4  # relative spread between the two recovery circles that wa
 def _dist_to_int(w: complex) -> float:
     """Complex distance from w to the nearest integer on the real axis."""
     return abs(w - round(w.real))
-
-
-def _finite(value, name: str) -> complex:
-    """``value`` as a complex; :class:`DomainError` unless both parts are
-    finite.  (``hurwitz.check_b`` does not serve: the generating function
-    admits b = 0 and the negative integers.)"""
-    z = complex(value)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError(f"{name} must be finite")
-    return z
 
 
 @dataclass(frozen=True)
@@ -137,7 +129,7 @@ def classify_case(x: complex, b: complex) -> GenFunCase:
     """Assign the closed-form branch from ``b`` alone (with tolerance
     ``INT_EPS`` for integer membership) and record proximity diagnostics.
     A non-finite ``x`` or ``b`` is a :class:`DomainError`."""
-    x, b = _finite(x, "x"), _finite(b, "b")
+    x, b = check_finite(x, "x"), check_finite(b, "b")
     tag, two_b_int = _branch_tag(b)
     flags = ProximityFlags(
         x_minus_b=abs(x - b),
@@ -154,7 +146,7 @@ def radius_of_convergence(b: complex) -> float:
     """``r(b) = min_{j>=1} |j+b|``, skipping any exact pole ``j = -b`` (the
     convention for negative integer ``b``), over the at most three ``j``
     nearest to ``-Re b``; a non-finite ``b`` is a :class:`DomainError`."""
-    b = _finite(b, "b")
+    b = check_finite(b, "b")
     n = max(1, round(-b.real))
     return min(d for d in (abs(j + b) for j in range(max(1, n - 1), n + 2)) if d > 1e-12)
 
@@ -344,7 +336,7 @@ def genfun_series(x: complex, b: complex, kmax: int) -> GenFunSeries:
     |x|/r(b)``, is meaningful; it is returned alongside the value.
     """
     kmax = check_k(kmax, name="kmax")
-    x, b = _finite(x, "x"), _finite(b, "b")
+    x, b = check_finite(x, "x"), check_finite(b, "b")
     r = radius_of_convergence(b)
     if not abs(x) < r * (1.0 - SERIES_MARGIN):
         raise DomainError(
@@ -428,9 +420,10 @@ def sinh_kernel(c: complex, u) -> complex:
     """``c * sinh(c*u) / sinh(c)``: the closed form of the double series
     ``sum_j c**(2j+1) sum_p B_{2p}(2-2**(2p)) u**(2j-2p+1)/((2p)!(2j-2p+1)!)``.
 
-    Singular exactly where ``sinh(c) = 0`` (``c = i*pi*m``, including 0).
+    Singular exactly where ``sinh(c) = 0`` (``c = i*pi*m``, including 0);
+    a non-finite ``c`` is a :class:`DomainError`.
     """
-    c = complex(c)
+    c = check_finite(c, "c")
     s = cmath.sinh(c)
     if s == 0:
         raise DomainError(
@@ -443,7 +436,9 @@ def sinh_kernel(c: complex, u) -> complex:
 
 def sinh_series_depth(c_abs: float, tol: float = 1e-12) -> int:
     """Number of j-terms of the sinh double series needed so the geometric
-    tail (ratio ``(|c|/pi)**2``) drops below ``tol``."""
+    tail (ratio ``(|c|/pi)**2``) drops below ``tol`` in (0, 1)."""
+    if not 0.0 < tol < 1.0:  # NaN fails too
+        raise DomainError(f"tol must lie in (0, 1), got {tol!r}")
     q = (c_abs / math.pi) ** 2
     if not q < 1.0:
         raise DomainError(f"series diverges for |c| >= pi (|c| = {c_abs:g})")
@@ -464,7 +459,7 @@ def sinh_kernel_series(c: complex, u: float, n_terms: int) -> complex:
     beyond).
     """
     n_terms = check_k(n_terms, minimum=1, name="n_terms")
-    c, u = complex(c), float(u)
+    c, u = check_finite(c, "c"), float(u)
     jmax = n_terms - 1
     # A_p built iteratively through exact Bernoulli ratios: the individual
     # factors c**(2p) and B_{2p} overflow double long before the product does.

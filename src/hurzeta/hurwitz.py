@@ -17,7 +17,6 @@ standing invariants.
 
 import functools
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -30,6 +29,8 @@ from .errors import (
     RangeOverflowError,
     UnsupportedParameterError,
     CapacityError,
+    check_finite,
+    check_k,
 )
 from .quadrature import (
     DEFAULT_SPEC,
@@ -42,7 +43,6 @@ from .special_functions import bernoulli, polylog_nonpos_orders
 __all__ = [
     "IM_CAP",
     "check_b",
-    "check_k",
     "ZetaParams",
     "EvalBreakdown",
     "bracket_kernel",
@@ -84,25 +84,12 @@ def _is_integer_valued(b: complex) -> bool:
 def check_b(b) -> complex:
     """``b`` as a complex; :class:`DomainError` unless finite and off the
     poles at the non-positive integers."""
-    b = complex(b)
-    if not (math.isfinite(b.real) and math.isfinite(b.imag)):
-        raise DomainError("b must be finite")
+    b = check_finite(b, "b")
     if _is_integer_valued(b) and b.real < 1.0:
         raise DomainError(
             f"zeta(k, b) has a pole at b = {int(b.real)} (non-positive integer)"
         )
     return b
-
-
-def check_k(k, minimum: int = 2, name: str = "k") -> int:
-    """``k`` as an ``int``; :class:`DomainError` unless it is an integer
-    ``>= minimum``.  Integer-valued floats such as ``3.0`` are accepted;
-    other floats and strings are not."""
-    if isinstance(k, float) and k.is_integer():
-        k = int(k)
-    if not isinstance(k, numbers.Integral) or k < minimum:
-        raise DomainError(f"{name} must be an integer >= {minimum}, got {k!r}")
-    return int(k)
 
 
 @dataclass(frozen=True)
@@ -451,7 +438,7 @@ def hp_partial_sum(k: int, b: complex, n: int) -> complex:
     """
     k = check_k(k, minimum=1)
     n = check_k(n, minimum=0, name="n")
-    b = complex(b)
+    b = check_finite(b, "b")
     j0 = round(-b.imag)
     if b.real == 0.0 and 1 <= j0 <= n and b + 1j * j0 == 0:
         raise DomainError(f"summand pole: b = -{j0}i makes the j = {j0} term infinite")

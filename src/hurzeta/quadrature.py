@@ -52,14 +52,13 @@ a bool that holds only when every row converged.
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
-from .errors import DivergenceError, DomainError, EvaluationError
+from .errors import DivergenceError, DomainError, EvaluationError, check_k
 
 __all__ = [
     "QuadratureSpec",
@@ -83,8 +82,9 @@ class QuadratureSpec:
         # a NaN tolerance would pass the sign checks and stop refinement
         if not (0 <= self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
             raise DomainError("need finite rel_tol >= 0 and abs_tol > 0")
-        if self.max_subdivisions < 0:
-            raise DomainError("max_subdivisions must be >= 0")
+        # an int, as the driver slices with it; frozen, hence object.__setattr__
+        object.__setattr__(self, "max_subdivisions", check_k(
+            self.max_subdivisions, minimum=0, name="max_subdivisions"))
 
 
 # What every ``spec=None`` means; one instance, as building and validating a
@@ -239,16 +239,6 @@ def _cot_layout():
     for a in (lay.u, lay.weights, lay.cweights, mesh.lefts, mesh.widths):
         a.setflags(write=False)
     return lay
-
-
-def _family_rows(family):
-    """The row count of a cotangent-weighted call: 1 for a single integrand
-    (``family=None``), else ``family``, which must be an integer >= 1."""
-    if family is None:
-        return 1
-    if not isinstance(family, numbers.Integral) or family < 1:
-        raise DomainError(f"family must be an integer >= 1, got {family!r}")
-    return int(family)
 
 
 @functools.lru_cache(maxsize=16)
@@ -435,9 +425,8 @@ def integrate_open(f, spec=None, initial_panels=8):
     """Adaptive integration of ``f`` over (0, 1) with an open rule, from a
     uniform mesh of ``initial_panels`` panels."""
     spec = spec or DEFAULT_SPEC
-    if initial_panels < 1:
-        raise DomainError("initial_panels must be >= 1")
-    mesh = _Mesh.from_edges(np.linspace(0.0, 1.0, int(initial_panels) + 1))
+    initial_panels = check_k(initial_panels, minimum=1, name="initial_panels")
+    mesh = _Mesh.from_edges(np.linspace(0.0, 1.0, initial_panels + 1))
     f = _single(f)
     # every panel is row 0's; a zero-stride view, not a (P, 1) array
     rows = np.broadcast_to(0, (mesh.lefts.size, 1))
@@ -482,7 +471,7 @@ def integrate_cot_weighted(g, spec=None, scale_hint=0.0, family=None):
     target.
     """
     spec = spec or DEFAULT_SPEC
-    rows = _family_rows(family)
+    rows = 1 if family is None else check_k(family, minimum=1, name="family")
     hint = np.asarray(scale_hint, dtype=np.float64)
     # math.isfinite per value: for the usual one-value hint, a tenth of the
     # cost of a numpy reduction
@@ -569,6 +558,5 @@ def integrate_oscillatory(f, n, spec=None):
     be bounded on the closed interval (the oscillatory integrands here all
     have removable endpoint singularities).
     """
-    if n < 1 or n != int(n):
-        raise DomainError("frequency n must be a positive integer")
-    return integrate_open(f, spec, initial_panels=max(2, 2 * int(n)))
+    n = check_k(n, minimum=1, name="n")
+    return integrate_open(f, spec, initial_panels=max(2, 2 * n))

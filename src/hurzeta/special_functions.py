@@ -19,6 +19,8 @@ from .errors import (
     ConditioningWarning,
     DomainError,
     RangeOverflowError,
+    check_finite,
+    check_k,
 )
 
 __all__ = [
@@ -58,8 +60,7 @@ def bernoulli(n: int) -> Fraction:
 
     Raises :class:`CapacityError` above ``BERNOULLI_MAX_INDEX``.
     """
-    if n < 0:
-        raise DomainError("Bernoulli numbers are indexed by n >= 0")
+    n = check_k(n, minimum=0, name="n")
     if n > BERNOULLI_MAX_INDEX:
         raise CapacityError(
             f"Bernoulli numbers are served up to B_{BERNOULLI_MAX_INDEX}, "
@@ -93,8 +94,7 @@ def eulerian_row(m: int) -> tuple:
     ``Li_{-m}(z) = z * N_m(z) / (1-z)^(m+1)`` with
     ``N_m(z) = sum_i <m, i> z^i``.  Rows are built once, in order.
     """
-    if m < 1:
-        raise DomainError("Eulerian rows are defined here for m >= 1")
+    m = check_k(m, minimum=1, name="m")
     while len(_EULERIAN) < m:
         # <n, i> = (i+1) <n-1, i> + (n-i) <n-1, i-1>
         n = len(_EULERIAN) + 1
@@ -115,6 +115,8 @@ def _horner_rows(k: int) -> tuple:
 
 
 def _overflow(order: int, z: complex) -> RangeOverflowError:
+    # checked only once a value failed, so a finite z pays nothing for it
+    check_finite(z, "z")
     return RangeOverflowError(
         f"Li_(-{order})({z!r}) exceeds double range (Eulerian "
         "numerator coefficients grow factorially and the pole factor "
@@ -129,7 +131,8 @@ def polylog_nonpos_orders(k: int, z: complex):
     The pole ``z = 1`` is a :class:`DomainError`; ``note`` is the
     :class:`ConditioningWarning` text for ``z`` within ``POLE_GUARD`` of it,
     or None, and is returned, not warned.  The first order whose value is
-    not finite raises :class:`RangeOverflowError` naming it."""
+    not finite raises :class:`RangeOverflowError` naming it, or
+    :class:`DomainError` if ``z`` itself is not finite."""
     z = complex(z)
     if z == 1:
         raise DomainError("Li_{-m}(z) has a pole at z = 1")
@@ -156,8 +159,7 @@ def polylog_nonpos_orders(k: int, z: complex):
 def polylog_nonpos(m: int, z: complex) -> complex:
     """``Li_{-m}(z)`` for integer ``m >= 0``: order ``m`` of
     :func:`polylog_nonpos_orders`, warning its pole note."""
-    if m < 0:
-        raise DomainError("order must be >= 0 (this is Li at -order)")
+    m = check_k(m, minimum=0, name="m")
     values, note = polylog_nonpos_orders(m + 1, z)
     if note:
         warnings.warn(note, ConditioningWarning, stacklevel=2)
@@ -170,6 +172,6 @@ def polylog_nonpos(m: int, z: complex) -> complex:
 
 def harmonic_number(k: int, n: int) -> float:
     """Generalized harmonic number ``H_k(n) = sum_{j=1..n} j**(-k)``."""
-    if k < 1 or n < 0:
-        raise DomainError("harmonic_number needs k >= 1 and n >= 0")
+    k = check_k(k, minimum=1)
+    n = check_k(n, minimum=0, name="n")
     return math.fsum(j ** (-float(k)) for j in range(1, n + 1))

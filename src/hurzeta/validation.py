@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import DomainError, HurzetaError
+from .errors import DomainError, HurzetaError, check_k
 from .hurwitz import (
     ZetaParams,
-    check_k,
     hp_partial_sum,
     hurwitz_zeta,
     imag_part_integral,
@@ -189,8 +188,8 @@ def log_asymptotic_scan(k: float, n_values,
     sharp rate for slowly-converging k).
     """
     k = float(k)
-    if not k > 0.0:
-        raise DomainError(f"k must satisfy Re(k) > 0, got {k!r}")
+    if not 0.0 < k < math.inf:  # NaN fails too
+        raise DomainError(f"k must lie in (0, inf), got {k!r}")
     ns = _check_n_values(n_values, lo=10)
     spec = spec or DEFAULT_SPEC
 

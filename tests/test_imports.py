@@ -14,7 +14,10 @@ touches it.
 
 Every public top-level definition of a module is in its ``__all__``, and the
 package's ``__all__`` is ``__version__`` followed by those lists: each public
-name is declared once."""
+name is declared once.
+
+Only ``errors.py`` imports ``numbers``: integer counts have one validator,
+``errors.check_k``, which every layer uses."""
 
 import ast
 import importlib
@@ -144,6 +147,38 @@ def test_bare_spec_calls_are_found():
                      "    def spec(self):\n"
                      "        return QuadratureSpec(**self.tolerances) or QuadratureSpec()\n")
     assert _bare_spec_calls(tree) == [3, 5, 6, 9]
+
+
+def _numbers_imports(tree):
+    """Lines that import ``numbers`` or a name from it, at any depth."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        out += [node.lineno for name in names
+                if name == "numbers" or name.startswith("numbers.")]
+    return sorted(out)
+
+
+def test_only_errors_imports_numbers():
+    importers = [p.name for p in SOURCES
+                 if _numbers_imports(ast.parse(p.read_text(), filename=str(p)))]
+    assert importers == ["errors.py"]
+
+
+def test_numbers_imports_are_found():
+    tree = ast.parse("import numbers\n"
+                     "from numbers import Integral\n"
+                     "from . import numbers as local\n"
+                     "def f():\n"
+                     "    import numbers as n\n"
+                     "import numbersx\n"
+                     "import os, numbers.abc\n")
+    assert _numbers_imports(tree) == [1, 2, 5, 7]
 
 
 def _module_level_csv_imports(tree):
