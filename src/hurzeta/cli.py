@@ -34,6 +34,7 @@ from .errors import (
     UnsupportedParameterError,
     check_finite,
     check_k,
+    check_real,
 )
 from .genfun import (
     genfun_closed,
@@ -384,9 +385,8 @@ def _genfun_point(x: float, b: complex, spec: QuadratureSpec, series_kmax: int):
         "warnings": list(ev.warnings),
     }
     if abs(complex(x) - 2 * b) < 1e-12:
-        record["warnings"] = record["warnings"] + [
-            "x = 2b: the integral term vanishes identically on this locus"
-        ]
+        record["warnings"].append(
+            "x = 2b: the integral term vanishes identically on this locus")
     if series_kmax:
         gs = genfun_series(x, b, series_kmax)
         record["series_value"] = gs.value
@@ -619,12 +619,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     tolerances = {}
     for key in _TOLERANCES:
         val = getattr(args, key)
-        if val is None:
-            continue
-        if not 0 < val < math.inf:  # NaN fails too
-            raise UsageError(
-                f"--{key.replace('_', '-')} must be positive and finite, got {val}")
-        tolerances[key] = val
+        if val is not None:
+            _checked(check_real, val, name=f"--{key.replace('_', '-')}", lo=0, hi=math.inf)
+            tolerances[key] = val
     return RunConfig(
         command=args.command,
         params={k: v for k, v in vars(args).items() if k not in _COMMON_ARGS},

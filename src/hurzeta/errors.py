@@ -6,7 +6,8 @@ Everything numeric that can go wrong maps to a subclass of
 itself could not be completed".
 
 It also holds the argument validators that raise :class:`DomainError`, which
-every layer uses: :func:`check_k` for counts and :func:`check_finite` for points.
+every layer uses: :func:`check_k` for counts, :func:`check_finite` for points
+and :func:`check_real` for real numbers of an open interval.
 """
 
 import math
@@ -25,6 +26,7 @@ __all__ = [
     "InstabilityWarning",
     "check_k",
     "check_finite",
+    "check_real",
 ]
 
 
@@ -114,9 +116,26 @@ def check_k(k, minimum: int = 2, name: str = "k") -> int:
 
 
 def check_finite(value, name: str) -> complex:
-    """``value`` as a complex; :class:`DomainError` unless both parts are
-    finite."""
-    z = complex(value)
+    """``value`` as a complex; :class:`DomainError` unless it is a number
+    whose parts are both finite."""
+    try:
+        z = complex(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{name} must be a finite number, got {value!r}") from None
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"{name} must be finite")
     return z
+
+
+def check_real(value, name: str, lo: float, hi: float) -> float:
+    """``value`` as a float; :class:`DomainError` unless it is a real number
+    (a complex one is not, whatever its imaginary part) with ``lo < value <
+    hi``, which NaN fails."""
+    real = isinstance(value, numbers.Real) or not isinstance(value, numbers.Complex)
+    try:
+        x = float(value) if real else math.nan
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not lo < x < hi:
+        raise DomainError(f"{name} must lie in ({lo:g}, {hi:g}), got {value!r}")
+    return x

@@ -31,6 +31,7 @@ from .errors import (
     UnsupportedParameterError,
     check_finite,
     check_k,
+    check_real,
 )
 from .hurwitz import check_b, hurwitz_series_oracle
 from .quadrature import (
@@ -65,11 +66,6 @@ WARN_BAND = 1e-6  # b within [INT_EPS, WARN_BAND) of an integer locus: warn, pro
 COEFFICIENT_TOL = 1e-13  # relative tolerance of each series coefficient
 SERIES_MARGIN = 0.1  # genfun_series needs |x| < (1 - SERIES_MARGIN) * r(b)
 STABILITY_TOL = 1e-4  # relative spread between the two recovery circles that warns
-
-
-def _dist_to_int(w: complex) -> float:
-    """Complex distance from w to the nearest integer on the real axis."""
-    return abs(w - round(w.real))
 
 
 @dataclass(frozen=True)
@@ -116,13 +112,33 @@ class GenFunSeries:
 
 def _branch_tag(b: complex):
     """The closed-form branch of ``b`` and the distance of 2b from the integers."""
-    two_b_int = _dist_to_int(2 * b)
+    m2 = round(2 * b.real)
+    two_b_int = abs(2 * b - m2)  # complex distance from the nearest integer
     if not two_b_int < INT_EPS:
         return "generic", two_b_int
-    m2 = round(2 * b.real)
     if m2 % 2 != 0:
         return "half_int_unsupported", two_b_int
     return ("b_zero" if m2 == 0 else "b_pos_int" if m2 > 0 else "b_neg_int"), two_b_int
+
+
+def _classify(x, b: complex):
+    """The case of the first point of the array ``x`` and finite ``b``, and
+    the distances of all points from the singular loci: one (5, n) array of
+    ``|x - b|`` and the distances of ``x - b``, ``2(x - b)``, ``x`` and
+    ``2x`` from the nearest integer, measured as ``two_b_int`` is.  ``np.hypot``
+    (not numpy's complex ``abs``) and round-half-even ``np.round`` agree with
+    Python's ``abs`` and ``round``, so a column is its :class:`ProximityFlags`
+    bitwise."""
+    tag, two_b_int = _branch_tag(b)
+    w = x - b
+    z = np.array((w, w, 2.0 * w, x, 2.0 * x))
+    r = np.round(z.real)
+    r[0] = 0.0
+    dist = np.hypot(z.real - r, z.imag)
+    d = dist[:, 0].tolist()
+    flags = ProximityFlags(x_minus_b=d[0], two_b_int=two_b_int, two_xmb_int=d[2],
+                           xmb_int=d[1], x_int=d[3], two_x_int=d[4])
+    return GenFunCase(tag=tag, proximity_flags=flags), dist
 
 
 def classify_case(x: complex, b: complex) -> GenFunCase:
@@ -130,16 +146,7 @@ def classify_case(x: complex, b: complex) -> GenFunCase:
     ``INT_EPS`` for integer membership) and record proximity diagnostics.
     A non-finite ``x`` or ``b`` is a :class:`DomainError`."""
     x, b = check_finite(x, "x"), check_finite(b, "b")
-    tag, two_b_int = _branch_tag(b)
-    flags = ProximityFlags(
-        x_minus_b=abs(x - b),
-        two_b_int=two_b_int,
-        two_xmb_int=_dist_to_int(2 * (x - b)),
-        xmb_int=_dist_to_int(x - b),
-        x_int=_dist_to_int(x),
-        two_x_int=_dist_to_int(2 * x),
-    )
-    return GenFunCase(tag=tag, proximity_flags=flags)
+    return _classify(np.array([x]), b)[0]
 
 
 def radius_of_convergence(b: complex) -> float:
@@ -168,52 +175,43 @@ def _admit(b: complex, tag: str, two_b_int: float) -> list:
     return []
 
 
-# The guarded loci of each branch, in the order they are tried: the message
-# and the locus named.  Row j of _first_guard's distances is locus j.
-_LOCI = {
-    "generic": (
-        ("|x - b| = {d:.2e} < {tol:g}", "x = b"),
-        ("x - b within {d:.2e} of an integer", "sin(pi*(x-b)) = 0"),
-        ("2(x - b) within {d:.2e} of an integer", "sin(2*pi*(x-b)) = 0"),
-    ),
-    "integer": (
-        ("|x - b| = {d:.2e} < {tol:g}", "x = b"),
-        ("x within {d:.2e} of a nonzero integer", "cot(pi*x) pole"),
-        ("2x within {d:.2e} of a nonzero integer", "sin(2*pi*x) = 0"),
-    ),
-}
-_LOCUS_SCALE = np.array([[1.0], [1.0], [2.0]])
+# The guarded loci, in the order they are tried: the message and the locus
+# named.  Locus j is row j of the distances (see _classify); the generic
+# branch guards rows 0-2, the integer branches rows 0, 3 and 4.
+_LOCI = (
+    ("|x - b| = {d:.2e} < {tol:g}", "x = b"),
+    ("x - b within {d:.2e} of an integer", "sin(pi*(x-b)) = 0"),
+    ("2(x - b) within {d:.2e} of an integer", "sin(2*pi*(x-b)) = 0"),
+    ("x within {d:.2e} of a nonzero integer", "cot(pi*x) pole"),
+    ("2x within {d:.2e} of a nonzero integer", "sin(2*pi*x) = 0"),
+)
 
 
-def _first_guard(x, b: complex, tag: str):
+def _first_guard(x, dist, tag: str):
     """``(index, message, locus)`` of the first point of the array ``x`` within
-    ``PROX_TOL`` of a singular locus of the branch ``tag``, or None.  Each
-    point's loci are tried in a fixed order, so the first one it is near is
-    the one named.
+    ``PROX_TOL`` of a singular locus of the branch ``tag``, or None, from the
+    points' distances ``dist`` (see :func:`_classify`).  Each point's loci are
+    tried in a fixed order, so the first one it is near is the one named.
 
-    The distances of all points to all three loci are one (3, n) array:
-    ``|x - b|``, then the distances of ``v`` and ``2v`` from the integers,
-    with ``v = x - b`` on the generic branch and ``x`` on the integer ones
-    (whose integer loci count only away from 0, as does ``x = b`` only for
-    b != 0).  A few operations on it, whatever ``n``, are what a single
-    point pays; the search runs only when a point is near."""
-    generic = tag == "generic"
-    w = x - b
-    z = _LOCUS_SCALE * (w if generic else x)
-    z[0] = w
-    r = np.round(z.real)
-    r[0] = 0.0
-    dist = np.abs(z - r)
+    The integer branches' integer loci count only away from 0, as does
+    ``x = b`` only for b != 0.  A comparison and a count over the array,
+    whatever ``n``, are what a point clear of every locus pays; the masking
+    and the search run only when some distance is below ``PROX_TOL``."""
     near = dist < PROX_TOL
-    if not generic:
-        live = r != 0.0
-        live[0] = round(b.real) != 0
-        near &= live
+    if not np.count_nonzero(near):
+        return None
+    if tag == "generic":
+        near[3:] = False
+    else:
+        # near an integer, |Re x| <= 1/4 only if that integer is 0
+        near[1:3] = False
+        near[3:] &= np.abs(x.real) > 0.25
+        near[0] &= tag != "b_zero"
     if not np.count_nonzero(near):
         return None
     i = int(np.argmax(near.any(axis=0)))
     j = int(np.argmax(near[:, i]))
-    text, locus = _LOCI["generic" if generic else "integer"][j]
+    text, locus = _LOCI[j]
     return i, text.format(d=dist[j, i], tol=PROX_TOL), locus
 
 
@@ -288,8 +286,9 @@ def genfun_closed(x: complex, b: complex,
     with a :class:`ConditioningWarning`.
     """
     spec = spec or DEFAULT_SPEC
-    x, b = complex(x), complex(b)
-    case = classify_case(x, b)
+    x, b = check_finite(x, "x"), check_finite(b, "b")
+    xs = np.array([x])
+    case, dist = _classify(xs, b)
     notes = _admit(b, case.tag, case.proximity_flags.two_b_int)
 
     if x == 0:  # f(0, b) = 0: the series is empty and every closed-form term carries x
@@ -297,7 +296,7 @@ def genfun_closed(x: complex, b: complex,
                           integral_term=0j, total=0j, warnings=notes,
                           quadrature=QuadratureResult(0j, 0.0, 0, True, []))
 
-    hit = _first_guard(np.array([x]), b, case.tag)
+    hit = _first_guard(xs, dist, case.tag)
     if hit is not None:
         raise IllConditionedError(hit[1], locus=hit[2])
     rational, trig, integral, total, quad = _closed_terms(np.complex128(x), b, case.tag, spec)
@@ -319,7 +318,7 @@ def series_coefficient(k: int, b: complex) -> complex:
     skips its singular term per the series convention.  The oracle runs at
     relative tolerance ``COEFFICIENT_TOL``.
     """
-    b = complex(b)
+    b = check_finite(b, "b")
     if b.imag == 0.0 and float(b.real).is_integer() and b.real < 0.0:
         # skip j = -b: remaining terms are zeta(k) + (-1)**k * H_k(|b|-1)
         return (hurwitz_series_oracle(k, 1.0, tol=COEFFICIENT_TOL)
@@ -399,7 +398,6 @@ def odd_zeta_integral(j: int, spec: QuadratureSpec | None = None) -> float:
     vcoeffs = np.array(_odd_zeta_poly_coeffs(j))
 
     def poly(u):
-        u = np.asarray(u, dtype=np.float64)
         v = u * u
         acc = np.full(u.shape, vcoeffs[0])
         for c in vcoeffs[1:]:
@@ -437,9 +435,8 @@ def sinh_kernel(c: complex, u) -> complex:
 def sinh_series_depth(c_abs: float, tol: float = 1e-12) -> int:
     """Number of j-terms of the sinh double series needed so the geometric
     tail (ratio ``(|c|/pi)**2``) drops below ``tol`` in (0, 1)."""
-    if not 0.0 < tol < 1.0:  # NaN fails too
-        raise DomainError(f"tol must lie in (0, 1), got {tol!r}")
-    q = (c_abs / math.pi) ** 2
+    tol = check_real(tol, "tol", 0.0, 1.0)
+    q = (check_real(c_abs, "c_abs", -math.inf, math.inf) / math.pi) ** 2
     if not q < 1.0:
         raise DomainError(f"series diverges for |c| >= pi (|c| = {c_abs:g})")
     if q == 0.0:
@@ -459,7 +456,7 @@ def sinh_kernel_series(c: complex, u: float, n_terms: int) -> complex:
     beyond).
     """
     n_terms = check_k(n_terms, minimum=1, name="n_terms")
-    c, u = check_finite(c, "c"), float(u)
+    c, u = check_finite(c, "c"), check_real(u, "u", -math.inf, math.inf)
     jmax = n_terms - 1
     # A_p built iteratively through exact Bernoulli ratios: the individual
     # factors c**(2p) and B_{2p} overflow double long before the product does.
@@ -508,31 +505,26 @@ def zeta_from_genfun(k, b: complex, radius: float, nodes: int,
     if not orders:
         raise DomainError("k must name at least one order")
     b = check_b(b)
-    r = radius_of_convergence(b)
-    if not 0.0 < radius < r:
-        raise DomainError(
-            f"radius must lie in (0, r(b)) = (0, {r:g}), got {radius:g}"
-        )
+    radius = check_real(radius, "radius", 0.0, radius_of_convergence(b))
     nodes = check_k(nodes, name="nodes")
     if nodes < 4 * max(orders):
         raise DomainError(f"nodes = {nodes} < 4k = {4 * max(orders)}: aliasing would bite")
-    tag, two_b_int = _branch_tag(b)
-    _admit(b, tag, two_b_int)
-
     unit = np.exp(2j * math.pi / nodes * np.arange(nodes))
     x = np.concatenate((radius * unit, (radius / 2.0) * unit))
+    case, dist = _classify(x, b)
+    _admit(b, case.tag, case.proximity_flags.two_b_int)
 
     def node(i):
         return f"circle node {i % nodes}/{nodes} at x = {complex(x[i]):.6g}"
 
-    hit = _first_guard(x, b, tag)
+    hit = _first_guard(x, dist, case.tag)
     if hit is not None:
         i, msg, locus = hit
         raise IllConditionedError(
             f"{node(i)} hits a singular locus ({locus}); choose a different radius",
             locus=locus,
         ) from IllConditionedError(msg, locus=locus)
-    _, _, _, total, quad = _closed_terms(x, b, tag, spec)
+    _, _, _, total, quad = _closed_terms(x, b, case.tag, spec)
     if not quad.converged:
         i = int(np.flatnonzero(~quad.row_converged)[0])
         raise EvaluationError(
@@ -576,9 +568,8 @@ def genfun_parts_real_imag(x: float, b: float,
     branch), kept separate so the two can be tested against each other.
     """
     spec = spec or DEFAULT_SPEC
-    x, b = float(x), float(b)
-    if not (math.isfinite(x) and math.isfinite(b)):
-        raise DomainError("x and b must be finite")
+    x = check_real(x, "x", -math.inf, math.inf)
+    b = check_real(b, "b", -math.inf, math.inf)
     if abs(b) < 1e-9:
         raise IllConditionedError(f"|b| = {abs(b):.2e} < 1e-9", locus="b = 0")
     if abs(x - b) < 1e-9:
@@ -604,8 +595,7 @@ def genfun_parts_real_imag(x: float, b: float,
     s2inv = 1.0 / math.sinh(a2)
     # |sinh(a*u)/sinh(a)| <= 1 on [0,1], so the kernel is O(1) by design
     quad = integrate_cot_weighted(
-        lambda u: kernels.sinh_ratio_gap(np.asarray(u, dtype=np.float64),
-                                         a1, s1inv, a2, s2inv),
+        lambda u: kernels.sinh_ratio_gap(u, a1, s1inv, a2, s2inv),
         spec,
         scale_hint=2.0,
     )

@@ -31,6 +31,7 @@ from .errors import (
     CapacityError,
     check_finite,
     check_k,
+    check_real,
 )
 from .quadrature import (
     DEFAULT_SPEC,
@@ -312,9 +313,7 @@ def real_part_formula(k: int, b: float) -> float:
     bracket set-up at ``q = p``, whose real parts they take.
     """
     k = check_k(k)
-    b = float(b)
-    if not 0.0 < b < math.inf:
-        raise DomainError("real_part_formula needs finite real b > 0")
+    b = check_real(b, "b", 0.0, math.inf)
     p = math.exp(-2.0 * math.pi * b)
     b1, li_top, note = _bracket_data(k, complex(p))[1:4]
     if note:
@@ -337,9 +336,7 @@ def imag_part_integral(k: int, b: float, spec: QuadratureSpec | None = None) -> 
     exactly -- the pair is the cross-check for the combined evaluation.
     """
     k = check_k(k)
-    b = float(b)
-    if not 0.0 < b < math.inf:
-        raise DomainError("imag_part_integral needs finite real b > 0")
+    b = check_real(b, "b", 0.0, math.inf)
     spec = spec or DEFAULT_SPEC
     p = math.exp(-2.0 * math.pi * b)
     coeffs, b1, _, note, bscale = _bracket_data(k, complex(p))
@@ -367,8 +364,7 @@ def hurwitz_series_oracle(k: int, b: complex, tol: float = 1e-12) -> complex:
     """
     k = check_k(k)
     b = check_b(b)
-    if not 0 < tol < 1:
-        raise DomainError("tol must lie in (0, 1)")
+    tol = check_real(tol, "tol", 0.0, 1.0)
     log_c = _em_constants(k)[1]
     p = k + 2 * EM_TERMS - 1  # the bound falls as (Re a)**-p
     n = max(0, math.ceil(EM_SHIFT - b.real))
@@ -454,7 +450,7 @@ def zeta_auto(k: int, b: complex, spec: QuadratureSpec | None = None):
     Returns ``(value, method, breakdown_or_none)`` with ``method`` one of
     ``"closed-form"`` or ``"series"``.
     """
-    b = complex(b)
+    b = check_finite(b, "b")
     if _is_integer_valued(b):
         return hurwitz_series_oracle(k, b), "series", None
     params = ZetaParams.create(k, b)

@@ -58,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .errors import DivergenceError, DomainError, EvaluationError, check_k
+from .errors import DivergenceError, DomainError, EvaluationError, check_k, check_real
 
 __all__ = [
     "QuadratureSpec",
@@ -79,10 +79,13 @@ class QuadratureSpec:
     max_subdivisions: int = 200
 
     def __post_init__(self):
-        # a NaN tolerance would pass the sign checks and stop refinement
-        if not (0 <= self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
-            raise DomainError("need finite rel_tol >= 0 and abs_tol > 0")
-        # an int, as the driver slices with it; frozen, hence object.__setattr__
+        # a NaN tolerance would pass a sign check and stop refinement; floats,
+        # and an int as the driver slices with it; frozen, hence object.__setattr__
+        rel_tol = check_real(self.rel_tol, "rel_tol", -math.inf, math.inf)
+        if rel_tol < 0.0:
+            raise DomainError(f"rel_tol must be >= 0, got {self.rel_tol!r}")
+        object.__setattr__(self, "rel_tol", rel_tol)
+        object.__setattr__(self, "abs_tol", check_real(self.abs_tol, "abs_tol", 0, math.inf))
         object.__setattr__(self, "max_subdivisions", check_k(
             self.max_subdivisions, minimum=0, name="max_subdivisions"))
 
@@ -472,7 +475,10 @@ def integrate_cot_weighted(g, spec=None, scale_hint=0.0, family=None):
     """
     spec = spec or DEFAULT_SPEC
     rows = 1 if family is None else check_k(family, minimum=1, name="family")
-    hint = np.asarray(scale_hint, dtype=np.float64)
+    try:
+        hint = np.asarray(scale_hint, dtype=np.float64)
+    except (TypeError, ValueError):  # not numbers: fails the check below
+        hint = np.array(math.nan)
     # math.isfinite per value: for the usual one-value hint, a tenth of the
     # cost of a numpy reduction
     if hint.shape not in ((), (rows,)) or not all(map(math.isfinite, hint.flat)):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import DomainError, HurzetaError, check_k
+from .errors import DomainError, HurzetaError, check_finite, check_k, check_real
 from .hurwitz import (
     ZetaParams,
     hp_partial_sum,
@@ -187,17 +187,10 @@ def log_asymptotic_scan(k: float, n_values,
     of n (evidence the log term was removed correctly, without demanding a
     sharp rate for slowly-converging k).
     """
-    k = float(k)
-    if not 0.0 < k < math.inf:  # NaN fails too
-        raise DomainError(f"k must lie in (0, inf), got {k!r}")
+    k = check_real(k, "k", 0.0, math.inf)
     ns = _check_n_values(n_values, lo=10)
     spec = spec or DEFAULT_SPEC
-
-    def gap(u):
-        u = np.asarray(u, dtype=np.float64)
-        return u**k - u
-
-    target = -integrate_cot_weighted(gap, spec).value.real
+    target = -integrate_cot_weighted(lambda u: u**k - u, spec).value.real
     values, _, notes = _scan(
         ns, lambda u, n: kernels.decay_one_minus_cos_cot(u, k, n), spec)
     observed = [v - (EULER_GAMMA + math.log(n)) / math.pi for v, n in zip(values, ns)]
@@ -230,10 +223,8 @@ def _hp_limit(k: int, b: complex) -> complex:
     Real b > 0 uses the dedicated real/imaginary split; complex b routes
     through the rotated zeta evaluation (the rotation that defines the
     series in the first place)."""
-    b = complex(b)
-    if b.imag == 0.0:
-        if b.real <= 0.0:
-            raise DomainError("real b must be positive for the hp limit")
+    b = check_finite(b, "b")
+    if b.imag == 0.0:  # real_part_formula refuses b <= 0
         full = complex(real_part_formula(k, b.real), imag_part_integral(k, b.real))
     else:
         params = ZetaParams.create(k, -1j * b)

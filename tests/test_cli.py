@@ -133,7 +133,7 @@ class TestEval:
         # a NaN tolerance once made the quadrature refine forever
         p = run(*args)  # under a timeout
         assert p.returncode == 2, p.stderr
-        assert "finite" in p.stderr
+        assert "must lie in (0, inf)" in p.stderr
 
     def test_non_finite_b_exits_2(self):
         assert run("eval", "--k", "2", "--b", "nan").returncode == 2

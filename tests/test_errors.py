@@ -1,10 +1,11 @@
-"""Every count and every point a caller passes goes through the shared
-validators of ``hurzeta.errors``: ``check_k`` for integer counts and
-orders, ``check_finite`` for points.  A count that is not an integer of
-its range, or a NaN or infinite point, is a :class:`DomainError`, never a
-bare ``TypeError``/``ValueError``, a silently truncated count or a NaN
-result; an integer-valued float or a numpy integer counts as the int it
-equals."""
+"""Every count, point and real bound a caller passes goes through the
+shared validators of ``hurzeta.errors``: ``check_k`` for integer counts and
+orders, ``check_finite`` for points and ``check_real`` for real numbers of
+an open interval.  A count that is not an integer of its range, a point
+that is not a finite number, or a real that is not a number of its
+interval is a :class:`DomainError`, never a bare ``TypeError``/
+``ValueError``, a silently truncated count or a NaN result; an
+integer-valued float or a numpy integer counts as the int it equals."""
 
 import math
 
@@ -16,25 +17,33 @@ from hurzeta import (
     QuadratureSpec,
     bernoulli,
     eulerian_row,
+    genfun_parts_real_imag,
     harmonic_number,
     hp_partial_sum,
+    hurwitz_series_oracle,
+    imag_part_integral,
+    integrate_cot_weighted,
     integrate_open,
     integrate_oscillatory,
     log_asymptotic_scan,
     polylog_nonpos,
     polylog_nonpos_orders,
+    real_part_formula,
     sinh_kernel,
     sinh_kernel_series,
     sinh_series_depth,
+    zeta_auto,
+    zeta_from_genfun,
 )
+from hurzeta.errors import check_finite, check_real
 
 
 def _f(u):
     return u * u
 
 
-# Calls with a count that is not an integer of its range, or a point that
-# is not finite.
+# Calls with a count that is not an integer of its range, a point that is
+# not a finite number, or a real that is not a number of its interval.
 DOMAIN_ERROR_CALLS = {
     "integrate_oscillatory(f, nan)": lambda: integrate_oscillatory(_f, math.nan),
     "integrate_oscillatory(f, '3')": lambda: integrate_oscillatory(_f, "3"),
@@ -59,6 +68,26 @@ DOMAIN_ERROR_CALLS = {
     "sinh_series_depth(1.0, tol=1)": lambda: sinh_series_depth(1.0, tol=1.0),
     "log_asymptotic_scan(inf, [10, 100])": lambda: log_asymptotic_scan(math.inf, [10, 100]),
     "log_asymptotic_scan(nan, [10, 100])": lambda: log_asymptotic_scan(math.nan, [10, 100]),
+    # not numbers at all: once a bare TypeError or ValueError
+    "check_finite('abc', 'b')": lambda: check_finite("abc", "b"),
+    "hp_partial_sum(2, 'x', 3)": lambda: hp_partial_sum(2, "x", 3),
+    "zeta_auto(3, None)": lambda: zeta_auto(3, None),
+    "real_part_formula(3, 'x')": lambda: real_part_formula(3, "x"),
+    "real_part_formula(3, None)": lambda: real_part_formula(3, None),
+    "imag_part_integral(3, 'x')": lambda: imag_part_integral(3, "x"),
+    "imag_part_integral(3, None)": lambda: imag_part_integral(3, None),
+    "hurwitz_series_oracle(3, 0.5, tol='x')": lambda: hurwitz_series_oracle(3, 0.5, tol="x"),
+    "sinh_series_depth(1.0, tol='x')": lambda: sinh_series_depth(1.0, tol="x"),
+    "sinh_series_depth('x')": lambda: sinh_series_depth("x"),
+    "sinh_kernel_series(0.5, 'x', 3)": lambda: sinh_kernel_series(0.5, "x", 3),
+    "genfun_parts_real_imag('x', 0.3)": lambda: genfun_parts_real_imag("x", 0.3),
+    "genfun_parts_real_imag(0.2, 'x')": lambda: genfun_parts_real_imag(0.2, "x"),
+    "zeta_from_genfun(3, 0.3, 'x', 32)": lambda: zeta_from_genfun(3, 0.3, "x", 32),
+    "log_asymptotic_scan('abc', [10, 100])": lambda: log_asymptotic_scan("abc", [10, 100]),
+    "QuadratureSpec(rel_tol='x')": lambda: QuadratureSpec(rel_tol="x"),
+    "QuadratureSpec(abs_tol='x')": lambda: QuadratureSpec(abs_tol="x"),
+    "integrate_cot_weighted(f, scale_hint='x')":
+        lambda: integrate_cot_weighted(_f, scale_hint="x"),
 }
 
 
@@ -74,3 +103,17 @@ def test_integer_valued_counts_are_the_int():
     assert (integrate_oscillatory(_f, 3.0).evaluations
             == integrate_oscillatory(_f, 3).evaluations)
     assert type(QuadratureSpec(max_subdivisions=np.int64(50)).max_subdivisions) is int
+
+
+def test_check_real_refuses_a_complex():
+    # whatever its imaginary part, and also as a numpy scalar, which float()
+    # would otherwise truncate with only a warning
+    with pytest.raises(DomainError, match=r"x must lie in \(0, 1\), got"):
+        check_real(0.5 + 0j, "x", 0, 1)
+    with pytest.raises(DomainError):
+        check_real(np.complex128(0.5), "x", 0, 1)
+
+
+def test_check_real_returns_a_python_float():
+    x = check_real(np.float64(0.3), "x", 0, 1)
+    assert type(x) is float and x == 0.3

@@ -75,6 +75,43 @@ class TestClassification:
         assert classify_case(0.3, 2.0 + 1e-12).tag == "b_pos_int"
         assert classify_case(0.3, 2.0 + 1e-5).tag == "generic"
 
+    def test_flags_are_the_python_distances_bitwise(self):
+        # the flags come from one numpy distance array per call; they must
+        # keep the bits of the scalar Python expressions below, which the
+        # CLI's "proximity" record and its envelope signature carry
+        def dist_to_int(w):
+            return abs(w - round(w.real))
+
+        def reference(x, b):
+            return {"x_minus_b": abs(x - b), "two_b_int": dist_to_int(2 * b),
+                    "two_xmb_int": dist_to_int(2 * (x - b)),
+                    "xmb_int": dist_to_int(x - b), "x_int": dist_to_int(x),
+                    "two_x_int": dist_to_int(2 * x)}
+
+        rng = np.random.default_rng(20261019)
+        tags = set()
+        for i in range(1600):
+            b = (complex(rng.uniform(-4, 4), rng.uniform(-1.5, 1.5)), 0j,
+                 complex(rng.integers(1, 9)), complex(-rng.integers(1, 9)))[i % 4]
+            # a point anywhere, or within 1e-6 of one of the loci x = b,
+            # x - b, 2(x - b), x and 2x in Z
+            n = int(rng.integers(-3, 4))
+            near = 10.0 ** rng.uniform(-9, -6) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+            x = (complex(rng.uniform(-4, 4), rng.uniform(-1.5, 1.5)), b + near,
+                 b + n + near, b + n / 2 + near, n + near, n / 2 + near)[i // 4 % 6]
+            case = classify_case(x, b)
+            tags.add(case.tag)
+            got = {k: v.hex() for k, v in vars(case.proximity_flags).items()}
+            assert got == {k: v.hex() for k, v in reference(x, b).items()}, (x, b)
+        assert tags == {"generic", "b_zero", "b_pos_int", "b_neg_int"}
+
+    def test_evaluation_carries_the_classified_case(self):
+        rng = np.random.default_rng(7)
+        for b in (0.8 + 0.2j, 0.0, 3.0, -2.0):
+            for _ in range(4):
+                x = complex(rng.uniform(0.1, 0.4), rng.uniform(-0.3, 0.3))
+                assert genfun_closed(x, b).case == classify_case(x, b)
+
 
 class TestClosedVsSeries:
     def test_generic_draws(self):
@@ -122,6 +159,15 @@ class TestGuards:
         # 2(x-b) integer makes the generic trig factor blow up
         with pytest.raises(IllConditionedError):
             genfun_closed(0.3, 0.8)
+
+    @pytest.mark.parametrize("b", [0.0, 2.0, -1.0])
+    def test_integer_branches_guard_only_nonzero_integer_loci(self, b):
+        # x and 2x near 0, and x near b = 0, are regular points of f
+        genfun_closed(3e-7 + 1e-7j, b)
+        for x, locus in ((1 + 3e-7, "cot(pi*x) pole"), (-0.5 + 2e-7j, "sin(2*pi*x) = 0")):
+            with pytest.raises(IllConditionedError) as err:
+                genfun_closed(x, b)
+            assert err.value.locus == locus
 
     def test_series_needs_margin_inside_radius(self):
         with pytest.raises(DomainError):

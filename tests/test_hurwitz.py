@@ -37,7 +37,7 @@ from hurzeta.errors import (
     RangeOverflowError,
 )
 from hurzeta.hurwitz import EM_SHIFT, EM_TERMS, _I_POW, _em_constants, _em_tail
-from hurzeta.quadrature import integrate_cot_weighted
+from hurzeta.quadrature import DEFAULT_SPEC, integrate_cot_weighted
 
 
 def _bits(z: complex) -> tuple:
@@ -106,6 +106,24 @@ class TestClosedFormValues:
         v = hurwitz_zeta(ZetaParams.create(k, b)).total
         ref = hurwitz_direct(k, b)
         assert abs(v - ref) <= 1e-10 * (1 + abs(ref))
+
+    def test_high_orders_against_mpmath(self):
+        # where the closed form is accurate at large k: Re b in [0.05, 0.4],
+        # |Im b| <= 1 and |1 - q| >= 0.5
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(20261019)
+        drawn = 0
+        while drawn < 36:
+            k = (16, 20, 24)[drawn % 3]
+            b = complex(rng.uniform(0.05, 0.4), rng.uniform(-1.0, 1.0))
+            if abs(1.0 - ZetaParams.create(k, b).q) < 0.5:
+                continue
+            drawn += 1
+            with mpmath.workdps(40):
+                ref = complex(mpmath.zeta(k, b))
+            value, route, _ = zeta_auto(k, b)
+            assert route == "closed-form"
+            assert abs(value - ref) <= 1e-9 * abs(ref), (k, b)
 
     def test_breakdown_reassembles(self):
         br = hurwitz_zeta(ZetaParams.create(3, 0.8))
@@ -178,6 +196,17 @@ class TestBracketEndpoint:
                 continue
             g0 = abs(bracket_kernel(params, np.array([0.0]))[0])
             assert g0 <= 1e-11 * bracket_scale(params)
+
+    @pytest.mark.parametrize("k, b", [(20, 0.5), (24, 0.5), (24, 0.5 + 0.001j)])
+    def test_large_k_keeps_half_the_endpoint_allowance(self, k, b):
+        # the quadrature refuses a bracket whose endpoint residual exceeds
+        # max(abs_tol, 64 eps) * scale; here the residual reads 0.17-0.33 of
+        # that, so a rewrite of the bracket set-up that loses accuracy at
+        # large k near Re b = 1/2 fails here before it refuses sweep cells
+        params = ZetaParams.create(k, b)
+        eps = float(np.finfo(np.float64).eps)
+        allowance = max(DEFAULT_SPEC.abs_tol, 64 * eps) * bracket_scale(params)
+        assert abs(bracket_kernel(params, 0.0)) <= 0.5 * allowance
 
     def test_scale_tracks_uncancelled_magnitudes(self):
         # large |Im b| => huge |q|; the yardstick must grow with it even
