@@ -43,9 +43,8 @@ from .genfun import (
 )
 from .hurwitz import (
     ZetaParams,
-    bracket_kernel,
-    bracket_scale,
     check_b,
+    endpoint_residual,
     hurwitz_series_oracle,
     zeta_auto,
 )
@@ -450,8 +449,8 @@ def _report_to_record(report, suite):
 
 
 def _suite_theorem1(spec, _seed):
-    return [_report_to_record(theorem1_scan(k, SCAN_NS, spec), "theorem1")
-            for k in (0, 1, 3)]
+    return [_report_to_record(report, "theorem1")
+            for report in theorem1_scan((0, 1, 3), SCAN_NS, spec)]
 
 
 def _suite_zero_integral(spec, _seed):
@@ -459,9 +458,8 @@ def _suite_zero_integral(spec, _seed):
 
 
 def _suite_log_asymptotic(spec, _seed):
-    return [_report_to_record(log_asymptotic_scan(float(k), SCAN_NS, spec),
-                              "log-asymptotic")
-            for k in (2, 3)]
+    return [_report_to_record(report, "log-asymptotic")
+            for report in log_asymptotic_scan((2, 3), SCAN_NS, spec)]
 
 
 def _suite_oracle_grid(spec, _seed):
@@ -469,14 +467,15 @@ def _suite_oracle_grid(spec, _seed):
             for k in ORACLE_GRID_K for b in ORACLE_GRID_B]
 
 
-def _suite_endpoint_identity(_spec, seed):
-    # The endpoint identity B(0) = B(1) is algebraic; this suite checks its
-    # *transcription* in floats, so draws keep |1 - q| away from the
-    # conditioning locus q = 1 (b near a real integer), where any formula
-    # measures rounding amplification rather than correctness.
+def _endpoint_draws(seed):
+    """The ``ENDPOINT_DRAWS`` seeded ``ZetaParams`` of the endpoint-identity suite.
+
+    The endpoint identity B(0) = B(1) is algebraic; the suite checks its
+    *transcription* in floats, so draws keep |1 - q| away from the
+    conditioning locus q = 1 (b near a real integer), where any formula
+    measures rounding amplification rather than correctness."""
     # stdlib random is loaded anyway; numpy.random would add 5.4 MiB of RSS
     rng = random.Random(seed)
-    worst = 0.0
     checked = 0
     while checked < ENDPOINT_DRAWS:
         k = rng.randrange(2, 13)
@@ -484,16 +483,17 @@ def _suite_endpoint_identity(_spec, seed):
         im_b = rng.uniform(-2.5, 2.5)
         if rng.random() < 0.3:
             im_b = 0.0
-        b = complex(re_b, im_b)
         if im_b == 0.0 and abs(re_b - round(re_b)) < 1e-6:
             continue
-        q = complex(np.exp(-2j * math.pi * b))
-        if abs(1.0 - q) < 0.05:
+        params = ZetaParams.create(k, complex(re_b, im_b))
+        if abs(1.0 - params.q) < 0.05:
             continue
-        params = ZetaParams.create(k, b)
-        g0 = abs(complex(bracket_kernel(params, 0.0)))
-        worst = max(worst, g0 / bracket_scale(params))
         checked += 1
+        yield params
+
+
+def _suite_endpoint_identity(_spec, seed):
+    worst = max(map(endpoint_residual, _endpoint_draws(seed)))
     ok = worst <= 1e-11
     return [
         {

@@ -29,6 +29,7 @@ from .errors import (
     InstabilityWarning,
     RangeOverflowError,
     UnsupportedParameterError,
+    check_abscissae,
     check_finite,
     check_k,
     check_real,
@@ -419,17 +420,19 @@ def sinh_kernel(c: complex, u) -> complex:
     ``sum_j c**(2j+1) sum_p B_{2p}(2-2**(2p)) u**(2j-2p+1)/((2p)!(2j-2p+1)!)``.
 
     Singular exactly where ``sinh(c) = 0`` (``c = i*pi*m``, including 0);
-    a non-finite ``c`` is a :class:`DomainError`.
+    a non-finite ``c``, or a ``u`` that is not a finite real number or an
+    array of them, is a :class:`DomainError`.
     """
     c = check_finite(c, "c")
+    u = check_abscissae(u)
     s = cmath.sinh(c)
     if s == 0:
         raise DomainError(
             f"sinh_kernel is singular at c = {c} (c = i*pi*m or c = 0)"
         )
-    if np.ndim(u) > 0:
-        return c * np.sinh(c * np.asarray(u)) / s
-    return c * cmath.sinh(c * u) / s
+    if u.ndim:
+        return c * np.sinh(c * u) / s
+    return c * cmath.sinh(c * float(u)) / s
 
 
 def sinh_series_depth(c_abs: float, tol: float = 1e-12) -> int:

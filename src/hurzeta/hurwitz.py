@@ -29,6 +29,7 @@ from .errors import (
     RangeOverflowError,
     UnsupportedParameterError,
     CapacityError,
+    check_abscissae,
     check_finite,
     check_k,
     check_real,
@@ -48,6 +49,7 @@ __all__ = [
     "EvalBreakdown",
     "bracket_kernel",
     "bracket_scale",
+    "endpoint_residual",
     "real_part_formula",
     "imag_part_integral",
     "hurwitz_zeta",
@@ -195,16 +197,16 @@ def bracket_kernel(params: ZetaParams, u):
     ``B(u) = sum_{j=1..k} c_j * u**(k-j) * exp(-2*pi*i*b*u)``.  Vanishes at
     both ``u = 0`` and ``u = 1``; the ``u = 0`` zero is an algebraic identity
     between the polylogarithms (checked exactly in the tests), not a
-    numerical accident.  Accepts a scalar or an ndarray.
+    numerical accident.  Accepts a real number or an array of them
+    (:func:`~hurzeta.errors.check_abscissae`).
     :func:`hurwitz_zeta` integrates the same :func:`kernels.poly_exp_gap`
     call on the quadrature's float64 abscissae directly.
     """
     coeffs, b1 = _bracket_data(params.k, params.q)[:2]
     c = -2j * math.pi * params.b
-    scalar = np.ndim(u) == 0
-    arr = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    out = kernels.poly_exp_gap(arr, coeffs, c, b1)
-    return complex(out[0]) if scalar else out
+    u = check_abscissae(u)
+    out = kernels.poly_exp_gap(np.atleast_1d(u), coeffs, c, b1)
+    return complex(out[0]) if u.ndim == 0 else out
 
 
 def bracket_scale(params: ZetaParams) -> float:
@@ -219,6 +221,17 @@ def bracket_scale(params: ZetaParams) -> float:
     accuracy is ``eps * bracket_scale``, not ``eps * max|kernel|``.
     """
     return _bracket_data(params.k, params.q)[4]
+
+
+def endpoint_residual(params: ZetaParams) -> float:
+    """``|B(0) - B(1)| / bracket_scale(params)``: the endpoint identity's
+    residual in units of its rounding yardstick, from the cached bracket
+    set-up alone.  ``B(0)`` is the constant coefficient ``c_k``: Horner's
+    rule at ``u = 0`` leaves it and ``exp(0) = 1``, so the value has the
+    bits of ``|bracket_kernel(params, 0.0)| / bracket_scale(params)``
+    without a kernel call."""
+    coeffs, b1, _, _, scale = _bracket_data(params.k, params.q)
+    return abs(complex(coeffs[-1]) - b1) / scale
 
 
 def _check_power_range(k: int, q: complex):

@@ -28,6 +28,11 @@ Conventions
   speed: with numpy 2.4 on x86-64 with AVX-512, float64 ``tan`` runs
   vectorized at 2-4 ns per value while ``sin`` falls back to scalar libm at
   10-32 ns, and these kernels take most of the time of ``validate``'s scans.
+* ``pow_sin_cot`` and ``decay_one_minus_cos_cot`` take their exponent as a
+  scalar or as a column, one exponent per line of the result: a validation
+  scan integrates all its orders as one family, whose first pass shares one
+  line of abscissae, so the trigonometric factors are computed once for
+  every order.  Each line gets the bits of its exponent as a scalar.
 * The genfun kernels (``sin_ratio_gap``, ``sin_ratio_ucos_gap``) take
   ``sin(a*u)``, complex ``a = alpha + i*beta`` and real ``u``, from real
   ufuncs: with ``x = alpha*u``, ``y = beta*u`` and ``t = tan(x/2)``,
@@ -147,11 +152,36 @@ def sinh_ratio_gap(u, a1, s1inv, a2, s2inv):
     return np.sinh(a1 * u) * s1inv - np.sinh(a2 * u) * s2inv
 
 
+def _power(u, p):
+    """``u**p`` for a scalar ``p`` or a column of exponents, one per line of
+    the result, each applied as a scalar.  numpy raises an array to a scalar
+    2, 0.5 or -1 by ``square``, ``sqrt`` or ``reciprocal``, but may take an
+    exponent from an array through ``pow``, whose last bits differ; so a
+    line gets the bits its exponent gives alone."""
+    if np.ndim(p) == 0:
+        return u**p
+    col = p[:, 0]
+    if u.ndim < 2 or len(u) == 1:  # one line of abscissae, shared by every exponent
+        out = np.empty((col.size, u.shape[-1]))
+        for line, e in zip(out, col.tolist()):
+            np.power(u.reshape(-1), e, out=line)
+        return out
+    out = np.empty(u.shape)  # a line of abscissae per exponent: group the lines
+    for e in set(col.tolist()):  # not np.unique, which loads numpy.ma (0.5 MiB)
+        at = col == e if e == e else np.isnan(col)  # NaN != NaN
+        out[at] = u[at] ** e
+    return out
+
+
 def pow_sin_cot(u, p, n):
-    """u**p * sin(2*pi*n*u) * cot(pi*u), reduced; p, n integers."""
+    """u**p * sin(2*pi*n*u) * cot(pi*u), reduced; p, n integers (``p`` a
+    scalar or a column of exponents, see :func:`_power`)."""
     r = u - np.floor(u + 0.5)
     t = np.tan((np.pi * n) * r)
-    return u**p * (2.0 * t) / ((1.0 + t * t) * np.tan(np.pi * r))
+    out = _power(u, p)
+    out *= 2.0 * t
+    out /= (1.0 + t * t) * np.tan(np.pi * r)
+    return out
 
 
 def one_minus_cos_cot(u, n):
@@ -162,10 +192,15 @@ def one_minus_cos_cot(u, n):
 
 
 def decay_one_minus_cos_cot(u, kexp, n):
-    """(1-u)**kexp * (1 - cos(2*pi*n*u)) * cot(pi*u), reduced; n integer."""
+    """(1-u)**kexp * (1 - cos(2*pi*n*u)) * cot(pi*u), reduced; n integer
+    (``kexp`` a scalar or a column of exponents, see :func:`_power`)."""
     r = u - np.floor(u + 0.5)
     t2 = np.tan((np.pi * n) * r) ** 2
-    return (1.0 - u) ** kexp * 2.0 * t2 / ((1.0 + t2) * np.tan(np.pi * r))
+    out = _power(1.0 - u, kexp)
+    out *= 2.0
+    out *= t2
+    out /= (1.0 + t2) * np.tan(np.pi * r)
+    return out
 
 
 def inv_power_sum(b, k, j0, j1):

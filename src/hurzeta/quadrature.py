@@ -3,15 +3,16 @@ cotangent-weighted integrals on (0, 1), over one integrand or a whole family
 of them, and high-frequency oscillatory ones.
 
 A single integrand ``f(u)`` takes a float64 array and returns one value per
-abscissa (real or complex).  :func:`integrate_cot_weighted` also takes a
-family of ``M`` integrands as ``family=M`` and one function ``f(u, rows)``:
-``u`` is a float64 array of shape ``(P, n)`` and ``rows`` an int array of
-shape ``(L, 1)`` naming the family row of each line of the result, which
-has shape ``(L, n)``.  The first pass shares its abscissae: ``u`` is
-``(1, n)`` and ``rows`` is ``(M, 1)``.  Later passes give every line its
-own abscissae (``P == L``).  A single integrand runs as a family of one:
-there is one driver.  ``family`` must be an integer >= 1 and a
-``scale_hint`` one value or one per row (:class:`DomainError` otherwise).
+abscissa (real or complex).  Every driver also takes a family of ``M``
+integrands as ``family=M`` and one function ``f(u, rows)``: ``u`` is a
+float64 array of shape ``(P, n)`` and ``rows`` an int array of shape
+``(L, 1)`` naming the family row of each line of the result, which has
+shape ``(L, n)``.  The first pass shares its abscissae: ``u`` is ``(1, n)``
+and ``rows`` is ``(M, 1)``, so whatever the rows share (the trigonometric
+factors of the validation scans, say) is computed once.  Later passes give
+every line its own abscissae (``P == L``).  A single integrand runs as a
+family of one: there is one driver.  ``family`` must be an integer >= 1 and
+a ``scale_hint`` one value or one per row (:class:`DomainError` otherwise).
 
 The single-row path is what one closed-form ``zeta(k, b)`` pays on every
 call: one integrand call of 189 values, one matrix product and a fixed
@@ -32,14 +33,25 @@ estimate (per-panel ``|K15 - G7|`` differences, summed), convergence test
 shared initial mesh; each later pass splits the panels of the rows that
 have not converged yet.  :func:`integrate_open`'s first pass and every
 later pass hand the integrand its panels in blocks of at most ``2**12``
-values (``2**12 // 15`` panels) per call, so the working set stays near
+abscissae (``2**12 // 15`` panels) per call, so the working set stays near
 cache size however fine the mesh, and a kernel's temporaries are small
 enough that the allocator reuses them instead of returning their pages
 after every call and faulting them in again at the next; a pass that fits
-one block is one call.  (The cotangent driver's first pass is one call of
-189 values per row.)  A
-non-finite value raises :class:`EvaluationError` for its row, the first
-met in block order.  Running out of subdivision budget, or an estimate
+one block is one call.  A block counts abscissae, not values: a first-pass
+call shares its abscissae among the ``M`` rows and returns ``M`` times as
+many values.  (Counting rows times abscissae instead tripled the kernel
+calls of the three-order theorem-1 scan, 245 against 83, and made it about
+1.5 times as slow.)  The cotangent driver's first pass is one call of 189
+abscissae.  A non-finite value raises :class:`EvaluationError` for its row,
+the first met in block order.
+
+A row's first-pass values are reduced to panel sums on their own, as a
+lone run of that row reduces them, so a row that converges on the initial
+mesh (every validation scan integral does) has the bits it has alone.  A
+refining row splits the panels a lone run splits and spends the same
+evaluations, to the same value up to rounding: a later pass reduces the
+panels of all rows together, and BLAS rounds a line's sum by its place in
+the block.  Running out of subdivision budget, or an estimate
 that no split can lower (NaN), or a cotangent-weighted total that is not
 finite, is reported through ``converged=False`` with a note, never as an
 exception.
@@ -153,7 +165,7 @@ _XK = np.concatenate([-_XK_HALF[:7], _XK_HALF[::-1]])
 _WK = np.concatenate([_WK_HALF[:7], _WK_HALF[::-1]])
 _GAUSS_IDX = np.arange(1, 15, 2)
 _WG = np.concatenate([_WG_HALF[:3], _WG_HALF[::-1]])
-_BLOCK = 1 << 12  # most values (rows times abscissae) one integrand call gets
+_BLOCK = 1 << 12  # most abscissae one integrand call gets (shared by a first pass's rows)
 
 # Panels mapped from (-1,1) never touch their endpoints: the rule is open.
 _NODE_FRAC = 0.5 * (_XK + 1.0)
@@ -308,6 +320,31 @@ def _panels(f, lefts, widths, rows, family):
     return np.concatenate(vals), np.concatenate(errs)
 
 
+def _shared_pass(f, mesh, rows, family):
+    """Kronrod values and ``|K15 - G7|`` estimates, as (M, P) arrays, of the
+    ``P`` panels of ``mesh`` for each of the ``M`` lines of ``rows``.  Each
+    call gets the abscissae of at most ``_BLOCK // 15`` panels as one line,
+    shared by every row; each row's values of a block are then reduced on
+    their own, as a lone run of that row reduces them, so a row gets the
+    bits it would get alone."""
+    step = _BLOCK // _XK.size
+    vals = errs = None
+    for s in range(0, mesh.lefts.size, step):
+        u = _abscissae(mesh.lefts[s:s + step], mesh.widths[s:s + step])
+        line = u.reshape(1, -1)
+        fv = _evaluate(f, line, rows)
+        _check_finite(fv, line, rows, family)
+        if vals is None:  # filled in place: one pair of (M, P) arrays, no block copies
+            vals = np.empty((len(rows), mesh.lefts.size), np.result_type(fv, np.float64))
+            errs = np.empty(vals.shape)
+        elif fv.dtype.kind == "c" and vals.dtype.kind != "c":  # a later block turned complex
+            vals = vals.astype(np.complex128)
+        half = 0.5 * mesh.widths[s:s + step]
+        for r, fr in enumerate(fv):
+            vals[r, s:s + step], errs[r, s:s + step] = _gauss_kronrod(fr.reshape(u.shape), half)
+    return vals, errs
+
+
 def _budget_cap(split, errs, nsplit, budget):
     """Keep at most ``budget[j]`` of row j's split panels, the largest errors
     first, for every row over its budget."""
@@ -424,19 +461,23 @@ def _result(value, error, evaluations, converged, notes, family):
     )
 
 
-def integrate_open(f, spec=None, initial_panels=8):
+def integrate_open(f, spec=None, initial_panels=8, family=None):
     """Adaptive integration of ``f`` over (0, 1) with an open rule, from a
-    uniform mesh of ``initial_panels`` panels."""
+    uniform mesh of ``initial_panels`` panels.
+
+    ``family=M`` integrates the M rows of a family ``f(u, rows)`` (see the
+    module docstring); a ``family`` that is not an integer >= 1 is a
+    :class:`DomainError`.
+    """
     spec = spec or DEFAULT_SPEC
     initial_panels = check_k(initial_panels, minimum=1, name="initial_panels")
+    rows = 1 if family is None else check_k(family, minimum=1, name="family")
     mesh = _Mesh.from_edges(np.linspace(0.0, 1.0, initial_panels + 1))
-    f = _single(f)
-    # every panel is row 0's; a zero-stride view, not a (P, 1) array
-    rows = np.broadcast_to(0, (mesh.lefts.size, 1))
-    vals, errs = _panels(f, mesh.lefts, mesh.widths, rows, None)
-    parts = _adapt(f, vals[None], errs[None], mesh, spec, np.full(1, spec.abs_tol), None,
+    f = _single(f) if family is None else f
+    vals, errs = _shared_pass(f, mesh, _row_index(rows), family)
+    parts = _adapt(f, vals, errs, mesh, spec, np.full(rows, spec.abs_tol), family,
                    _XK.size * mesh.lefts.size)
-    return _result(*parts, None)
+    return _result(*parts, family)
 
 
 def integrate_cot_weighted(g, spec=None, scale_hint=0.0, family=None):
@@ -553,7 +594,7 @@ def integrate_cot_weighted(g, spec=None, scale_hint=0.0, family=None):
     return _result(value, error, evaluations, converged, notes, family)
 
 
-def integrate_oscillatory(f, n, spec=None):
+def integrate_oscillatory(f, n, spec=None, family=None):
     """Integrate ``f`` over (0, 1) when it oscillates at integer frequency ``n``.
 
     Starts from a uniform mesh of ``2n`` panels (at least 2), half a period
@@ -562,7 +603,8 @@ def integrate_oscillatory(f, n, spec=None):
     default ``rel_tol``: at n = 100, 10**3 and 10**4 every theorem-1 and
     log-asymptotic scan integral converges on this first mesh.  ``f`` must
     be bounded on the closed interval (the oscillatory integrands here all
-    have removable endpoint singularities).
+    have removable endpoint singularities).  ``family=M`` integrates the M
+    rows of a family ``f(u, rows)``, as :func:`integrate_open` does.
     """
     n = check_k(n, minimum=1, name="n")
-    return integrate_open(f, spec, initial_panels=max(2, 2 * n))
+    return integrate_open(f, spec, initial_panels=max(2, 2 * n), family=family)

@@ -132,8 +132,11 @@ def polylog_nonpos_orders(k: int, z: complex):
     :class:`ConditioningWarning` text for ``z`` within ``POLE_GUARD`` of it,
     or None, and is returned, not warned.  The first order whose value is
     not finite raises :class:`RangeOverflowError` naming it, or
-    :class:`DomainError` if ``z`` itself is not finite."""
-    z = complex(z)
+    :class:`DomainError` if ``z`` itself is not finite or not a number."""
+    try:
+        z = complex(z)
+    except (TypeError, ValueError, OverflowError):
+        z = check_finite(z, "z")  # not a number: raises DomainError
     if z == 1:
         raise DomainError("Li_{-m}(z) has a pole at z = 1")
     gap = 1.0 - z

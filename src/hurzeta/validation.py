@@ -95,44 +95,73 @@ def _check_n_values(n_values, lo: int = 1):
     return out
 
 
-def _scan(ns, kernel, spec):
-    """``integrate_oscillatory`` of ``kernel(u, n)`` at each frequency ``n``:
-    the real parts, the largest error estimate and the notes.  A typed
-    failure at one ``n`` records nan and a note; any other exception
-    propagates."""
-    values, worst_error, notes = [], 0.0, []
+def _orders(k, check):
+    """``(scalar, orders)``: one order, or a non-empty sequence of them, each
+    through ``check``."""
+    scalar = np.ndim(k) == 0
+    orders = [check(j) for j in ([k] if scalar else k)]
+    if not orders:
+        raise DomainError("k must name at least one order")
+    return scalar, orders
+
+
+def _scan(ns, kernel, labels, spec):
+    """``integrate_oscillatory`` of the family ``kernel(u, rows, n)``, one row
+    per label, at each frequency ``n``, in one call: for each row, the real
+    parts, the largest error estimate and the notes.  A typed failure at one
+    ``n`` records nan and a note for every row, naming the row that raised
+    when one did; any other exception propagates."""
+    values = [[] for _ in labels]
+    worst_error = [0.0] * len(labels)
+    notes = [[] for _ in labels]
     for n in ns:
         try:
             res = integrate_oscillatory(
-                lambda u, n=n: kernel(np.asarray(u, dtype=np.float64), n), n, spec
-            )
+                lambda u, rows, n=n: kernel(u, rows, n), n, spec, family=len(labels))
         except HurzetaError as exc:
-            values.append(math.nan)
-            notes.append(f"n={n}: {type(exc).__name__}: {exc}")
+            row = getattr(exc, "row", None)
+            who = "" if row is None else f", {labels[row]}"
+            for row_values, row_notes in zip(values, notes):
+                row_values.append(math.nan)
+                row_notes.append(f"n={n}{who}: {type(exc).__name__}: {exc}")
             continue
-        values.append(float(res.value.real))
-        worst_error = max(worst_error, res.error_estimate)
-        if not res.converged:
-            notes.append(f"n={n}: quadrature did not converge")
-    return values, worst_error, notes
+        for j in range(len(labels)):
+            values[j].append(float(res.value[j].real))
+            worst_error[j] = max(worst_error[j], float(res.error_estimate[j]))
+            if not res.row_converged[j]:
+                notes[j].append(f"n={n}: quadrature did not converge")
+    return list(zip(values, worst_error, notes))
 
 
-def theorem1_scan(k: int, n_values, spec: QuadratureSpec | None = None) -> ConvergenceReport:
+def theorem1_scan(k, n_values, spec: QuadratureSpec | None = None):
     """``integral_0^1 u**k sin(2*pi*n*(1-u)) cot(pi*(1-u)) du -> 1`` (k = 0)
-    or ``1/2`` (integer k >= 1).
+    or ``1/2`` (integer k >= 1), for one order ``k`` (a
+    :class:`ConvergenceReport`) or a sequence of orders (a list of them).
 
     For k in {0, 1} the integral is *exactly* the limit for every n (the
     Dirichlet-kernel part integrates exactly); deviations there are pure
     quadrature noise, so the verdict uses the noise floor instead of a rate
     fit.  For k >= 2 the deviation decays like C/n and the fitted exponent
     must land in [0.8, 1.2].
+
+    At each n all orders are one family of integrals, made in one
+    quadrature call: they share the abscissae and the trigonometric
+    factors, and each row gets the bits a scan of its order alone gets.
+    Each order keeps its own target, noise floor, rate fit and verdict; a
+    typed failure at one n fails that n for every order.
     """
-    k = check_k(k, minimum=0)
+    scalar, orders = _orders(k, lambda j: check_k(j, minimum=0))
     ns = _check_n_values(n_values, lo=1)
     spec = spec or DEFAULT_SPEC
+    p = np.array(orders, dtype=np.float64)
+    scans = _scan(ns, lambda u, rows, n: kernels.pow_sin_cot(u, p[rows], n),
+                  [f"k={j}" for j in orders], spec)
+    reports = [_theorem1_report(j, ns, *scan) for j, scan in zip(orders, scans)]
+    return reports[0] if scalar else reports
+
+
+def _theorem1_report(k, ns, observed, floor, notes):
     target = 1.0 if k == 0 else 0.5
-    observed, floor, notes = _scan(
-        ns, lambda u, n: kernels.pow_sin_cot(u, float(k), n), spec)
     devs = tuple(abs(o - target) for o in observed)
     floor = max(floor, 1e-12)
     rate = fit_rate(ns, devs, floor=floor)
@@ -160,8 +189,8 @@ def zero_integral_scan(n_values, spec: QuadratureSpec | None = None) -> Converge
     integer n; observed values are pure quadrature residue."""
     ns = _check_n_values(n_values, lo=1)
     spec = spec or DEFAULT_SPEC
-    observed, _, notes = _scan(
-        ns, lambda u, n: kernels.one_minus_cos_cot(u, n), spec)
+    [(observed, _, notes)] = _scan(
+        ns, lambda u, _rows, n: kernels.one_minus_cos_cot(u, n), ["zero integral"], spec)
     devs = tuple(abs(o) for o in observed)
     ok = all(
         math.isfinite(d) and d <= (1e-8 if n <= 100 else 1e-7)
@@ -175,24 +204,35 @@ def zero_integral_scan(n_values, spec: QuadratureSpec | None = None) -> Converge
     )
 
 
-def log_asymptotic_scan(k: float, n_values,
-                        spec: QuadratureSpec | None = None) -> ConvergenceReport:
+def log_asymptotic_scan(k, n_values, spec: QuadratureSpec | None = None):
     """``integral_0^1 (1-u)**k (1 - cos(2*pi*n*u)) cot(pi*u) du`` diverges like
     ``(gamma + log n)/pi``; after subtracting that, the residual tends to
-    ``-integral_0^1 (u**k - u) cot(pi*u) du``.
+    ``-integral_0^1 (u**k - u) cot(pi*u) du``.  For one real order ``k > 0``
+    (a :class:`ConvergenceReport`) or a sequence of them (a list of them).
 
     ``observed`` holds the residuals (divergence already removed), ``target``
     the limiting constant from an independent cotangent-weighted quadrature.
     The verdict requires residual deviations to shrink by >= 2x per decade
     of n (evidence the log term was removed correctly, without demanding a
     sharp rate for slowly-converging k).
+
+    At each n all orders are one family of integrals in one quadrature call,
+    as in :func:`theorem1_scan`; each order keeps its own target, rate fit,
+    verdict and notes.
     """
-    k = check_real(k, "k", 0.0, math.inf)
+    scalar, orders = _orders(k, lambda j: check_real(j, "k", 0.0, math.inf))
     ns = _check_n_values(n_values, lo=10)
     spec = spec or DEFAULT_SPEC
+    kexp = np.array(orders)
+    scans = _scan(ns, lambda u, rows, n: kernels.decay_one_minus_cos_cot(u, kexp[rows], n),
+                  [f"k={j:g}" for j in orders], spec)
+    reports = [_log_asymptotic_report(j, ns, values, notes, spec)
+               for j, (values, _, notes) in zip(orders, scans)]
+    return reports[0] if scalar else reports
+
+
+def _log_asymptotic_report(k, ns, values, notes, spec):
     target = -integrate_cot_weighted(lambda u: u**k - u, spec).value.real
-    values, _, notes = _scan(
-        ns, lambda u, n: kernels.decay_one_minus_cos_cot(u, k, n), spec)
     observed = [v - (EULER_GAMMA + math.log(n)) / math.pi for v, n in zip(values, ns)]
     devs = tuple(abs(o - target) for o in observed)
     rate = fit_rate(ns, devs, floor=1e-13)

@@ -1,9 +1,10 @@
 """Every count, point and real bound a caller passes goes through the
 shared validators of ``hurzeta.errors``: ``check_k`` for integer counts and
-orders, ``check_finite`` for points and ``check_real`` for real numbers of
-an open interval.  A count that is not an integer of its range, a point
-that is not a finite number, or a real that is not a number of its
-interval is a :class:`DomainError`, never a bare ``TypeError``/
+orders, ``check_finite`` for points, ``check_real`` for real numbers of
+an open interval and ``check_abscissae`` for a kernel's abscissae.  A count
+that is not an integer of its range, a point that is not a finite number,
+a real that is not a number of its interval, or an abscissa that is not a
+finite real number is a :class:`DomainError`, never a bare ``TypeError``/
 ``ValueError``, a silently truncated count or a NaN result; an
 integer-valued float or a numpy integer counts as the int it equals."""
 
@@ -15,7 +16,9 @@ import pytest
 from hurzeta import (
     DomainError,
     QuadratureSpec,
+    ZetaParams,
     bernoulli,
+    bracket_kernel,
     eulerian_row,
     genfun_parts_real_imag,
     harmonic_number,
@@ -32,10 +35,11 @@ from hurzeta import (
     sinh_kernel,
     sinh_kernel_series,
     sinh_series_depth,
+    theorem1_scan,
     zeta_auto,
     zeta_from_genfun,
 )
-from hurzeta.errors import check_finite, check_real
+from hurzeta.errors import check_abscissae, check_finite, check_real
 
 
 def _f(u):
@@ -88,6 +92,26 @@ DOMAIN_ERROR_CALLS = {
     "QuadratureSpec(abs_tol='x')": lambda: QuadratureSpec(abs_tol="x"),
     "integrate_cot_weighted(f, scale_hint='x')":
         lambda: integrate_cot_weighted(_f, scale_hint="x"),
+    "polylog_nonpos_orders(3, 'x')": lambda: polylog_nonpos_orders(3, "x"),
+    "polylog_nonpos(2, 'x')": lambda: polylog_nonpos(2, "x"),
+    # family sizes of the open drivers, and orders of the scans
+    "integrate_open(f, family=0)": lambda: integrate_open(_f, family=0),
+    "integrate_open(f, family=2.5)": lambda: integrate_open(_f, family=2.5),
+    "integrate_oscillatory(f, 3, family='3')": lambda: integrate_oscillatory(_f, 3, family="3"),
+    "theorem1_scan('x', [10, 100])": lambda: theorem1_scan("x", [10, 100]),
+    "theorem1_scan([], [10, 100])": lambda: theorem1_scan([], [10, 100]),
+    "log_asymptotic_scan([2, nan], [10, 100])":
+        lambda: log_asymptotic_scan([2, math.nan], [10, 100]),
+    # kernel abscissae, a number or an array: once a bare TypeError or
+    # ValueError, or a NaN result
+    "sinh_kernel(1.0, 'x')": lambda: sinh_kernel(1.0, "x"),
+    "sinh_kernel(1.0, [nan])": lambda: sinh_kernel(1.0, [math.nan]),
+    "sinh_kernel(1.0, 0.5 + 1j)": lambda: sinh_kernel(1.0, 0.5 + 1j),
+    "bracket_kernel(params, 'x')": lambda: bracket_kernel(ZetaParams.create(3, 0.3), "x"),
+    "bracket_kernel(params, [nan])":
+        lambda: bracket_kernel(ZetaParams.create(3, 0.3), [math.nan]),
+    "bracket_kernel(params, [0.5, None])":
+        lambda: bracket_kernel(ZetaParams.create(3, 0.3), [0.5, None]),
 }
 
 
@@ -117,3 +141,10 @@ def test_check_real_refuses_a_complex():
 def test_check_real_returns_a_python_float():
     x = check_real(np.float64(0.3), "x", 0, 1)
     assert type(x) is float and x == 0.3
+
+
+def test_check_abscissae_returns_float64():
+    assert check_abscissae(3).dtype == np.float64 and check_abscissae(3).ndim == 0
+    u = np.linspace(0.0, 1.0, 5)
+    assert check_abscissae(u) is u
+    assert np.array_equal(check_abscissae([0, 0.5]), [0.0, 0.5])

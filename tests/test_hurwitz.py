@@ -15,6 +15,7 @@ from hurzeta import (
     ZetaParams,
     bracket_kernel,
     bracket_scale,
+    endpoint_residual,
     eulerian_row,
     genfun_parts_real_imag,
     genfun_series,
@@ -30,6 +31,7 @@ from hurzeta import (
     zeta_auto,
     zeta_from_genfun,
 )
+from hurzeta import cli
 from hurzeta.errors import (
     CapacityError,
     ConditioningWarning,
@@ -207,6 +209,16 @@ class TestBracketEndpoint:
         eps = float(np.finfo(np.float64).eps)
         allowance = max(DEFAULT_SPEC.abs_tol, 64 * eps) * bracket_scale(params)
         assert abs(bracket_kernel(params, 0.0)) <= 0.5 * allowance
+
+    @pytest.mark.parametrize("seed", [cli.DEFAULT_SEED, 1])
+    def test_residual_is_the_kernel_at_zero_bitwise(self, seed):
+        # on the endpoint-identity suite's draws: B(0) is the constant
+        # coefficient, so the cached set-up gives the kernel's value
+        draws = list(cli._endpoint_draws(seed))
+        assert len(draws) == cli.ENDPOINT_DRAWS
+        for params in draws:
+            assert (endpoint_residual(params)
+                    == abs(bracket_kernel(params, 0.0)) / bracket_scale(params)), params
 
     def test_scale_tracks_uncancelled_magnitudes(self):
         # large |Im b| => huge |q|; the yardstick must grow with it even

@@ -122,6 +122,25 @@ def test_scan_kernels_match_their_sine_forms(n):
         assert np.all(np.abs(got - ref) <= 4e-15 * np.maximum(np.abs(ref), 1.0))
 
 
+@pytest.mark.parametrize("kernel", [kernels.pow_sin_cot, kernels.decay_one_minus_cos_cot])
+def test_column_exponents_give_the_bits_of_scalar_ones(kernel):
+    # a family row raises u to its order as a scan of that order alone
+    # does; numpy squares for a scalar 2 (and takes sqrt for 0.5 and
+    # reciprocal for -1) but may take pow for an exponent from an array
+    exps = np.array([2.0, 3.0, 0.5, 2.0, 1.0, -1.0, 0.0])
+    shared = _scan_abscissae(3)[None, :90]
+    col = kernel(shared, exps[:, None], 3)
+    assert col.shape == (exps.size, 90)
+    for row, e in zip(col, exps):
+        assert np.array_equal(row, kernel(shared.ravel(), float(e), 3)), e
+    assert np.array_equal(kernel(shared.ravel(), exps[:, None], 3), col)  # 1-d u broadcasts
+    # one line per exponent, as a refinement pass has it
+    lines = _scan_abscissae(3)[:exps.size * 15].reshape(exps.size, 15)
+    col = kernel(lines, exps[:, None], 3)
+    for line, row, e in zip(lines, col, exps):
+        assert np.array_equal(row, kernel(line, float(e), 3)), e
+
+
 def _amplitudes(rows):
     """Complex amplitudes with |Re a| <= 60 and |Im a| <= 25, both limits
     and a real one among them, as a (rows, 1) column."""

@@ -451,6 +451,114 @@ class TestBlockedPasses:
         assert fam.row_evaluations[1] == 33 + 6 + 10 * 15
 
 
+class TestOpenFamily:
+    # integrate_open and integrate_oscillatory take ``family=M`` as the
+    # cotangent driver does: the first pass hands every call the abscissae
+    # of at most 2**12 // 15 panels as one line shared by the M rows, and
+    # each row's values are reduced as a lone run reduces them
+    BLOCK = 2**12
+    ORDERS = np.array([0.0, 1.0, 2.0, 3.0])
+
+    @staticmethod
+    def same(fam, m, one):
+        return (fam.value[m] == one.value.real
+                and fam.error_estimate[m] == one.error_estimate
+                and fam.row_evaluations[m] == one.evaluations
+                and fam.row_converged[m] == one.converged)
+
+    @pytest.mark.parametrize("n", [1, 3, 100, 1000, N_CAP])
+    def test_scan_rows_are_lone_scans_bitwise(self, n):
+        # every scan integral converges on its half-period first mesh, so
+        # the whole result is the shared first pass
+        sizes = []
+
+        def family(u, rows):
+            sizes.append(u.size)
+            return kernels.pow_sin_cot(u, self.ORDERS[rows], n)
+
+        fam = integrate_oscillatory(family, n, family=len(self.ORDERS))
+        assert fam.converged and fam.value.shape == (len(self.ORDERS),)
+        for m, p in enumerate(self.ORDERS):
+            one = integrate_oscillatory(lambda u: kernels.pow_sin_cot(u, p, n), n)
+            assert self.same(fam, m, one), p
+        assert max(sizes) <= self.BLOCK
+        assert sum(sizes) == fam.evaluations // len(self.ORDERS)
+
+    def test_first_pass_rows_are_lone_runs_bitwise(self):
+        # with no subdivision budget a result is its first pass alone,
+        # here of complex rows and a mesh of several blocks
+        funcs = [lambda u: np.exp(3j * u), lambda u: np.log(u) + 0j,
+                 lambda u: 1.0 / (1e-3 + (u - 0.3) ** 2) + 0j]
+        spec = QuadratureSpec(max_subdivisions=0)
+
+        def family(u, rows):
+            return np.choose(rows, [np.broadcast_to(fn(u), np.broadcast_shapes(
+                u.shape, rows.shape)) for fn in funcs])
+
+        fam = integrate_open(family, spec, initial_panels=700, family=3)
+        for m, fn in enumerate(funcs):
+            one = integrate_open(fn, spec, initial_panels=700)
+            assert fam.value[m] == one.value and fam.error_estimate[m] == one.error_estimate
+            assert fam.row_evaluations[m] == one.evaluations == 700 * 15
+
+    def test_refining_rows_spend_what_lone_runs_spend(self):
+        # later passes give each line its own abscissae; a row refines the
+        # panels a lone run refines, to the same value up to rounding
+        funcs = [lambda u: np.cos(40 * u) * np.exp(u), lambda u: u**3,
+                 lambda u: np.sqrt(u), lambda u: np.log(u)]
+
+        def family(u, rows):
+            return np.choose(rows, [np.broadcast_to(fn(u), np.broadcast_shapes(
+                u.shape, rows.shape)) for fn in funcs])
+
+        spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-15)
+        fam = integrate_open(family, spec, family=4)
+        assert fam.row_evaluations[1] == 8 * 15 < fam.row_evaluations[3]
+        for m, fn in enumerate(funcs):
+            one = integrate_open(fn, spec)
+            assert fam.row_evaluations[m] == one.evaluations
+            assert fam.row_converged[m] == one.converged
+            assert abs(fam.value[m] - one.value) <= 8 * np.finfo(float).eps * abs(one.value)
+            assert fam.error_estimate[m] == pytest.approx(one.error_estimate, rel=1e-10)
+
+    def test_calls_count_shared_abscissae_against_the_block(self):
+        sizes = []
+
+        def family(u, rows):
+            sizes.append((u.shape, rows.shape[0]))
+            return kernels.pow_sin_cot(u, self.ORDERS[rows], N_CAP)
+
+        fam = integrate_oscillatory(family, N_CAP, family=4)
+        # 20000 panels of 15 abscissae in blocks of 273 panels: 74 calls of
+        # one shared line, each returning four rows
+        assert len(sizes) == 74 and fam.evaluations == 4 * 300_000
+        assert all(shape[0] == 1 and shape[1] <= self.BLOCK and rows == 4
+                   for shape, rows in sizes)
+
+    def test_block_that_turns_complex_keeps_its_imaginary_part(self):
+        # np.emath.sqrt is real on the first two blocks of 273 panels and
+        # complex on the third, past u = 0.95
+        r = integrate_open(lambda u: np.emath.sqrt(0.95 - u), initial_panels=600)
+        exact = 2 / 3 * 0.95**1.5 + 2j / 3 * 0.05**1.5
+        assert abs(r.value - exact) <= 1e-9
+
+    def test_single_integrand_is_a_family_of_one(self):
+        f = lambda u: np.sin(7 * u) * np.exp(u)  # noqa: E731
+        one = integrate_open(f)
+        fam = integrate_open(lambda u, rows: f(u), family=1)
+        assert fam.value.shape == (1,)
+        assert self.same(fam, 0, one)
+
+    def test_non_finite_row_is_named(self):
+        def family(u, rows):
+            return np.where(rows == 1, np.log(u - 0.5), u)
+
+        with pytest.raises(EvaluationError, match=r"family row 1") as err:
+            with np.errstate(invalid="ignore"):
+                integrate_open(family, family=2)
+        assert err.value.row == 1
+
+
 def _cot_first_pass_reference(g, m):
     """Value, error estimate and sum of |weight * g| of the cotangent
     driver's first pass, panel by panel: GK15 (with its embedded G7) on

@@ -13,7 +13,7 @@ from hurzeta import (
     theorem1_scan,
     zero_integral_scan,
 )
-from hurzeta import cli, kernels, validation
+from hurzeta import cli, kernels, quadrature, validation
 from hurzeta.errors import DomainError
 from hurzeta.quadrature import QuadratureSpec
 
@@ -130,6 +130,56 @@ class TestHpLimit:
             hp_limit_scan(1, 1.0, (10, 100))
 
 
+def _same_reports(got, want):
+    # repr shows every field, floats to the last bit and nan as nan
+    assert [repr(r) for r in got] == [repr(r) for r in want]
+
+
+class TestFamilyScans:
+    # at each n every order is a row of one quadrature call, and each row
+    # gets the report a scan of its order alone gets
+    def test_theorem1_orders_are_lone_scans(self):
+        _same_reports(theorem1_scan((0, 1, 3), cli.SCAN_NS),
+                      [theorem1_scan(k, cli.SCAN_NS) for k in (0, 1, 3)])
+
+    def test_log_asymptotic_orders_are_lone_scans(self):
+        _same_reports(log_asymptotic_scan((2, 3), cli.SCAN_NS),
+                      [log_asymptotic_scan(k, cli.SCAN_NS) for k in (2, 3)])
+
+    def test_squared_and_root_orders_too(self):
+        # numpy squares for a scalar 2 and takes sqrt for 0.5
+        ns = (10, 17, 100)
+        _same_reports(theorem1_scan([2, 3, 2, 4], ns),
+                      [theorem1_scan(k, ns) for k in (2, 3, 2, 4)])
+        _same_reports(log_asymptotic_scan(np.array([0.5, 2.0, 3.5]), ns),
+                      [log_asymptotic_scan(k, ns) for k in (0.5, 2.0, 3.5)])
+
+    def test_one_order_is_a_report_and_a_sequence_a_list(self):
+        assert isinstance(theorem1_scan(3, (10, 100)), ConvergenceReport)
+        assert isinstance(theorem1_scan([3], (10, 100)), list)
+        assert isinstance(log_asymptotic_scan((3,), (10, 100)), list)
+
+    @pytest.mark.parametrize("orders", [(), (0, -1), (1, 2.5)])
+    def test_bad_orders_are_domain_errors(self, orders):
+        with pytest.raises(DomainError):
+            theorem1_scan(orders, (10, 100))
+
+    def test_non_finite_row_fails_that_n_for_every_order(self, monkeypatch):
+        real = kernels.pow_sin_cot
+
+        def broken(u, p, n):
+            out = real(u, p, n)
+            return np.where(p == 1.0, np.nan, out) if n == 17 else out
+
+        monkeypatch.setattr(kernels, "pow_sin_cot", broken)
+        for rep in theorem1_scan((0, 1, 3), [10, 17, 100]):
+            assert math.isnan(rep.observed[1])
+            assert not math.isnan(rep.observed[0]) and not math.isnan(rep.observed[2])
+            assert [n[:30] for n in rep.notes if n.startswith("n=17")] == [
+                "n=17, k=1: EvaluationError: in"]
+            assert rep.verdict == "fail"
+
+
 class TestScanFailures:
     def test_programming_error_propagates(self, monkeypatch):
         def broken(u, k, n):
@@ -151,13 +201,19 @@ class TestScanFailures:
 
 def test_validate_scans_stay_within_their_evaluation_budget(monkeypatch):
     # from half-period first panels the theorem-1, zero-integral and
-    # log-asymptotic suites of ``validate`` make 1,673,880 evaluations;
-    # quarter-period panels made 3,337,080
-    counts = []
+    # log-asymptotic suites of ``validate`` make 1,673,880 evaluations
+    # (quarter-period panels made 3,337,080), in one family call per suite
+    # and n; no integrand call gets more than _BLOCK abscissae, which keeps
+    # a kernel's temporaries small enough to be reused, not faulted in
+    counts, sizes = [], []
     real = validation.integrate_oscillatory
 
-    def counted(f, n, spec):
-        res = real(f, n, spec)
+    def counted(f, n, spec, family):
+        def sized(u, rows):
+            sizes.append(u.size)
+            return f(u, rows)
+
+        res = real(sized, n, spec, family=family)
         counts.append(res.evaluations)
         return res
 
@@ -165,5 +221,6 @@ def test_validate_scans_stay_within_their_evaluation_budget(monkeypatch):
     for suite in ("theorem1", "zero-integral", "log-asymptotic"):
         records = cli.SUITE_RUNNERS[suite](QuadratureSpec(), cli.DEFAULT_SEED)
         assert all(r["verdict"] == "pass" for r in records), suite
-    assert len(counts) == 18
-    assert sum(counts) <= 1_700_000
+    assert len(counts) == 9
+    assert sum(counts) == 1_673_880
+    assert max(sizes) <= quadrature._BLOCK
