@@ -145,7 +145,7 @@ def check_real(value, name: str, lo: float, hi: float) -> float:
     return x
 
 
-def check_abscissae(u, name: str = "u"):
+def check_abscissae(u):
     """``u``, a real number or an array of them, as a float64 ndarray (0-d
     for a number); :class:`DomainError` unless every value is a finite real
     number (a complex one is not, as for :func:`check_real`)."""
@@ -155,5 +155,5 @@ def check_abscissae(u, name: str = "u"):
         a = np.asarray(None)
     if a.dtype.kind not in "iuf" or not np.isfinite(a).all():
         raise DomainError(
-            f"{name} must be a finite real number or an array of them, got {u!r}")
+            f"u must be a finite real number or an array of them, got {u!r}")
     return a.astype(np.float64, copy=False)

@@ -154,22 +154,17 @@ def sinh_ratio_gap(u, a1, s1inv, a2, s2inv):
 
 def _power(u, p):
     """``u**p`` for a scalar ``p`` or a column of exponents, one per line of
-    the result, each applied as a scalar.  numpy raises an array to a scalar
-    2, 0.5 or -1 by ``square``, ``sqrt`` or ``reciprocal``, but may take an
-    exponent from an array through ``pow``, whose last bits differ; so a
-    line gets the bits its exponent gives alone."""
+    the result, each line by the scalar expression ``u**p``.  numpy raises
+    an array to a scalar 2, 0.5 or -1 by ``square``, ``sqrt`` or
+    ``reciprocal``, but may take an exponent from an array through ``pow``,
+    whose last bits differ; so a line gets the bits its exponent gives
+    alone."""
     if np.ndim(p) == 0:
         return u**p
     col = p[:, 0]
-    if u.ndim < 2 or len(u) == 1:  # one line of abscissae, shared by every exponent
-        out = np.empty((col.size, u.shape[-1]))
-        for line, e in zip(out, col.tolist()):
-            np.power(u.reshape(-1), e, out=line)
-        return out
-    out = np.empty(u.shape)  # a line of abscissae per exponent: group the lines
-    for e in set(col.tolist()):  # not np.unique, which loads numpy.ma (0.5 MiB)
-        at = col == e if e == e else np.isnan(col)  # NaN != NaN
-        out[at] = u[at] ** e
+    out = np.empty((col.size, u.shape[-1]))
+    for i, e in enumerate(col.tolist()):  # one shared line, or a line per exponent
+        out[i] = u[0 if len(u) == 1 else i] ** e
     return out
 
 

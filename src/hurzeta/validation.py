@@ -105,30 +105,41 @@ def _orders(k, check):
     return scalar, orders
 
 
-def _scan(ns, kernel, labels, spec):
-    """``integrate_oscillatory`` of the family ``kernel(u, rows, n)``, one row
-    per label, at each frequency ``n``, in one call: for each row, the real
-    parts, the largest error estimate and the notes.  A typed failure at one
-    ``n`` records nan and a note for every row, naming the row that raised
-    when one did; any other exception propagates."""
-    values = [[] for _ in labels]
-    worst_error = [0.0] * len(labels)
-    notes = [[] for _ in labels]
+def _scan(ns, kernel, orders, spec):
+    """``integrate_oscillatory`` of ``kernel(u, k, n)`` at each frequency
+    ``n``, for each order ``k`` of ``orders``: per order, the real parts, the
+    largest error estimate and the notes.  Several orders are one family,
+    one quadrature call per ``n``, and ``kernel`` gets their column of
+    orders.  A typed failure at one ``n`` records nan and a note for every
+    order, naming the order that raised when one did; any other exception
+    propagates."""
+    exps = [float(j) for j in orders]
+    col = np.array(exps)
+    family = len(exps) if len(exps) > 1 else None
+    values = [[] for _ in exps]
+    worst_error = [0.0] * len(exps)
+    notes = [[] for _ in exps]
     for n in ns:
         try:
-            res = integrate_oscillatory(
-                lambda u, rows, n=n: kernel(u, rows, n), n, spec, family=len(labels))
+            if family is None:
+                res = integrate_oscillatory(lambda u, n=n: kernel(u, exps[0], n), n, spec)
+            else:
+                res = integrate_oscillatory(
+                    lambda u, rows, n=n: kernel(u, col[rows], n), n, spec, family=family)
         except HurzetaError as exc:
             row = getattr(exc, "row", None)
-            who = "" if row is None else f", {labels[row]}"
+            who = "" if row is None else f", k={exps[row]:g}"
             for row_values, row_notes in zip(values, notes):
                 row_values.append(math.nan)
                 row_notes.append(f"n={n}{who}: {type(exc).__name__}: {exc}")
             continue
-        for j in range(len(labels)):
-            values[j].append(float(res.value[j].real))
-            worst_error[j] = max(worst_error[j], float(res.error_estimate[j]))
-            if not res.row_converged[j]:
+        converged = res.converged if family is None else res.row_converged
+        for j, (v, e, ok) in enumerate(zip(np.atleast_1d(res.value),
+                                           np.atleast_1d(res.error_estimate),
+                                           np.atleast_1d(converged))):
+            values[j].append(float(v.real))
+            worst_error[j] = max(worst_error[j], float(e))
+            if not ok:
                 notes[j].append(f"n={n}: quadrature did not converge")
     return list(zip(values, worst_error, notes))
 
@@ -153,9 +164,7 @@ def theorem1_scan(k, n_values, spec: QuadratureSpec | None = None):
     scalar, orders = _orders(k, lambda j: check_k(j, minimum=0))
     ns = _check_n_values(n_values, lo=1)
     spec = spec or DEFAULT_SPEC
-    p = np.array(orders, dtype=np.float64)
-    scans = _scan(ns, lambda u, rows, n: kernels.pow_sin_cot(u, p[rows], n),
-                  [f"k={j}" for j in orders], spec)
+    scans = _scan(ns, kernels.pow_sin_cot, orders, spec)
     reports = [_theorem1_report(j, ns, *scan) for j, scan in zip(orders, scans)]
     return reports[0] if scalar else reports
 
@@ -190,7 +199,7 @@ def zero_integral_scan(n_values, spec: QuadratureSpec | None = None) -> Converge
     ns = _check_n_values(n_values, lo=1)
     spec = spec or DEFAULT_SPEC
     [(observed, _, notes)] = _scan(
-        ns, lambda u, _rows, n: kernels.one_minus_cos_cot(u, n), ["zero integral"], spec)
+        ns, lambda u, _k, n: kernels.one_minus_cos_cot(u, n), [0], spec)
     devs = tuple(abs(o) for o in observed)
     ok = all(
         math.isfinite(d) and d <= (1e-8 if n <= 100 else 1e-7)
@@ -223,9 +232,7 @@ def log_asymptotic_scan(k, n_values, spec: QuadratureSpec | None = None):
     scalar, orders = _orders(k, lambda j: check_real(j, "k", 0.0, math.inf))
     ns = _check_n_values(n_values, lo=10)
     spec = spec or DEFAULT_SPEC
-    kexp = np.array(orders)
-    scans = _scan(ns, lambda u, rows, n: kernels.decay_one_minus_cos_cot(u, kexp[rows], n),
-                  [f"k={j:g}" for j in orders], spec)
+    scans = _scan(ns, kernels.decay_one_minus_cos_cot, orders, spec)
     reports = [_log_asymptotic_report(j, ns, values, notes, spec)
                for j, (values, _, notes) in zip(orders, scans)]
     return reports[0] if scalar else reports

@@ -133,7 +133,6 @@ def test_column_exponents_give_the_bits_of_scalar_ones(kernel):
     assert col.shape == (exps.size, 90)
     for row, e in zip(col, exps):
         assert np.array_equal(row, kernel(shared.ravel(), float(e), 3)), e
-    assert np.array_equal(kernel(shared.ravel(), exps[:, None], 3), col)  # 1-d u broadcasts
     # one line per exponent, as a refinement pass has it
     lines = _scan_abscissae(3)[:exps.size * 15].reshape(exps.size, 15)
     col = kernel(lines, exps[:, None], 3)

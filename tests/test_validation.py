@@ -195,7 +195,9 @@ class TestScanFailures:
         rep = zero_integral_scan([1, 17])
         assert all(math.isnan(o) for o in rep.observed)
         assert len(rep.notes) == 2
-        assert "EvaluationError" in rep.notes[0]
+        # one order is no family: the note names no order and no family row
+        assert rep.notes[0].startswith("n=1: EvaluationError: ")
+        assert "family row" not in rep.notes[0]
         assert rep.verdict == "fail"
 
 
@@ -208,10 +210,10 @@ def test_validate_scans_stay_within_their_evaluation_budget(monkeypatch):
     counts, sizes = [], []
     real = validation.integrate_oscillatory
 
-    def counted(f, n, spec, family):
-        def sized(u, rows):
+    def counted(f, n, spec, family=None):
+        def sized(u, *rows):
             sizes.append(u.size)
-            return f(u, rows)
+            return f(u, *rows)
 
         res = real(sized, n, spec, family=family)
         counts.append(res.evaluations)
