@@ -34,7 +34,6 @@ from .errors import (
     UnsupportedParameterError,
     check_finite,
     check_k,
-    check_real,
 )
 from .genfun import (
     genfun_closed,
@@ -620,7 +619,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     for key in _TOLERANCES:
         val = getattr(args, key)
         if val is not None:
-            _checked(check_real, val, name=f"--{key.replace('_', '-')}", lo=0, hi=math.inf)
+            # the library's own check, so the CLI takes what QuadratureSpec takes
+            try:
+                QuadratureSpec(**{key: val})
+            except DomainError as exc:
+                raise UsageError(f"--{key.replace('_', '-')}: {exc}") from exc
             tolerances[key] = val
     return RunConfig(
         command=args.command,

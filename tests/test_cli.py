@@ -128,12 +128,28 @@ class TestEval:
         ("eval", "--k", "3", "--b", "0.3", "--rel-tol", "nan"),
         ("eval", "--k", "3", "--b", "0.3", "--abs-tol", "inf"),
         ("genfun", "--x", "0.3", "--b", "0.4", "--rel-tol", "nan"),
+        ("eval", "--k", "3", "--b", "0.3", "--rel-tol", "inf"),
+        ("eval", "--k", "3", "--b", "0.3", "--rel-tol", "-0.5"),
+        ("eval", "--k", "3", "--b", "0.3", "--abs-tol", "0"),
+        ("eval", "--k", "3", "--b", "0.3", "--max-subdivisions", "-1"),
     ])
     def test_non_finite_tolerance_exits_2(self, args):
-        # a NaN tolerance once made the quadrature refine forever
+        # a NaN tolerance once made the quadrature refine forever; the
+        # message is QuadratureSpec's own, behind the flag it came from
         p = run(*args)  # under a timeout
         assert p.returncode == 2, p.stderr
-        assert "must lie in (0, inf)" in p.stderr
+        flag, field = args[-2], args[-2][2:].replace("-", "_")
+        assert f"error: {flag}: {field} must" in p.stderr, p.stderr
+        assert "Traceback" not in p.stderr
+
+    @pytest.mark.parametrize("flag", ["--max-subdivisions", "--rel-tol"])
+    def test_zero_budget_or_relative_tolerance_is_accepted(self, flag):
+        # QuadratureSpec takes both: no subdivision (first pass only), or an
+        # absolute target alone; the CLI refused them with exit 2
+        p = run("eval", "--k", "3", "--b", "0.3", flag, "0")
+        assert p.returncode == 0, p.stderr
+        rec = json.loads(p.stdout)["results"][0]
+        assert rec["status"] == "ok" and rec["verdict"] == "pass"
 
     def test_non_finite_b_exits_2(self):
         assert run("eval", "--k", "2", "--b", "nan").returncode == 2

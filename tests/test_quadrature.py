@@ -1,13 +1,15 @@
 """Adaptive quadrature: known values, error honesty, failure modes."""
 
+import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hurzeta import kernels, quadrature
+from hurzeta import genfun, hurwitz, kernels, quadrature
 from hurzeta.errors import DivergenceError, DomainError, EvaluationError
 from hurzeta.quadrature import (
     QuadratureSpec,
@@ -647,3 +649,128 @@ class TestFusedFirstPass:
             integrate_cot_weighted(lambda u, rows: np.sin(2 * np.pi * u[0]), family=2)
         with pytest.raises(ValueError):  # one line for two rows
             integrate_cot_weighted(lambda u, rows: np.sin(2 * np.pi * u), family=2)
+
+
+def _exact(r):
+    """The fields of a :class:`QuadratureResult` as something two results
+    compare equal by only when each field has the same bits and type."""
+    def one(x):
+        if isinstance(x, np.ndarray):
+            return x.dtype.str, x.shape, repr(x.tolist())
+        return type(x).__name__, repr(x)
+    return tuple((f.name, one(getattr(r, f.name))) for f in dataclasses.fields(r))
+
+
+class TestLoneFirstPass:
+    # A one-row family whose first pass converges is finished in Python
+    # scalars; every result must be the general path's, field by field and
+    # bit for bit, and so must every row that falls through to it.
+    SPEC0 = QuadratureSpec(max_subdivisions=0)
+
+    @staticmethod
+    def outcomes(monkeypatch, work, general):
+        """What ``work()`` gets from every ``integrate_cot_weighted`` call,
+        through the scalar finish, or through the general path alone when
+        ``general``; and how many rows the finish took."""
+        took = []
+        finish = quadrature._lone_first_pass
+
+        def lone(*args):
+            r = None if general else finish(*args)
+            took.append(r is not None)
+            return r
+
+        seen = []
+
+        def recorded(*args, **kw):
+            try:
+                r = quadrature.integrate_cot_weighted(*args, **kw)
+            except Exception as exc:
+                seen.append((type(exc).__name__, str(exc)))
+                raise
+            seen.append(_exact(r))
+            return r
+
+        with monkeypatch.context() as m:
+            m.setattr(quadrature, "_lone_first_pass", lone)
+            for module in (hurwitz, genfun):
+                m.setattr(module, "integrate_cot_weighted", recorded)
+            outputs = []
+            for call in work:
+                try:
+                    outputs.append(repr(call()))
+                except Exception as exc:
+                    outputs.append(f"{type(exc).__name__}: {exc}")
+        return seen, outputs, sum(took)
+
+    def check(self, monkeypatch, work, lone_rows):
+        fast, fast_out, took = self.outcomes(monkeypatch, work, general=False)
+        slow, slow_out, _ = self.outcomes(monkeypatch, work, general=True)
+        assert fast == slow
+        assert fast_out == slow_out
+        assert took >= lone_rows  # the finish did run
+
+    def test_closed_form_cells_are_bitwise_the_general_path(self, monkeypatch):
+        rng = random.Random(22)
+        cells = [(k, complex(rng.uniform(0.05, 1.5 if k <= 4 else 0.4), rng.uniform(-1, 1)))
+                 for k in range(2, 25) for _ in range(3)]
+        # (4, 6.1-2.9i) refines past its first pass; (23, 0.49+0.09i) fails
+        # its endpoint check
+        cells += [(4, 6.1 - 2.9j), (23, 0.4909441357573397 + 0.08848688183090925j)]
+        work = [lambda k=k, b=b: hurwitz.zeta_auto(k, b) for k, b in cells]
+        work += [lambda k=k, b=b: hurwitz.imag_part_integral(k, b)
+                 for k, b in ((2, 0.3), (7, 1.0), (16, 2.6))]
+        self.check(monkeypatch, work, lone_rows=60)
+
+    def test_genfun_points_are_bitwise_the_general_path(self, monkeypatch):
+        # x, b on the generic, zero, positive and negative integer branches;
+        # the last point refines past its first pass
+        points = [(0.2 + 0.1j, 1.3 + 0.2j), (-0.31 + 0.05j, 2.77 - 0.4j),
+                  (0.25 - 0.2j, 0j), (-0.15 + 0.3j, 0j),
+                  (0.3 + 0.12j, 3 + 0j), (-0.2 - 0.35j, 1 + 0j),
+                  (0.18 - 0.4j, -2 + 0j), (-0.4 + 0.1j, -7 + 0j)]
+        work = [lambda x=x, b=b: genfun.genfun_closed(x, b) for x, b in points]
+        self.check(monkeypatch, work, lone_rows=len(points) - 1)
+
+    def test_real_integrands_are_bitwise_the_general_path(self, monkeypatch):
+        work = [lambda j=j: genfun.odd_zeta_integral(j) for j in range(1, 11)]
+        self.check(monkeypatch, work, lone_rows=10)
+
+    def test_rows_the_finish_leaves_are_bitwise_the_general_path(self, monkeypatch):
+        # an all-zero probe, a row that does not converge with no
+        # subdivision budget, and a total that overflows: all go on to the
+        # general path
+        def zero(u):
+            return np.zeros_like(u)
+
+        def wavy(u):
+            return np.sin(40 * np.pi * u) * (1.0 + 0.5j)
+
+        def huge(u):
+            return 1e308 * np.sin(np.pi * u)
+
+        def run(g, spec=None, family=None):
+            f = g if family is None else (lambda u, rows: g(u))
+            with np.errstate(over="ignore", invalid="ignore"):
+                return _exact(quadrature.integrate_cot_weighted(f, spec, family=family))
+
+        work = [lambda g=g, s=s, fam=fam: run(g, s, fam)
+                for g, s in ((zero, None), (wavy, self.SPEC0), (huge, None))
+                for fam in (None, 1)]
+        fast, slow = (self.outcomes(monkeypatch, work, general)[1] for general in (False, True))
+        assert fast == slow
+        assert "('converged', ('bool', 'False'))" in fast[2] and "total overflowed" in fast[4]
+
+    def test_converged_lone_row_never_reaches_adapt(self, monkeypatch):
+        def adapt(*args):
+            raise AssertionError("_adapt reached")
+
+        monkeypatch.setattr(quadrature, "_adapt", adapt)
+        r = integrate_cot_weighted(lambda u: np.sin(2 * np.pi * u))
+        assert r.converged and r.evaluations == 189 and r.value.real == pytest.approx(1.0)
+        fam = integrate_cot_weighted(lambda u, rows: np.sin(2 * np.pi * u), family=1)
+        assert fam.row(0) == r
+        assert fam.value.shape == fam.error_estimate.shape == (1,)
+        assert fam.row_evaluations.tolist() == [189] and fam.row_warnings == [[]]
+        with pytest.raises(AssertionError, match="_adapt reached"):  # a family of two
+            integrate_cot_weighted(lambda u, rows: np.sin(2 * np.pi * u) + 0 * rows, family=2)
