@@ -295,32 +295,37 @@ def _oracle(k: int, b: complex) -> complex:
 
 
 def _zeta_record(k: int, b: complex, spec: QuadratureSpec):
-    """``zeta(k, b)`` beside the series oracle: the record, with its
-    ``verdict``, and the closed-form breakdown (``None`` on the series
-    route).  It passes when ``|value - oracle| <= VERDICT_RTOL * |oracle|``,
-    ``|oracle|`` floored at the smallest normal double only so that an
-    exact-zero oracle still compares.  On the series route the value is the
-    oracle's own summation, used as is: ``cross_check`` says ``"same-route"``.
+    """``zeta(k, b)`` by :func:`zeta_auto`: the record, with its route, the
+    reason for it, the estimate and a ``verdict``, and the closed-form
+    breakdown (``None`` on the series route).  A closed-form value is
+    checked against the independent series ``oracle``, and passes when
+    ``|value - oracle| <= VERDICT_RTOL * |oracle|``, ``|oracle|`` floored at
+    the smallest normal double only so that an exact-zero oracle still
+    compares.  A series value passes on its own remainder bound when it is
+    finite.
     """
     b = complex(b)
     t0 = time.perf_counter()
-    value, route, br = zeta_auto(k, b, spec)
-    oracle = value if route == "series" else _oracle(k, b)
-    disc = abs(value - oracle)
-    scale = max(abs(oracle), _TINY)
-    return {
+    res = zeta_auto(k, b, spec)
+    record = {
         "k": k,
         "b": b,
         "status": "ok",
-        "value": value,
-        "oracle": oracle,
-        "discrepancy_abs": disc,
-        "discrepancy_rel": disc / scale,
-        "route": route,
-        "cross_check": "same-route" if route == "series" else "independent",
-        "verdict": "pass" if disc <= VERDICT_RTOL * scale else "fail",
-        "timing_s": time.perf_counter() - t0,
-    }, br
+        "value": res.value,
+        "route": res.route,
+        "route_reason": res.route_reason,
+        "estimate": res.estimate,
+    }
+    if res.breakdown is None:
+        record["verdict"] = "pass" if np.isfinite(res.value) else "fail"
+    else:
+        oracle = _oracle(k, b)
+        disc = abs(res.value - oracle)
+        scale = max(abs(oracle), _TINY)
+        record.update(oracle=oracle, discrepancy_abs=disc, discrepancy_rel=disc / scale,
+                      verdict="pass" if disc <= VERDICT_RTOL * scale else "fail")
+    record["timing_s"] = time.perf_counter() - t0
+    return record, res.breakdown
 
 
 def cmd_eval(cfg: RunConfig) -> tuple[ReportEnvelope, int]:
@@ -328,12 +333,7 @@ def cmd_eval(cfg: RunConfig) -> tuple[ReportEnvelope, int]:
     b = _checked(check_b, parse_complex(cfg.params["b"]))
     t0 = time.perf_counter()
     record, br = _zeta_record(k, b, cfg.spec())
-    if br is None:
-        record["notice"] = (
-            "integer b routed to direct summation: the combined closed form "
-            "has a pole of its phase factor at every integer b"
-        )
-    else:
+    if br is not None:
         record["breakdown"] = {
             "term_half_bk": br.term_half_bk,
             "term_polylog_single": br.term_polylog_single,

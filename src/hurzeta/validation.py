@@ -16,11 +16,10 @@ import numpy as np
 from . import kernels
 from .errors import DomainError, HurzetaError, check_finite, check_k, check_real
 from .hurwitz import (
-    ZetaParams,
     hp_partial_sum,
-    hurwitz_zeta,
     imag_part_integral,
     real_part_formula,
+    zeta_auto,
 )
 from .quadrature import (
     DEFAULT_SPEC,
@@ -267,15 +266,14 @@ def _log_asymptotic_report(k, ns, values, notes, spec):
 def _hp_limit(k: int, b: complex) -> complex:
     """The n -> infinity value of hp_partial_sum: sum_{j>=1} (i*j + b)**(-k).
 
-    Real b > 0 uses the dedicated real/imaginary split; complex b routes
-    through the rotated zeta evaluation (the rotation that defines the
-    series in the first place)."""
+    Real b > 0 uses the dedicated real/imaginary split; complex b is the
+    rotation ``(-i)**k * zeta(k, -i*b)`` that defines the series in the first
+    place, by :func:`zeta_auto`."""
     b = check_finite(b, "b")
     if b.imag == 0.0:  # real_part_formula refuses b <= 0
         full = complex(real_part_formula(k, b.real), imag_part_integral(k, b.real))
     else:
-        params = ZetaParams.create(k, -1j * b)
-        full = (-1j) ** (k % 4) * hurwitz_zeta(params).total
+        full = (-1j) ** (k % 4) * zeta_auto(k, -1j * b).value
     return full - 1.0 / b**k
 
 

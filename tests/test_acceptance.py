@@ -45,6 +45,11 @@ from hurzeta.validation import (
 
 from _oracles import catalan_constant, hurwitz_direct, riemann_zeta
 
+# The routing box: 600 draws of k in [2, 24], Re b in [0.05, 8) and, for
+# seven in ten of them, Im b in [-3, 3).
+BOX_SEED = 2024
+BOX_DRAWS = 600
+
 SEED = 20260818
 
 
@@ -92,7 +97,7 @@ def test_criterion_02_oracle_grid():
         worst_at = None
         for k in ks:
             for b in bs:
-                value, _, _ = zeta_auto(k, complex(b))
+                value = zeta_auto(k, complex(b)).value
                 oracle = hurwitz_direct(k, complex(b))
                 rel = abs(value - oracle) / (1.0 + abs(oracle))
                 if rel > worst:
@@ -100,6 +105,31 @@ def test_criterion_02_oracle_grid():
         print(f"[criterion 2] 72 points, worst scaled error {worst:.2e} "
               f"at (k, b) = {worst_at} (<= 1e-8)")
         assert worst <= 1e-8
+
+
+def test_criterion_02b_routed_box_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with _Budget(10.0, "criterion 2b"):
+        rng = np.random.default_rng(BOX_SEED)
+        misses, closed, worst = [], 0, 0.0
+        for _ in range(BOX_DRAWS):
+            k = int(rng.integers(2, 25))
+            re_b = float(rng.uniform(0.05, 8.0))
+            b = complex(re_b, rng.uniform(-3.0, 3.0) if rng.random() < 0.7 else 0.0)
+            res = zeta_auto(k, b)
+            with mpmath.workdps(30):
+                ref = complex(mpmath.zeta(k, mpmath.mpc(b.real, b.imag)))
+            rel = abs(res.value - ref) / abs(ref)
+            if rel > 1e-8:
+                misses.append((k, b, rel))
+            if res.route == "closed-form":
+                closed += 1
+                # the estimate the value reports bounds its measured error
+                assert rel <= res.estimate, (k, b, rel, res.estimate)
+                worst = max(worst, rel / res.estimate)
+        print(f"[criterion 2b] {BOX_DRAWS} draws, {len(misses)} misses above 1e-8; "
+              f"{closed} closed form, worst error / estimate {worst:.2f}")
+        assert misses == []
 
 
 def test_criterion_03_endpoint_identity():
@@ -289,7 +319,7 @@ def test_criterion_10_cli_contract(tmp_path):
             json.loads(b.stdout))
 
         assert run("eval", "--k", "1", "--b", "0.5").returncode == 2
-        bad = run("eval", "--k", "200", "--b", "0.5", "--format", "json")
+        bad = run("eval", "--k", "2", "--b=-1e9,0.5", "--format", "json")
         assert bad.returncode == 3
         assert json.loads(bad.stdout)["results"][0]["status"] == "error"
         assert run("genfun", "--x", "0.2", "--b", "0.5").returncode == 3

@@ -76,6 +76,11 @@ DOMAIN_ERROR_CALLS = {
     "check_finite('abc', 'b')": lambda: check_finite("abc", "b"),
     "hp_partial_sum(2, 'x', 3)": lambda: hp_partial_sum(2, "x", 3),
     "zeta_auto(3, None)": lambda: zeta_auto(3, None),
+    # zeta_auto checks k and b before it routes: none of these reaches the
+    # series fallback
+    "zeta_auto(1, 0.5)": lambda: zeta_auto(1, 0.5),
+    "zeta_auto(3, nan)": lambda: zeta_auto(3, math.nan),
+    "zeta_auto(3, 'abc')": lambda: zeta_auto(3, "abc"),
     "real_part_formula(3, 'x')": lambda: real_part_formula(3, "x"),
     "real_part_formula(3, None)": lambda: real_part_formula(3, None),
     "imag_part_integral(3, 'x')": lambda: imag_part_integral(3, "x"),

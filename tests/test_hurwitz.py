@@ -38,8 +38,15 @@ from hurzeta.errors import (
     DomainError,
     RangeOverflowError,
 )
-from hurzeta.hurwitz import EM_SHIFT, EM_TERMS, _I_POW, _em_constants, _em_tail
-from hurzeta.quadrature import DEFAULT_SPEC, integrate_cot_weighted
+from hurzeta.hurwitz import (
+    EM_SHIFT,
+    EM_TERMS,
+    ROUTE_RTOL,
+    _I_POW,
+    _em_constants,
+    _em_tail,
+)
+from hurzeta.quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_cot_weighted
 
 
 def _bits(z: complex) -> tuple:
@@ -123,9 +130,12 @@ class TestClosedFormValues:
             drawn += 1
             with mpmath.workdps(40):
                 ref = complex(mpmath.zeta(k, b))
-            value, route, _ = zeta_auto(k, b)
-            assert route == "closed-form"
-            assert abs(value - ref) <= 1e-9 * abs(ref), (k, b)
+            closed = hurwitz_zeta(ZetaParams.create(k, b)).total
+            assert abs(closed - ref) <= 1e-9 * abs(ref), (k, b)
+            # zeta_auto sends the four draws near |Im b| = 1 whose estimate
+            # exceeds ROUTE_RTOL to the series; its value holds either way
+            res = zeta_auto(k, b)
+            assert abs(res.value - ref) <= ROUTE_RTOL * abs(ref), (k, b)
 
     def test_breakdown_reassembles(self):
         br = hurwitz_zeta(ZetaParams.create(3, 0.8))
@@ -262,15 +272,55 @@ class TestProperties:
 
 class TestRouting:
     def test_integer_b_goes_to_series(self):
-        v, route, breakdown = zeta_auto(2, 1.0)
-        assert route == "series"
+        v, route, breakdown, estimate, reason = zeta_auto(2, 1.0)
+        assert route == "series" and reason == "integer b"
         assert breakdown is None
+        assert estimate == ROUTE_RTOL
         assert v.real == pytest.approx(math.pi**2 / 6, rel=1e-12)
 
     def test_generic_b_goes_to_closed_form(self):
-        v, route, breakdown = zeta_auto(2, 1.25)
+        v, route, breakdown, estimate, reason = zeta_auto(2, 1.25)
         assert route == "closed-form"
-        assert breakdown is not None
+        assert breakdown is not None and v == breakdown.total
+        assert estimate == breakdown.estimate <= ROUTE_RTOL
+        assert reason == f"estimate {estimate:.0e} <= 1e-10"
+
+    # Cells the closed form once got wrong or refused: |Im b| past IM_CAP,
+    # an endpoint check refusing a valid bracket, polylogarithms past double
+    # range, and cancellation between the terms.
+    @pytest.mark.parametrize("k, b, reason", [
+        (3, 1 + 6j, "RangeOverflowError: |Im b| = 6 exceeds im_cap"),
+        (23, 0.4909441357573397 + 0.08848688183090925j, "DivergenceError: "),
+        (24, 1 + 1e-14, "RangeOverflowError: Li_(-21)"),
+        (12, 2 - 3e-15 + 1e-15j, "estimate "),
+        (12, 7.3, "estimate 7e+04 > 1e-10"),
+        (10, 3.75, "estimate 3e-02 > 1e-10"),
+    ])
+    def test_closed_form_faults_fall_back_to_series(self, k, b, reason):
+        mpmath = pytest.importorskip("mpmath")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            res = zeta_auto(k, b)
+        assert res.route == "series" and res.breakdown is None
+        assert res.route_reason.startswith(reason), res.route_reason
+        assert res.estimate == ROUTE_RTOL
+        with mpmath.workdps(30):
+            ref = complex(mpmath.zeta(k, mpmath.mpc(b.real, complex(b).imag)))
+        assert abs(res.value - ref) <= 1e-10 * abs(ref)
+
+    def test_unconverged_integral_falls_back_to_series(self):
+        # with no subdivision budget the refining cell (4, 6.1-2.9i) stops
+        # after its first pass
+        res = zeta_auto(4, 6.1 - 2.9j, QuadratureSpec(max_subdivisions=0))
+        assert res.route == "series"
+        assert res.route_reason == "quadrature did not converge"
+        assert res.value == hurwitz_series_oracle(4, 6.1 - 2.9j, tol=ROUTE_RTOL)
+
+    def test_series_errors_reach_the_caller(self):
+        # the closed form's integral does not converge here, and the series
+        # would need 1e9 terms: no unconverged value comes back
+        with pytest.raises(CapacityError):
+            zeta_auto(2, -1e9 + 0.5j)
 
     def test_series_oracle_tolerance_scaling(self):
         loose = hurwitz_series_oracle(2, 0.7, tol=1e-6)
@@ -281,12 +331,14 @@ class TestRouting:
 
     def test_cancellation_diagnostic_fires_where_expected(self):
         # k=10, b=3.75: answer ~ 5.7e-6 against O(10) working terms; the
-        # evaluator must confess its degraded relative accuracy
+        # estimate must confess the degraded relative accuracy, and it must
+        # cover the error the value has
+        mpmath = pytest.importorskip("mpmath")
         br = hurwitz_zeta(ZetaParams.create(10, 3.75))
-        assert any("cancellation" in w for w in br.warnings)
-        # and stay silent on a benign point
-        br2 = hurwitz_zeta(ZetaParams.create(2, 1.25))
-        assert not any("cancellation" in w for w in br2.warnings)
+        ref = complex(mpmath.zeta(10, 3.75))
+        assert 1e-8 < abs(br.total - ref) / abs(ref) <= br.estimate
+        # and stay small on a benign point
+        assert hurwitz_zeta(ZetaParams.create(2, 1.25)).estimate < 1e-12
 
 
 class TestErrorContract:
@@ -323,17 +375,17 @@ class TestErrorContract:
         # |1 - q| = 2e-14: (1 - q)**24 underflows and Li_{-23}(q) is past
         # double range; this once escaped as a ZeroDivisionError
         with pytest.raises(RangeOverflowError):
-            zeta_auto(24, 2 - 3e-15 + 1e-15j)
+            hurwitz_zeta(ZetaParams.create(24, 2 - 3e-15 + 1e-15j))
 
     def test_infinite_polylog_is_typed(self):
         # |1 - q| = 6e-14: (1 - q)**24 stays normal but Li_{-21}(q) is inf;
         # this once surfaced as "DomainError: scale_hint must be finite"
         with pytest.raises(RangeOverflowError, match=r"Li_\(-21\)"):
-            zeta_auto(24, 1 + 1e-14)
+            hurwitz_zeta(ZetaParams.create(24, 1 + 1e-14))
 
     def test_pole_note_is_given_once(self):
         with pytest.warns(ConditioningWarning):
-            br = zeta_auto(12, 2 - 3e-15 + 1e-15j)[2]
+            br = hurwitz_zeta(ZetaParams.create(12, 2 - 3e-15 + 1e-15j))
         assert sum("pole" in w for w in br.warnings) == 1
 
     @pytest.mark.parametrize("k", [10**16, 10**30])

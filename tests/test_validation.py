@@ -121,6 +121,14 @@ class TestHpLimit:
         rep = hp_limit_scan(2, 1.0 + 0.5j, (10, 100, 1000))
         assert rep.verdict == "pass"
 
+    @pytest.mark.parametrize("k, b", [(3, 6 + 0.5j), (12, 0.3 + 7.3j)])
+    def test_complex_limit_is_routed(self, k, b):
+        # the limit's zeta(k, -i*b) is past IM_CAP at (3, 6+0.5i), and
+        # cancels at (12, 7.3-0.3i): the unrouted closed form raised
+        # RangeOverflowError at the first and stalled the deviations at
+        # 3.4e-11 at the second
+        assert hp_limit_scan(k, b, (10, 100, 1000)).verdict == "pass"
+
     def test_integer_b_uses_real_decomposition(self):
         rep = hp_limit_scan(2, 2.0, (10, 100, 1000))
         assert rep.verdict == "pass"
