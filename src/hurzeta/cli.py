@@ -609,6 +609,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options whose value may begin with a minus sign.  argparse reads a token
+# that starts with "-" and is neither "-N" nor "-N.N" ("-1.5,0.5", "-2:2:5",
+# "-1e-3") as an option, so main joins such a value to its option with "=".
+_SIGNED_OPTIONS = ("--b", "--x", "--b-im")
+
+
+def _join_signed_values(argv):
+    """``argv`` with each option of ``_SIGNED_OPTIONS`` that is followed by a
+    minus sign and a digit or point spelled ``--b=-1.5,0.5``."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in _SIGNED_OPTIONS and re.match(r"-[\d.]", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 # the argparse destinations of every command (_add_common); the rest are its params
 _TOLERANCES = ("rel_tol", "abs_tol", "max_subdivisions")
 _COMMON_ARGS = ("command", "format", "output", "seed") + _TOLERANCES
@@ -650,7 +668,7 @@ def main(argv=None) -> int:
     # the command and at interpreter shutdown are pure overhead.
     gc.freeze()
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
     t0 = time.perf_counter()
     try:
         cfg = config_from_args(args)

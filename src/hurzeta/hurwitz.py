@@ -257,8 +257,8 @@ def bracket_scale(params: ZetaParams) -> float:
 def endpoint_residual(params: ZetaParams) -> float:
     """``|B(0) - B(1)| / bracket_scale(params)``: the endpoint identity's
     residual in units of its rounding yardstick, from the cached bracket
-    set-up alone.  ``B(0)`` is the constant coefficient ``c_k``: Horner's
-    rule at ``u = 0`` leaves it and ``exp(0) = 1``, so the value has the
+    set-up alone.  ``B(0)`` is the constant coefficient ``c_k``: at
+    ``u = 0`` every other power is 0 and ``exp(0) = 1``, so the value has the
     bits of ``|bracket_kernel(params, 0.0)| / bracket_scale(params)``
     without a kernel call."""
     coeffs, b1, _, _, scale = _bracket_data(params.k, params.q)
@@ -300,15 +300,22 @@ def hurwitz_zeta(params: ZetaParams, spec: QuadratureSpec | None = None) -> Eval
     1e-10 (perfbench's zeta_grid at seed 1, and the routing box of the
     acceptance tests), the measured error was at most 0.60 of it, and
     above a quarter of it on about one cell in ten.
+
+    The polylogarithms' conditioning note, if any, is also issued as a
+    :class:`ConditioningWarning`.
     """
+    br = _closed_form(params, spec)
+    for note in br.warnings:
+        warnings.warn(note, ConditioningWarning, stacklevel=2)
+    return br
+
+
+def _closed_form(params: ZetaParams, spec: QuadratureSpec | None) -> EvalBreakdown:
+    """:func:`hurwitz_zeta` without its warning: the note is only stored."""
     spec = spec or DEFAULT_SPEC
     k, b, q = params.k, params.b, params.q
     _check_power_range(k, q)
     coeffs, b1, li_top, note, bscale = _bracket_data(k, q)
-    diag = []
-    if note:
-        warnings.warn(note, ConditioningWarning, stacklevel=2)
-        diag.append(note)
 
     ipk = _I_POW[k % 4] * (2.0 * math.pi) ** k  # (2*pi*i)**k, quadrant exact
 
@@ -343,7 +350,7 @@ def hurwitz_zeta(params: ZetaParams, spec: QuadratureSpec | None = None) -> Eval
         total=total,
         quadrature=quad,
         estimate=4.0 * noise / max(abs(total), _TINY),
-        warnings=diag,
+        warnings=[note] if note else [],
     )
 
 
@@ -495,7 +502,9 @@ def zeta_auto(k: int, b: complex, spec: QuadratureSpec | None = None) -> ZetaRes
     :class:`HurzetaError` raised by the closed form once ``k`` and ``b``
     are valid -- gets :func:`hurwitz_series_oracle` at ``tol=ROUTE_RTOL``.
     A :class:`DomainError` on ``k`` or ``b``, and any error of the series
-    route, reach the caller.
+    route, reach the caller.  The polylogarithms' conditioning note is
+    issued as a :class:`ConditioningWarning` only with the closed form's
+    value, the one it is about.
     """
     k = check_k(k)
     b = check_b(b)
@@ -503,7 +512,7 @@ def zeta_auto(k: int, b: complex, spec: QuadratureSpec | None = None) -> ZetaRes
         reason = "integer b"
     else:
         try:
-            br = hurwitz_zeta(ZetaParams._of(k, b), spec)
+            br = _closed_form(ZetaParams._of(k, b), spec)
         except HurzetaError as exc:
             reason = f"{type(exc).__name__}: {exc}"
         else:
@@ -512,6 +521,8 @@ def zeta_auto(k: int, b: complex, spec: QuadratureSpec | None = None) -> ZetaRes
             elif not br.estimate <= ROUTE_RTOL:  # NaN included
                 reason = f"estimate {br.estimate:.0e} > {ROUTE_RTOL:.0e}"
             else:
+                for note in br.warnings:
+                    warnings.warn(note, ConditioningWarning, stacklevel=2)
                 return ZetaResult(br.total, "closed-form", br, br.estimate,
                                   f"estimate {br.estimate:.0e} <= {ROUTE_RTOL:.0e}")
     value = hurwitz_series_oracle(k, b, tol=ROUTE_RTOL)

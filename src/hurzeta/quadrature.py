@@ -268,8 +268,9 @@ def _cot_layout():
         mesh=mesh,
         strip_weight=m / math.pi - math.pi * m**3 / 9.0,
     )
-    # shared by every call, so nothing may write to them
-    for a in (lay.u, lay.weights, lay.cweights, mesh.lefts, mesh.widths):
+    # shared by every call, so nothing may write to them (nor to the line
+    # lay.u views, whose power rows kernels.poly_exp_gap keeps)
+    for a in (lay.u.base, lay.u, lay.weights, lay.cweights, mesh.lefts, mesh.widths):
         a.setflags(write=False)
     return lay
 

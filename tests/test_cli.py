@@ -72,6 +72,15 @@ class TestEval:
         assert rec["error_type"] == "CapacityError"
         assert "error:" in p.stderr
 
+    def test_negative_real_part_without_equals_sign(self):
+        # argparse alone reads "-1.5,0.5" as an unknown option and exits 2
+        p = run("eval", "--k", "2", "--b", "-1.5,0.5", "--format", "json")
+        assert p.returncode == 0, p.stderr
+        assert json.loads(p.stdout)["results"][0]["b"] == {"re": -1.5, "im": 0.5}
+        p = run("eval", "--k", "2", "--b", "-1e9,0.5", "--format", "json")
+        assert p.returncode == 3, p.stderr
+        assert json.loads(p.stdout)["results"][0]["error_type"] == "CapacityError"
+
     def test_polylog_past_double_range_falls_back_to_series(self):
         # the polylogarithms are evaluated 2e-14 from their pole, and
         # Li_{-21} is past double range; once a traceback, exit 1, then a
@@ -237,6 +246,14 @@ class TestGenfun:
             [0.05, 0.1, 0.15, 0.2, 0.25])
 
 
+    def test_negative_grid_and_b_without_equals_sign(self):
+        p = run("genfun", "--x", "-0.2:-0.1:2", "--b", "-1.3,0.2", "--format", "json")
+        assert p.returncode == 0, p.stderr
+        rows = json.loads(p.stdout)["results"]
+        assert [r["x"]["re"] for r in rows] == [-0.2, -0.1]
+        assert rows[0]["b"] == {"re": -1.3, "im": 0.2}
+
+
 class TestOddzeta:
     def test_range(self):
         p = run("oddzeta", "--j", "1-3", "--format", "json")
@@ -313,6 +330,13 @@ class TestValidate:
 
 
 class TestSweep:
+    def test_negative_grid_without_equals_sign(self):
+        p = run("sweep", "--k", "2", "--b", "-1.5:-0.5:2", "--b-im", "-1e-1",
+                "--format", "json")
+        assert p.returncode == 0, p.stderr
+        bs = [r["b"] for r in json.loads(p.stdout)["results"]]
+        assert bs == [{"re": -1.5, "im": -0.1}, {"re": -0.5, "im": -0.1}]
+
     def test_csv_shape_and_determinism(self):
         args = ("sweep", "--k", "2,3,4", "--b", "0.3:3.3:7", "--format", "csv")
         a = run(*args)

@@ -299,7 +299,7 @@ class TestRouting:
     def test_closed_form_faults_fall_back_to_series(self, k, b, reason):
         mpmath = pytest.importorskip("mpmath")
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ConditioningWarning)
+            warnings.simplefilter("error")  # no warning about a value not returned
             res = zeta_auto(k, b)
         assert res.route == "series" and res.breakdown is None
         assert res.route_reason.startswith(reason), res.route_reason
@@ -307,6 +307,19 @@ class TestRouting:
         with mpmath.workdps(30):
             ref = complex(mpmath.zeta(k, mpmath.mpc(b.real, complex(b).imag)))
         assert abs(res.value - ref) <= 1e-10 * abs(ref)
+
+    def test_conditioning_note_warns_only_with_the_closed_form_value(self):
+        # q sits within POLE_GUARD of the polylogarithms' pole at both cells:
+        # at (12, 2 - 3e-15 + 1e-15i) the series value is returned, silently
+        # (above), and at (2, 1e-13) the closed form's, with the note
+        with pytest.warns(ConditioningWarning, match="of its pole at z=1"):
+            res = zeta_auto(2, 1e-13)
+        assert res.route == "closed-form"
+        assert res.breakdown.warnings and res.value == pytest.approx(1e26, rel=1e-12)
+        # the closed form itself warns whatever it returns
+        with pytest.warns(ConditioningWarning, match="of its pole at z=1"):
+            br = hurwitz_zeta(ZetaParams.create(12, 2 - 3e-15 + 1e-15j))
+        assert br.warnings and not br.estimate <= ROUTE_RTOL
 
     def test_unconverged_integral_falls_back_to_series(self):
         # with no subdivision budget the refining cell (4, 6.1-2.9i) stops

@@ -2,6 +2,9 @@
 
 import cmath
 import inspect
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -54,23 +57,84 @@ def test_poly_exp_gap_matches_direct_evaluation():
     assert kernels.poly_exp_gap(u, coeffs, c, offset) == pytest.approx(direct, rel=1e-13)
 
 
-@pytest.mark.parametrize("k", [1, 2, 7, 24])
-def test_poly_exp_gap_is_the_plain_horner_loop_bitwise(k):
-    # the kernel casts u to complex once and runs Horner in place; numpy
-    # casts a float operand to complex in every mixed step anyway, so the
-    # bits must be those of the plain loop
+def _bracket_like(k):
+    """Coefficients (highest power first), ``c`` and offset of a seeded
+    bracket of degree ``k - 1``."""
     rng = np.random.default_rng(k)
-    u = np.concatenate([[0.0, 1.0], rng.random(300)])
     coeffs = rng.normal(size=k) + 1j * rng.normal(size=k)
-    c = -2j * np.pi * complex(rng.uniform(0.05, 3), rng.uniform(-2, 2))
-    offset = complex(rng.normal(), rng.normal())
-    p = np.full(u.shape, coeffs[0], dtype=np.complex128)
-    for j in range(1, k):
-        p = p * u + coeffs[j]
-    ref = p * np.exp(c * u) - offset
-    got = kernels.poly_exp_gap(u, coeffs, c, offset)
-    assert got.dtype == ref.dtype and got.shape == ref.shape
+    c = -2j * np.pi * complex(rng.uniform(0.05, 3), rng.uniform(-0.5, 0.5))
+    return coeffs, c, complex(rng.normal(), rng.normal())
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 24, 170])
+def test_poly_exp_gap_on_the_first_pass_line_is_its_copy_bitwise(k):
+    # the driver's read-only first-pass line takes its powers from a table
+    # kept across calls (here grown past k first); a writable copy gets
+    # them computed, by the same products
+    line = quadrature._cot_layout().u.ravel()
+    assert not line.flags.writeable
+    kernels.poly_exp_gap(line, np.ones(171), 0j, 0j)
+    coeffs, c, offset = _bracket_like(k)
+    got = kernels.poly_exp_gap(line, coeffs, c, offset)
+    ref = kernels.poly_exp_gap(line.copy(), coeffs, c, offset)
+    assert got.dtype == ref.dtype and got.shape == ref.shape == line.shape
     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+def test_poly_exp_gap_shares_its_table_between_threads():
+    # threads that grow, read and race over the shared table, with a short
+    # switch interval, still get the bits of a writable copy of the line
+    line = quadrature._cot_layout().u.ravel()
+    ks = [1, 5, 12, 30, 24, 2, 60, 7]
+    cases = [(_bracket_like(k), k) for k in ks]
+    refs = [kernels.poly_exp_gap(line.copy(), *case) for case, _ in cases]
+    kernels._shared = (None, None)  # start from no table
+    bad = []
+
+    def work(i):
+        for j in range(i, i + 50):
+            (case, k), ref = cases[j % len(cases)], refs[j % len(cases)]
+            got = kernels.poly_exp_gap(line, *case)
+            if not np.array_equal(got.view(np.uint64), ref.view(np.uint64)):
+                bad.append((i, k))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 24, 170])
+def test_poly_exp_gap_against_mpmath(k):
+    # within 4k eps of the summed sizes of its terms, |c_j u**(k-j) exp(cu)|
+    # and |offset|, on the first-pass line (endpoints and margin strips
+    # included); a RuntimeWarning is an error here as in the whole suite
+    mpmath = pytest.importorskip("mpmath")
+    line = quadrature._cot_layout().u.ravel()
+    coeffs, c, offset = _bracket_like(k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = kernels.poly_exp_gap(line, coeffs, c, offset)
+    eps = np.finfo(np.float64).eps
+    with mpmath.workdps(40):
+        cs = [mpmath.mpc(z.real, z.imag) for z in coeffs]
+        for u, g in zip(line.tolist(), got.tolist()):
+            e = mpmath.exp(mpmath.mpc(c.real, c.imag) * u)
+            poly, size = mpmath.mpc(0), mpmath.mpf(0)
+            for cj in cs:
+                poly = poly * u + cj
+                size = size * u + abs(cj)
+            ref = poly * e - mpmath.mpc(offset.real, offset.imag)
+            bound = 4 * k * eps * (size * abs(e) + abs(offset))
+            assert abs(mpmath.mpc(g.real, g.imag) - ref) <= bound, (u, g)
 
 
 def test_pow_sin_cot_is_product():
