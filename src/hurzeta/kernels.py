@@ -55,16 +55,19 @@ Conventions
 * ``poly_exp_gap``, the closed form's integrand, evaluates its polynomial
   as one matrix product of the powers ``u**m`` and the coefficients, not
   by Horner's rule: a fixed few numpy calls whatever the degree, where
-  Horner took two per coefficient (about 9.5 against 9-29 us at k = 2-24
-  on the cotangent driver's 189 first-pass abscissae).  The powers of that
-  shared read-only line are computed once per process and kept; any other
-  ``u`` gets them computed by the same products, so both give the same
-  bits.  The value is within ``4k*eps`` of the summed sizes of its terms.
+  Horner took two per coefficient.  On the cotangent driver's 189
+  first-pass abscissae (numpy 2.4 and OpenBLAS, 2-vCPU x86-64) that is
+  about 10 us at every k from 2 to 24, where Horner took 9-31 us.  The
+  powers of that shared read-only line are computed once per process and
+  kept; any other ``u`` gets them computed by the same products, so both
+  give the same bits.  The value is within ``4k*eps`` of the summed sizes
+  of its terms.
 """
 
 import numpy as np
 
 _SINE_BLOCK = 1 << 13  # most values one pass of the genfun sines' steps runs over
+_POWER_BLOCK = 1 << 12  # most abscissae one power table covers (k rows of them)
 
 __all__ = [
     "cot_pi",
@@ -135,10 +138,16 @@ def poly_exp_gap(u, coeffs, c, offset):
     coefficients as a ``(k, 2)`` real array, lowest power first, whose
     ``(n, 2)`` result is viewed back as complex.  A fixed few numpy calls
     whatever ``k`` is, where Horner's rule took ``2k``; the powers of the
-    driver's shared first-pass line are computed once per process.
+    driver's shared first-pass line are computed once per process.  A
+    ``u`` of more than ``_POWER_BLOCK`` values is taken in blocks of that
+    many, so the table stays near cache size (the driver's calls fit one).
     """
+    x = u.ravel()
+    if x.size > _POWER_BLOCK:
+        return np.concatenate([poly_exp_gap(x[i:i + _POWER_BLOCK], coeffs, c, offset)
+                               for i in range(0, x.size, _POWER_BLOCK)]).reshape(u.shape)
     pairs = np.array(coeffs[::-1], dtype=np.complex128).view(np.float64).reshape(-1, 2)
-    p = (_powers(u.ravel(), len(pairs)).T @ pairs).view(np.complex128).reshape(u.shape)
+    p = (_powers(x, len(pairs)).T @ pairs).view(np.complex128).reshape(u.shape)
     p *= np.exp(c * u)
     p -= offset
     return p

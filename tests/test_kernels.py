@@ -4,6 +4,7 @@ import cmath
 import inspect
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -110,6 +111,24 @@ def test_poly_exp_gap_shares_its_table_between_threads():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert bad == []
+
+
+def test_poly_exp_gap_takes_a_long_line_in_blocks():
+    # the power table of k = 24 rows over 200,000 abscissae would be 37 MB;
+    # in blocks the peak stays under three times the result (3.2 MB)
+    u = np.linspace(0.0, 1.0, 200_000)
+    coeffs, c, offset = _bracket_like(24)
+    tracemalloc.start()
+    try:
+        got = kernels.poly_exp_gap(u, coeffs, c, offset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * got.nbytes
+    block = kernels._POWER_BLOCK
+    for i in (0, 7 * block, len(u) // block * block):  # the last block is short
+        part = kernels.poly_exp_gap(u[i:i + block], coeffs, c, offset)
+        assert np.array_equal(got[i:i + block].view(np.uint64), part.view(np.uint64))
 
 
 @pytest.mark.parametrize("k", [1, 2, 7, 24, 170])
