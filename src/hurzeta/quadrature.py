@@ -14,14 +14,15 @@ every line its own abscissae (``P == L``).  A single integrand runs as a
 family of one: there is one driver.  ``family`` must be an integer >= 1 and
 a ``scale_hint`` one value or one per row (:class:`DomainError` otherwise).
 
-The single-row path is what one closed-form ``zeta(k, b)`` pays on every
-call: one integrand call of 189 values, one matrix product and a fixed
-set of operations on arrays of one row.  Their fixed cost, not the
-arithmetic, is what that path spends, and nearly every such row
-converges on the first pass (2286 of the 2290 closed-form cells of the
-benchmark's rounds at seeds 1 and 2, and 471 of their 514
-generating-function points).  So a one-row family (a plain integrand, or
-``family=1``) whose first pass converges is finished in Python scalars:
+The single-row path is what one closed-form ``zeta(k, b)`` and one
+generating-function point pay on every call, each as a plain integrand:
+one integrand call of 189 values, one matrix product and a fixed set of
+operations on arrays of one row.  Their fixed cost, not the arithmetic,
+is what that path spends, and nearly every such row converges on the
+first pass (2286 of the 2290 closed-form cells of the benchmark's rounds
+at seeds 1 and 2, and 471 of their 514 generating-function points).  So a
+one-row family (a plain integrand, or ``family=1``) whose first pass
+converges is finished in Python scalars:
 its scale, endpoint check, strip model, target, convergence test and
 totals, with no refinement loop.  That halves the driver's share of a
 cell, from about 34-39 us to 18-19 us on a shared 2-vCPU x86-64 machine.
@@ -505,7 +506,9 @@ def _lone_first_pass(gv, lay, spec, hint, family):
     violation, a probe that is all zero (or overflowed), a row that would
     refine, a total that is not finite.  Every step is the general path's,
     in the same order, with numpy calls where they set the bits (see the
-    module docstring)."""
+    module docstring).  A plain integrand (``family`` None, as a closed-form
+    cell and a generating-function point pass) gets a scalar result,
+    ``family=1`` the one-row arrays of a family."""
     probe = np.abs(gv[0, :_PROBE.size]).tolist()
     scale = max(probe)
     if not 0.0 < scale < math.inf:

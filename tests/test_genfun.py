@@ -31,6 +31,7 @@ from hurzeta import (
 from hurzeta import genfun, kernels
 from hurzeta.errors import (
     CapacityError,
+    ConditioningWarning,
     DomainError,
     EvaluationError,
     IllConditionedError,
@@ -76,9 +77,12 @@ class TestClassification:
         assert classify_case(0.3, 2.0 + 1e-5).tag == "generic"
 
     def test_flags_are_the_python_distances_bitwise(self):
-        # the flags come from one numpy distance array per call; they must
-        # keep the bits of the scalar Python expressions below, which the
-        # CLI's "proximity" record and its envelope signature carry
+        # a point's flags must keep the bits of the scalar Python expressions
+        # below, which the CLI's "proximity" record and its envelope
+        # signature carry; the distance array of a recovery's points must
+        # have the same bits, point by point, and genfun_closed must refuse
+        # a point exactly when the array guard refuses it, naming the same
+        # locus in the same words
         def dist_to_int(w):
             return abs(w - round(w.real))
 
@@ -90,6 +94,7 @@ class TestClassification:
 
         rng = np.random.default_rng(20261019)
         tags = set()
+        by_b = {}
         for i in range(1600):
             b = (complex(rng.uniform(-4, 4), rng.uniform(-1.5, 1.5)), 0j,
                  complex(rng.integers(1, 9)), complex(-rng.integers(1, 9)))[i % 4]
@@ -103,7 +108,23 @@ class TestClassification:
             tags.add(case.tag)
             got = {k: v.hex() for k, v in vars(case.proximity_flags).items()}
             assert got == {k: v.hex() for k, v in reference(x, b).items()}, (x, b)
+            by_b.setdefault(b, []).append(x)
+
+            xs = np.array([x])
+            hit = genfun._first_guard(xs, genfun._classify(xs, b)[1], case.tag)
+            try:
+                genfun_closed(x, b)
+                refused = None
+            except IllConditionedError as exc:
+                refused = (0, str(exc), exc.locus)
+            assert refused == hit, (x, b)
         assert tags == {"generic", "b_zero", "b_pos_int", "b_neg_int"}
+        assert max(map(len, by_b.values())) > 1  # some arrays hold many points
+        for b, points in by_b.items():
+            dist = genfun._classify(np.array(points), b)[1]
+            for i, x in enumerate(points):
+                point = genfun._classify(x, b)[1]
+                assert [d.hex() for d in dist[:, i].tolist()] == [d.hex() for d in point], (x, b)
 
     def test_evaluation_carries_the_classified_case(self):
         rng = np.random.default_rng(7)
@@ -245,10 +266,10 @@ class TestEvalStructure:
 
     @pytest.mark.parametrize("b", [1.3 + 0.4j, 0.0, 3.0, -4.0])
     def test_lone_point_matches_its_row_of_an_array(self, b):
-        # genfun_closed sets up one numpy scalar, a recovery an array of
-        # points: the rational and trig terms agree to rounding; the
-        # integrals to the rounding of a lone first pass against a family
-        # row's, which sum in another order
+        # genfun_closed sets up one point through cmath, a recovery an array
+        # of points through numpy: the rational and trig terms agree to
+        # rounding; the integrals to the rounding of a plain integrand's
+        # first pass against a family row's, which sum in another order
         rng = np.random.default_rng(7)
         xs = rng.uniform(-0.45, 0.45, 40) + 1j * rng.uniform(-0.45, 0.45, 40)
         xs = xs[np.abs(xs) > 0.1]
@@ -263,6 +284,44 @@ class TestEvalStructure:
             assert abs(ev.trig_term - trig[i]) <= 1e-15 * big
             assert abs(ev.integral_term - integral[i]) <= 1e-14 * big
             assert abs(ev.total - total[i]) <= 1e-14 * big
+
+
+    def test_a_point_stays_on_its_path(self, monkeypatch):
+        # a lone point is classified, guarded and integrated in Python
+        # scalars: the array distances, the array guard and the family-row
+        # unpacking are never reached, on any branch, for a point whose
+        # integral refines, at x = 0 or inside the warning band
+        def reached(*args, **kwargs):
+            raise AssertionError("array path reached")
+
+        monkeypatch.setattr(genfun, "_array_distances", reached)
+        monkeypatch.setattr(genfun, "_first_guard", reached)
+        monkeypatch.setattr(genfun.QuadratureResult, "row", reached)
+        for x, b, tag in ((0.2 + 0.1j, 1.3 + 0.2j, "generic"), (0.25 - 0.2j, 0j, "b_zero"),
+                          (0.3 + 0.12j, 3, "b_pos_int"), (0.18 - 0.4j, -2, "b_neg_int")):
+            ev = genfun_closed(x, b)
+            assert ev.case.tag == tag and ev.quadrature.evaluations == 189
+            assert all(type(v) is complex for v in (
+                ev.rational_term, ev.trig_term, ev.integral_term, ev.total, ev.quadrature.value))
+            assert type(ev.quadrature.error_estimate) is float
+        refining = genfun_closed(-0.4 + 0.1j, -7)
+        assert refining.quadrature.evaluations > 189 and type(refining.total) is complex
+        assert genfun_closed(0.0, 0.77).total == 0
+        with pytest.warns(ConditioningWarning):
+            banded = genfun_closed(0.3, 1 + 3e-7)
+        assert banded.case.tag == "generic" and len(banded.warnings) == 1
+        with pytest.raises(IllConditionedError, match="2\\(x - b\\)"):
+            genfun_closed(0.3, 0.8)
+        with pytest.raises(UnsupportedParameterError):
+            genfun_closed(0.3, 1.5)
+
+    @pytest.mark.parametrize("x,b", [(0.3 + 120j, 2.0), (0.3 + 300j, 0.7 + 0.1j),
+                                     (0.3, 0.7 + 120j)])
+    def test_sines_past_double_range_are_a_range_overflow(self, x, b):
+        # once numpy's overflow warning and a DomainError on the scale hint
+        # (x), or a bare OverflowError (b)
+        with pytest.raises(RangeOverflowError, match="double range"):
+            genfun_closed(x, b)
 
 
 class TestSeriesCoefficient:
