@@ -31,7 +31,6 @@ from .errors import (
     DomainError,
     HurzetaError,
     IllConditionedError,
-    UnsupportedParameterError,
     check_finite,
     check_k,
 )
@@ -357,12 +356,6 @@ def _genfun_point(x: float, b: complex, spec: QuadratureSpec, series_kmax: int):
     t0 = time.perf_counter()
     try:
         ev = genfun_closed(x, b, spec)
-    except UnsupportedParameterError as exc:
-        return {
-            "x": complex(x), "b": b, "status": "unsupported",
-            "message": str(exc), "verdict": "fail",
-            "timing_s": time.perf_counter() - t0,
-        }
     except IllConditionedError as exc:
         return {
             "x": complex(x), "b": b, "status": "ill_conditioned",

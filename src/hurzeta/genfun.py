@@ -1,14 +1,16 @@
 """The generating function ``f(x, b) = sum_{k>=2} x**k * (zeta(k,b) - b**-k)``
-and its relatives: a four-branch closed form selected by the arithmetic
-nature of ``b``, the defining series for cross-checks, the odd-zeta integral
+and its relatives: a five-branch closed form selected by the arithmetic
+nature of ``b`` (generic, zero, positive integer, negative integer and
+half-integer), the defining series for cross-checks, the odd-zeta integral
 representation, the sinh kernel identity behind it, and recovery of
 ``zeta(k, b)`` from Taylor coefficients of ``f``.
 
 Branch selection is discontinuous in *representation* (the closed forms for
-integer and non-integer ``b`` look nothing alike), so classification is
-explicit, carries proximity diagnostics for every singular locus, and has a
-defined warning band near the integer boundaries.  Half-integer ``b`` has no
-closed form here and is rejected.
+generic ``b`` and for ``b`` with ``2b`` in Z look nothing alike), so
+classification is explicit, carries proximity diagnostics for every singular
+locus, and has a defined warning band near the boundaries ``2b`` in Z.  The
+four branches of ``2b`` in Z are one formula, the removable limit of the
+generic one, evaluated at ``b``'s exact integer or half-integer value.
 """
 
 import cmath
@@ -28,7 +30,6 @@ from .errors import (
     IllConditionedError,
     InstabilityWarning,
     RangeOverflowError,
-    UnsupportedParameterError,
     check_abscissae,
     check_finite,
     check_k,
@@ -78,12 +79,12 @@ class ProximityFlags:
     two_xmb_int: float    # 2(x-b) near Z: integral normalization vanishes
     xmb_int: float        # x-b near Z: csc(pi*(x-b)) pole (generic branch)
     x_int: float          # x near Z: cot(pi*x) pole (integer branches)
-    two_x_int: float      # 2x near Z: sin(2*pi*x) vanishes (integer branches)
+    two_x_int: float      # 2x near Z: sin(2*pi*x) vanishes (branches of 2b in Z)
 
 
 @dataclass(frozen=True)
 class GenFunCase:
-    tag: str  # generic | b_zero | b_pos_int | b_neg_int | half_int_unsupported
+    tag: str  # generic | b_zero | b_pos_int | b_neg_int | b_half_int
     proximity_flags: ProximityFlags
 
 
@@ -118,7 +119,7 @@ def _branch_tag(b: complex):
     if not two_b_int < INT_EPS:
         return "generic", two_b_int
     if m2 % 2 != 0:
-        return "half_int_unsupported", two_b_int
+        return "b_half_int", two_b_int
     return ("b_zero" if m2 == 0 else "b_pos_int" if m2 > 0 else "b_neg_int"), two_b_int
 
 
@@ -174,12 +175,7 @@ def radius_of_convergence(b: complex) -> float:
 
 
 def _admit(b: complex, tag: str, two_b_int: float) -> list:
-    """Refuse half-integer ``b``; warn inside the band near a branch boundary
-    and return the note."""
-    if tag == "half_int_unsupported":
-        raise UnsupportedParameterError(
-            f"b = {b} is a half-integer: no closed-form branch exists for it"
-        )
+    """Warn inside the band near a branch boundary and return the note."""
     if tag == "generic" and two_b_int < WARN_BAND:
         msg = (
             f"b = {b} lies within {two_b_int:.2e} of a branch boundary "
@@ -205,11 +201,14 @@ _LOCI = (
 def _guarded(tag: str, far):
     """Whether the branch ``tag`` guards each locus of ``_LOCI`` at points
     ``far`` from 0 (``|Re x| > 1/4``) or not, a bool or a bool array.  The
-    generic branch guards rows 0-2, the integer branches rows 0, 3 and 4:
-    their integer loci count only away from 0 (near an integer, ``|Re x| <=
-    1/4`` only if that integer is 0), as does ``x = b`` only for b != 0."""
+    generic branch guards rows 0-2, the integer branches rows 0, 3 and 4,
+    the half-integer branch rows 0 and 4: their integer loci count only
+    away from 0 (near an integer, ``|Re x| <= 1/4`` only if that integer is
+    0), as does ``x = b`` only for b != 0."""
     if tag == "generic":
         return True, True, True, False, False
+    if tag == "b_half_int":  # no cot(pi*x) pole: cot(pi*(x-b)) = -tan(pi*x)
+        return True, False, False, False, far
     return tag != "b_zero", False, False, far, far
 
 
@@ -267,41 +266,49 @@ def _closed_terms(x, b: complex, tag: str, spec: QuadratureSpec):
     run as a one-point array."""
     point = not isinstance(x, np.ndarray)
     sin, cos, exp = (cmath.sin, cmath.cos, math.exp) if point else (np.sin, np.cos, np.exp)
-    if tag == "generic":
-        sb2 = 2.0 * cmath.sin(math.pi * b)
-        a2 = 2.0 * math.pi * b
-        s2inv = 1.0 / cmath.sin(a2)
-        v = x - b
-        a1 = 2.0 * math.pi * v
-        s1inv = 1.0 / sin(a1)
-        rational = x * x / (2.0 * b * v)
-        trig = -math.pi * x * sin(math.pi * x) / (sb2 * sin(math.pi * v))
-        hint = abs(s1inv) * exp(abs(a1.imag)) + abs(s2inv) * math.exp(abs(a2.imag))
+    sign = -1.0 if tag == "b_half_int" else 1.0  # cos(2*pi*b) where 2b is an integer
+    try:
+        if tag == "generic":
+            sb2 = 2.0 * cmath.sin(math.pi * b)
+            a2 = 2.0 * math.pi * b
+            s2inv = 1.0 / cmath.sin(a2)
+            v = x - b
+            a1 = 2.0 * math.pi * v
+            s1inv = 1.0 / sin(a1)
+            rational = x * x / (2.0 * b * v)
+            trig = -math.pi * x * sin(math.pi * x) / (sb2 * sin(math.pi * v))
+            hint = abs(s1inv) * exp(abs(a1.imag)) + abs(s2inv) * math.exp(abs(a2.imag))
 
-        def g(u, a, sinv):
-            return kernels.sin_ratio_gap(u, a, sinv, a2, s2inv)
-    else:
-        bi = round(b.real)  # exact integer for the branch formulas
-        w = 2.0 * math.pi * bi
-        a1 = 2.0 * math.pi * (x - bi)
-        s1inv = 1.0 / sin(a1)
-        rational = (0.5 + 0j if bi == 0 else
-                    x * x / (2.0 * bi * (x - bi)) + (1.0 if bi < 0 else 0.0))
-        px = math.pi * x
-        trig = -(px / 2.0) * cos(px) / sin(px)
-        hint = abs(s1inv) * exp(abs(a1.imag)) + 1.0 + abs(x.imag) * 7.0
+            def g(u, a, sinv):
+                return kernels.sin_ratio_gap(u, a, sinv, a2, s2inv)
+        else:
+            bi = round(2.0 * b.real) / 2.0  # b's exact integer or half-integer value
+            w = 2.0 * math.pi * bi
+            a1 = 2.0 * math.pi * (x - bi)
+            s1inv = sign / sin(a1)  # so the kernel gives cos(2*pi*b) times the integrand
+            rational = (0.5 + 0j if bi == 0 else
+                        x * x / (2.0 * bi * (x - bi)) + (1.0 if tag == "b_neg_int" else 0.0))
+            px = math.pi * x
+            num, den = (cos(px), sin(px)) if sign > 0 else (-sin(px), cos(px))
+            trig = -(px / 2.0) * num / den  # cot(pi*(x-b)) = num/den
+            hint = abs(s1inv) * exp(abs(a1.imag)) + 1.0 + abs(x.imag) * 7.0
 
-        def g(u, a, sinv):
-            return kernels.sin_ratio_ucos_gap(u, a, sinv, w)
+            def g(u, a, sinv):
+                return kernels.sin_ratio_ucos_gap(u, a, sinv, w)
 
-    if point:  # the kernels take lines of abscissae: u as one line
-        quad = integrate_cot_weighted(lambda u: g(u[None], a1, s1inv)[0], spec,
-                                      scale_hint=hint)
-    else:  # a1 and s1inv become the per-row arrays that g gathers by row
-        a1, s1inv = a1.reshape(-1), s1inv.reshape(-1)
-        quad = integrate_cot_weighted(lambda u, rows: g(u, a1[rows], s1inv[rows]), spec,
-                                      scale_hint=hint, family=a1.size)
-    integral = -math.pi * x * quad.value
+        if point:  # the kernels take lines of abscissae: u as one line
+            quad = integrate_cot_weighted(lambda u: g(u[None], a1, s1inv)[0], spec,
+                                          scale_hint=hint)
+        else:  # a1 and s1inv become the per-row arrays that g gathers by row
+            a1, s1inv = a1.reshape(-1), s1inv.reshape(-1)
+            quad = integrate_cot_weighted(lambda u, rows: g(u, a1[rows], s1inv[rows]), spec,
+                                          scale_hint=hint, family=a1.size)
+    except OverflowError:  # cmath's or math's sines and exponentials of a large imaginary part
+        at = f"x = {x}" if point else "the circle nodes"
+        raise RangeOverflowError(
+            f"the closed form's sines exceed double range at {at}, b = {b}"
+        ) from None
+    integral = -sign * math.pi * x * quad.value  # sign * sign = 1
     return rational, trig, integral, rational + trig + integral, quad
 
 
@@ -321,14 +328,26 @@ def genfun_closed(x: complex, b: complex,
     * b positive int:: x**2/(2b(x-b)) - (pi*x/2)*cot(pi*x)
                        - pi*x * I[sin(2pi(x-b)u)/sin(2pi(x-b)) - u*cos(2pi*b*u)]
     * b negative int:: 1 + the positive-integer form
+    * b half-int (2b odd):: x**2/(2b(x-b)) + (pi*x/2)*tan(pi*x)
+                       - pi*x * I[sin(2pi(x-b)u)/sin(2pi(x-b)) + u*cos(2pi*b*u)]
 
-    where ``I[g] = integral_0^1 g(u) cot(pi*u) du``.  (For integer ``b`` the
-    printed normalization ``sin(2*pi*x)`` equals ``sin(2*pi*(x-b))``; the
-    latter is used so the ``u = 1`` endpoint cancels exactly in floats.)
-    Inputs within ``PROX_TOL`` of a singular locus raise
-    :class:`IllConditionedError` naming the locus; ``b`` within
-    ``[INT_EPS, WARN_BAND)`` of an integer locus proceeds on the generic branch
-    with a :class:`ConditioningWarning`.  Sines past double range (an
+    where ``I[g] = integral_0^1 g(u) cot(pi*u) du``.  The last four are one
+    formula at ``b``'s exact value, the generic one's removable limit::
+
+        x**2/(2b(x-b)) - (pi*x/2)*cot(pi*(x-b))
+            - pi*x * I[sin(2pi(x-b)u)/sin(2pi(x-b)) - u*cos(2pi*b*u)/cos(2pi*b)]
+
+    with ``1/2`` in place of the rational term at b = 0, and 1 added at
+    negative integers, where the series skips its term j = -b.
+    (For integer ``b`` the printed normalization ``sin(2*pi*x)`` equals
+    ``sin(2*pi*(x-b))``; the latter is used so the ``u = 1`` endpoint
+    cancels exactly in floats.)  Inputs within ``PROX_TOL`` of a singular
+    locus raise :class:`IllConditionedError` naming the locus; ``b`` within
+    ``[INT_EPS, WARN_BAND)`` of a point of 2b in Z proceeds on the generic
+    branch with a :class:`ConditioningWarning`: there the limit formula is
+    off by 0.1-4 times ``|2b - round(2b)|`` relative, and the generic branch
+    by up to 5e-5 at the band's inner edge, so neither holds 1e-10 across
+    it.  No finite ``b`` is refused.  Sines past double range (an
     imaginary part of ``x - b``, ``x`` or ``b`` beyond about 113) raise
     :class:`RangeOverflowError`.
 
@@ -351,12 +370,7 @@ def genfun_closed(x: complex, b: complex,
     hit = _point_guard(x, dist, case.tag)
     if hit is not None:
         raise IllConditionedError(hit[0], locus=hit[1])
-    try:
-        rational, trig, integral, total, quad = _closed_terms(x, b, case.tag, spec)
-    except OverflowError:  # cmath's sines of a large imaginary part
-        raise RangeOverflowError(
-            f"the closed form's sines exceed double range at x = {x}, b = {b}"
-        ) from None
+    rational, trig, integral, total, quad = _closed_terms(x, b, case.tag, spec)
     notes.extend(quad.warnings)
     return GenFunEval(x=x, b=b, case=case, rational_term=rational, trig_term=trig,
                       integral_term=integral, total=total, quadrature=quad,
@@ -553,7 +567,8 @@ def zeta_from_genfun(k, b: complex, radius: float, nodes: int,
     integrals, made in one quadrature call.  A node at a singular locus
     raises :class:`IllConditionedError`, and a node whose integral does not
     converge raises :class:`EvaluationError`; either names the first such
-    node, the circle at ``radius`` first.
+    node, the circle at ``radius`` first.  A ``b`` whose sines pass double
+    range raises :class:`RangeOverflowError`, as in :func:`genfun_closed`.
     """
     scalar = np.ndim(k) == 0
     orders = [check_k(j) for j in ([k] if scalar else k)]

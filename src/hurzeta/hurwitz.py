@@ -130,7 +130,7 @@ class ZetaParams:
         if abs(b.imag) > IM_CAP:
             raise RangeOverflowError(
                 f"|Im b| = {abs(b.imag):g} exceeds im_cap = {IM_CAP:g}; "
-                f"|exp(-2*pi*i*b)| = {math.exp(2 * math.pi * abs(b.imag)):.3e} "
+                f"|exp(-2*pi*i*b)| = exp({2 * math.pi * abs(b.imag):.4g}) "
                 "would dominate double precision"
             )
         q = complex(np.exp(-2j * math.pi * b))

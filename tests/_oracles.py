@@ -1,9 +1,9 @@
 """Reference implementations the test suite trusts.
 
 Everything here is deliberately primitive: plain summation with explicit
-tail corrections, or textbook series acceleration.  Nothing imports the
-package's closed forms, so agreement between these and the library is
-evidence, not circularity.
+tail corrections, textbook series acceleration, or one mpmath special
+function at 40 digits.  Nothing imports the package's closed forms, so
+agreement between these and the library is evidence, not circularity.
 """
 
 from __future__ import annotations
@@ -111,3 +111,19 @@ def genfun_direct(x: complex, b: complex, n: int = 40_000) -> complex:
 
     tail = x * cmath.log((t + b) / (t + b - x))
     return head + tail
+
+
+def genfun_digamma(x: complex, b: complex) -> complex:
+    """f(x,b) = x * (psi(1+b) - psi(1+b-x)), by mpmath's digamma at 40 digits.
+
+    Termwise, ``x**2 / ((j+b)(j+b-x)) = x * (1/(j+b-x) - 1/(j+b))``, and
+    ``sum_{j>=1} (1/(j+a) - 1/(j+c)) = psi(1+c) - psi(1+a)``.  Valid for
+    every x and b off the poles of psi, so also where the series in x
+    converges slowly; b must not be a negative integer (psi(1+b) is
+    infinite there, and the series skips that term instead).
+    """
+    import mpmath
+
+    with mpmath.workdps(40):
+        x, b = mpmath.mpc(complex(x)), mpmath.mpc(complex(b))
+        return complex(x * (mpmath.digamma(1 + b) - mpmath.digamma(1 + b - x)))

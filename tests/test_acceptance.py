@@ -173,21 +173,21 @@ def test_criterion_04_realness_and_shift():
         assert worst_shift <= 1e-9
 
 
-def _accept_genfun(x, b, integer_b):
+def _accept_genfun(x, b, lattice_b):
     """Stand clear of the active branch's guard loci.
 
     The generic branch trips on 2b, x-b, and 2(x-b) near integers; the
-    integer-b branches have no b-dependent loci and instead guard x and 2x
-    near nonzero integers.
+    branches of b with 2b in Z (integer and half-integer b) have no
+    b-dependent loci and instead guard x and 2x near nonzero integers.
     """
     x, b = complex(x), complex(b)
     xmb = x - b
     if abs(xmb) < 0.05 or abs(x) >= 0.85 * radius_of_convergence(b):
         return False
-    if integer_b:
+    if lattice_b:
         loci = (x, 2 * x)
     else:
-        if abs(2 * b - round((2 * b).real)) < 1e-2:  # includes half-integer b
+        if abs(2 * b - round((2 * b).real)) < 1e-2:  # near a branch boundary
             return False
         loci = (xmb, 2 * xmb)
     return all(
@@ -203,6 +203,7 @@ def test_criterion_05_genfun_branches():
             "b_zero": [0.0],
             "b_pos_int": [1.0, 2.0, 3.0],
             "b_neg_int": [-1.0, -2.0],
+            "b_half_int": [0.5, 1.5, 2.5, -0.5, -1.5],
         }
         worst = {}
         for tag, b_pool in branches.items():
@@ -218,9 +219,10 @@ def test_criterion_05_genfun_branches():
                             rng.uniform(-0.4, 0.4)) * 0.8 * r
                 if b_pool is None and abs(b - round(b.real)) < 0.05:
                     continue
-                if not _accept_genfun(x, b, integer_b=b_pool is not None):
+                if not _accept_genfun(x, b, lattice_b=b_pool is not None):
                     continue
                 ev = genfun_closed(x, b)
+                assert ev.case.tag == tag, (x, b)
                 s = genfun_series(x, b, 120)
                 err = abs(ev.total - s.value)
                 assert err <= max(1e-6, s.tail_estimate), (tag, x, b, err)
@@ -322,7 +324,8 @@ def test_criterion_10_cli_contract(tmp_path):
         bad = run("eval", "--k", "2", "--b=-1e9,0.5", "--format", "json")
         assert bad.returncode == 3
         assert json.loads(bad.stdout)["results"][0]["status"] == "error"
-        assert run("genfun", "--x", "0.2", "--b", "0.5").returncode == 3
+        # x = b is a singular locus of the closed form: a numeric failure
+        assert run("genfun", "--x", "0.77", "--b", "0.77").returncode == 3
 
         args = ("sweep", "--k", "2,3", "--b", "0.3:1.3:3", "--format", "csv")
         c1, c2 = run(*args), run(*args)

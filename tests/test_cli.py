@@ -93,6 +93,21 @@ class TestEval:
         assert rec["route_reason"].startswith("RangeOverflowError: Li_(-21)")
         assert "Traceback" not in p.stderr
 
+    def test_imaginary_b_past_double_range_falls_back_to_series(self):
+        # exp(2*pi*400) in the closed form's refusal message once overflowed
+        # first: a bare OverflowError, a traceback and exit 1
+        mpmath = pytest.importorskip("mpmath")
+        p = run("eval", "--k", "2", "--b", "0.5,400", "--format", "json")
+        assert p.returncode == 0, p.stderr
+        assert "Traceback" not in p.stderr
+        rec = json.loads(p.stdout)["results"][0]
+        assert rec["route"] == "series" and rec["verdict"] == "pass"
+        assert rec["route_reason"].startswith("RangeOverflowError: |Im b| = 400")
+        with mpmath.workdps(30):
+            ref = complex(mpmath.zeta(2, mpmath.mpc(0.5, 400)))
+        value = complex(rec["value"]["re"], rec["value"]["im"])
+        assert abs(value - ref) <= 1e-10 * abs(ref)
+
     def test_huge_k_on_the_series_route_exits_3(self):
         # b = 2 takes the series route, whose coefficients overflow at this
         # k; once a traceback and exit 1
@@ -196,9 +211,15 @@ class TestGenfun:
         assert p.returncode == 2, p.stderr
         assert "must be finite" in p.stderr and "Traceback" not in p.stderr
 
-    def test_half_integer_b_exits_3(self):
-        p = run("genfun", "--x", "0.2", "--b", "0.5", "--format", "json")
-        assert p.returncode == 3
+    def test_half_integer_b_passes_its_series_check(self):
+        # half-integer b was once refused: an "unsupported" record and exit 3
+        p = run("genfun", "--x", "0.2", "--b", "0.5", "--series-kmax", "60",
+                "--format", "json")
+        assert p.returncode == 0, p.stderr
+        rec = json.loads(p.stdout)["results"][0]
+        assert rec["status"] == "ok" and rec["case"] == "b_half_int"
+        assert rec["verdict"] == "pass"
+        assert rec["series_discrepancy"] < 1e-12
 
     def test_any_failed_point_exits_3(self):
         # x = 0.77 = b is ill-conditioned; x = 0.3 passes

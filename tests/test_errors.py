@@ -16,10 +16,12 @@ import pytest
 from hurzeta import (
     DomainError,
     QuadratureSpec,
+    RangeOverflowError,
     ZetaParams,
     bernoulli,
     bracket_kernel,
     eulerian_row,
+    genfun_closed,
     genfun_parts_real_imag,
     harmonic_number,
     hp_partial_sum,
@@ -153,3 +155,18 @@ def test_check_abscissae_returns_float64():
     u = np.linspace(0.0, 1.0, 5)
     assert check_abscissae(u) is u
     assert np.array_equal(check_abscissae([0, 0.5]), [0.0, 0.5])
+
+
+# Finite inputs whose intermediate values leave double range: a
+# RangeOverflowError, never a bare OverflowError.
+RANGE_OVERFLOW_CALLS = {
+    # cmath.sin(2*pi*b) in the recovery's set-up: once a bare OverflowError
+    "zeta_from_genfun(2, 0.7+120j, 50.0, 32)": lambda: zeta_from_genfun(2, 0.7 + 120j, 50.0, 32),
+    "genfun_closed(0.3, 0.7+120j)": lambda: genfun_closed(0.3, 0.7 + 120j),
+}
+
+
+@pytest.mark.parametrize("call", sorted(RANGE_OVERFLOW_CALLS))
+def test_past_double_range_is_a_range_overflow(call):
+    with pytest.raises(RangeOverflowError, match="double range"):
+        RANGE_OVERFLOW_CALLS[call]()

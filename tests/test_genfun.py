@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _oracles import genfun_direct, hurwitz_direct, riemann_zeta
+from _oracles import genfun_digamma, genfun_direct, hurwitz_direct, riemann_zeta
 from hurzeta import (
     QuadratureSpec,
     classify_case,
@@ -37,7 +37,6 @@ from hurzeta.errors import (
     IllConditionedError,
     InstabilityWarning,
     RangeOverflowError,
-    UnsupportedParameterError,
 )
 from hurzeta.quadrature import DEFAULT_SPEC
 from hurzeta.special_functions import BERNOULLI_MAX_INDEX
@@ -64,8 +63,8 @@ class TestClassification:
         assert classify_case(0.3, 0.0).tag == "b_zero"
         assert classify_case(0.3, 2.0).tag == "b_pos_int"
         assert classify_case(0.3, -1.0).tag == "b_neg_int"
-        assert classify_case(0.3, 0.5).tag == "half_int_unsupported"
-        assert classify_case(0.3, -1.5).tag == "half_int_unsupported"
+        assert classify_case(0.3, 0.5).tag == "b_half_int"
+        assert classify_case(0.3, -1.5 + 1e-12).tag == "b_half_int"
 
     def test_proximity_flags_are_distances(self):
         c = classify_case(0.25, 0.8)
@@ -143,7 +142,7 @@ class TestClosedVsSeries:
             s = genfun_series(x, b, 120)
             assert abs(ev.total - s.value) <= max(1e-8, 10 * s.tail_estimate)
 
-    @pytest.mark.parametrize("b", [0.0, 1.0, 3.0, -1.0, -2.0])
+    @pytest.mark.parametrize("b", [0.0, 1.0, 3.0, -1.0, -2.0, 0.5, -1.5, 2.5])
     def test_integer_branches(self, b):
         rng = np.random.default_rng(int(1000 + b))
         r = radius_of_convergence(b)
@@ -158,7 +157,8 @@ class TestClosedVsSeries:
 
     def test_against_resummed_direct_sum(self):
         # fully independent reference: geometric resummation in j
-        for x, b in [(0.3, 0.77), (0.25 + 0.2j, 1.3 - 0.4j), (-0.35, 0.6)]:
+        for x, b in [(0.3, 0.77), (0.25 + 0.2j, 1.3 - 0.4j), (-0.35, 0.6),
+                     (0.3, 0.5), (-0.2 + 0.25j, 2.5), (0.3 - 0.1j, -1.5)]:
             ev = genfun_closed(x, b)
             assert abs(ev.total - genfun_direct(x, b)) < 1e-9
 
@@ -167,11 +167,63 @@ class TestClosedVsSeries:
         assert genfun_series(0.0, 0.77, 50).value == 0
 
 
-class TestGuards:
-    def test_half_integer_b_unsupported(self):
-        with pytest.raises(UnsupportedParameterError):
-            genfun_closed(0.3, 1.5)
+class TestHalfIntegerB:
+    """Odd 2b takes the integer branches' formula with cot(pi*(x-b)) =
+    -tan(pi*x) and cos(2*pi*b) = -1 (once refused as unsupported)."""
 
+    HALF = (0.5, -0.5, 1.5, -1.5, 2.5, 3.5)
+
+    def test_seeded_points_against_digamma(self):
+        # 0.1 <= |x|, |Re x| and |Im x| <= 0.45, every point at least 0.05
+        # from the loci x = b and 2x in Z \ {0}
+        pytest.importorskip("mpmath")
+        rng = np.random.default_rng(20261020)
+        worst = 0.0
+        for i in range(240):
+            b = self.HALF[i % len(self.HALF)]
+            while True:
+                x = complex(rng.uniform(-0.45, 0.45), rng.uniform(-0.45, 0.45))
+                n = round(2 * x.real)
+                if abs(x) >= 0.1 and abs(x - b) >= 0.05 and (
+                        n == 0 or abs(2 * x - n) >= 0.05):
+                    break
+            ev = genfun_closed(x, b)
+            assert ev.case.tag == "b_half_int"
+            ref = genfun_digamma(x, b)
+            worst = max(worst, abs(ev.total - ref) / abs(ref))
+        assert worst <= 1e-12, worst
+
+    def test_recovers_zeta_at_one_half(self):
+        # zeta(k, 1/2) = (2**k - 1) * zeta(k)
+        got = zeta_from_genfun(range(2, 9), 0.5, 0.6, 32)
+        for k, v in zip(range(2, 9), got):
+            ref = (2**k - 1) * riemann_zeta(k)
+            assert abs(v - ref) <= 1e-12 * ref, k
+
+    @pytest.mark.parametrize("b", [0.5, -1.5, 2.5])
+    def test_guards_x_on_b_and_2x_near_a_nonzero_integer(self, b):
+        # the integer branches' loci: x = b, and 2x in Z away from x = 0;
+        # x near an integer is only a pole of cot(pi*x), not of -tan(pi*x),
+        # and is named as 2x in Z
+        genfun_closed(3e-7 + 1e-7j, b)
+        cases = ((b + 4e-7j, "x = b"), (1 + 3e-7, "sin(2*pi*x) = 0"),
+                 (-0.5 + 2e-7j, "sin(2*pi*x) = 0"), (1.5 - 2e-7, "sin(2*pi*x) = 0"))
+        for x, locus in cases:
+            with pytest.raises(IllConditionedError) as err:
+                genfun_closed(x, b)
+            assert err.value.locus == locus, (x, b)
+            xs = np.array([0.2 + 0.1j, x])
+            hit = genfun._first_guard(xs, genfun._classify(xs, complex(b))[1], "b_half_int")
+            assert hit == (1, str(err.value), locus)
+
+    def test_recovery_names_a_singular_node(self):
+        # node 0 of the radius circle is x = 2, where sin(2*pi*(x-b)) = 0
+        with pytest.raises(IllConditionedError,
+                           match=r"circle node 0/32 at x = 2\+0j .*\(sin\(2\*pi\*x\) = 0\)"):
+            zeta_from_genfun(2, 2.5, 2.0, 32)
+
+
+class TestGuards:
     def test_x_on_top_of_b(self):
         with pytest.raises(IllConditionedError):
             genfun_closed(0.8, 0.8 + 1e-9)
@@ -264,7 +316,7 @@ class TestEvalStructure:
             assert abs(ev.integral_term) <= 1e-9
 
 
-    @pytest.mark.parametrize("b", [1.3 + 0.4j, 0.0, 3.0, -4.0])
+    @pytest.mark.parametrize("b", [1.3 + 0.4j, 0.0, 3.0, -4.0, -2.5])
     def test_lone_point_matches_its_row_of_an_array(self, b):
         # genfun_closed sets up one point through cmath, a recovery an array
         # of points through numpy: the rational and trig terms agree to
@@ -298,7 +350,8 @@ class TestEvalStructure:
         monkeypatch.setattr(genfun, "_first_guard", reached)
         monkeypatch.setattr(genfun.QuadratureResult, "row", reached)
         for x, b, tag in ((0.2 + 0.1j, 1.3 + 0.2j, "generic"), (0.25 - 0.2j, 0j, "b_zero"),
-                          (0.3 + 0.12j, 3, "b_pos_int"), (0.18 - 0.4j, -2, "b_neg_int")):
+                          (0.3 + 0.12j, 3, "b_pos_int"), (0.18 - 0.4j, -2, "b_neg_int"),
+                          (0.3 + 0.12j, 1.5, "b_half_int")):
             ev = genfun_closed(x, b)
             assert ev.case.tag == tag and ev.quadrature.evaluations == 189
             assert all(type(v) is complex for v in (
@@ -312,8 +365,6 @@ class TestEvalStructure:
         assert banded.case.tag == "generic" and len(banded.warnings) == 1
         with pytest.raises(IllConditionedError, match="2\\(x - b\\)"):
             genfun_closed(0.3, 0.8)
-        with pytest.raises(UnsupportedParameterError):
-            genfun_closed(0.3, 1.5)
 
     @pytest.mark.parametrize("x,b", [(0.3 + 120j, 2.0), (0.3 + 300j, 0.7 + 0.1j),
                                      (0.3, 0.7 + 120j)])

@@ -290,6 +290,8 @@ class TestRouting:
     # range, and cancellation between the terms.
     @pytest.mark.parametrize("k, b, reason", [
         (3, 1 + 6j, "RangeOverflowError: |Im b| = 6 exceeds im_cap"),
+        # the refusal's message once evaluated exp(2*pi*|Im b|) and overflowed
+        (2, 0.5 + 114j, "RangeOverflowError: |Im b| = 114 exceeds im_cap"),
         (23, 0.4909441357573397 + 0.08848688183090925j, "DivergenceError: "),
         (24, 1 + 1e-14, "RangeOverflowError: Li_(-21)"),
         (12, 2 - 3e-15 + 1e-15j, "estimate "),
