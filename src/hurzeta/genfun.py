@@ -2,8 +2,8 @@
 and its relatives: a five-branch closed form selected by the arithmetic
 nature of ``b`` (generic, zero, positive integer, negative integer and
 half-integer), the defining series for cross-checks, the odd-zeta integral
-representation, the sinh kernel identity behind it, and recovery of
-``zeta(k, b)`` from Taylor coefficients of ``f``.
+representation, and recovery of ``zeta(k, b)`` from Taylor coefficients of
+``f``.
 
 Branch selection is discontinuous in *representation* (the closed forms for
 generic ``b`` and for ``b`` with ``2b`` in Z look nothing alike), so
@@ -16,13 +16,14 @@ generic one, evaluated at ``b``'s exact integer or half-integer value.
 import cmath
 import math
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from . import kernels
 from .errors import (
+    CapacityError,
     ConditioningWarning,
     DivergenceError,
     DomainError,
@@ -30,12 +31,11 @@ from .errors import (
     IllConditionedError,
     InstabilityWarning,
     RangeOverflowError,
-    check_abscissae,
     check_finite,
     check_k,
     check_real,
 )
-from .hurwitz import check_b, hurwitz_series_oracle
+from .hurwitz import SERIES_MAX_TERMS, check_b, hurwitz_series_oracle
 from .quadrature import (
     DEFAULT_SPEC,
     QuadratureResult,
@@ -55,11 +55,7 @@ __all__ = [
     "series_coefficient",
     "radius_of_convergence",
     "odd_zeta_integral",
-    "sinh_kernel",
-    "sinh_kernel_series",
-    "sinh_series_depth",
     "zeta_from_genfun",
-    "genfun_parts_real_imag",
 ]
 
 INT_EPS = 1e-9  # 2b this close to an integer takes an integer branch
@@ -168,10 +164,16 @@ def classify_case(x: complex, b: complex) -> GenFunCase:
 def radius_of_convergence(b: complex) -> float:
     """``r(b) = min_{j>=1} |j+b|``, skipping any exact pole ``j = -b`` (the
     convention for negative integer ``b``), over the at most three ``j``
-    nearest to ``-Re b``; a non-finite ``b`` is a :class:`DomainError`."""
+    nearest to ``-Re b``; a non-finite ``b`` is a :class:`DomainError`.
+
+    Each ``j + b`` is ``(j - n) + (b + n)``, ``n`` the int nearest to
+    ``-Re b``: for ``Re b <= -1/2``, ``b + n`` is exact, so each is ``j + b``
+    rounded once, where ``float(j) + b`` rounds ``j`` itself past ``2**53``."""
     b = check_finite(b, "b")
     n = max(1, round(-b.real))
-    return min(d for d in (abs(j + b) for j in range(max(1, n - 1), n + 2)) if d > 1e-12)
+    c = b + n
+    dist = (abs((j - n) + c) for j in range(max(1, n - 1), n + 2))
+    return min(d for d in dist if d > 1e-12)
 
 
 def _admit(b: complex, tag: str, two_b_int: float) -> list:
@@ -268,33 +270,34 @@ def _closed_terms(x, b: complex, tag: str, spec: QuadratureSpec):
     sin, cos, exp = (cmath.sin, cmath.cos, math.exp) if point else (np.sin, np.cos, np.exp)
     sign = -1.0 if tag == "b_half_int" else 1.0  # cos(2*pi*b) where 2b is an integer
     try:
-        if tag == "generic":
-            sb2 = 2.0 * cmath.sin(math.pi * b)
-            a2 = 2.0 * math.pi * b
-            s2inv = 1.0 / cmath.sin(a2)
-            v = x - b
-            a1 = 2.0 * math.pi * v
-            s1inv = 1.0 / sin(a1)
-            rational = x * x / (2.0 * b * v)
-            trig = -math.pi * x * sin(math.pi * x) / (sb2 * sin(math.pi * v))
-            hint = abs(s1inv) * exp(abs(a1.imag)) + abs(s2inv) * math.exp(abs(a2.imag))
+        with nullcontext() if point else np.errstate(over="raise"):  # numpy raises like cmath
+            if tag == "generic":
+                sb2 = 2.0 * cmath.sin(math.pi * b)
+                a2 = 2.0 * math.pi * b
+                s2inv = 1.0 / cmath.sin(a2)
+                v = x - b
+                a1 = 2.0 * math.pi * v
+                s1inv = 1.0 / sin(a1)
+                rational = x * x / (2.0 * b * v)
+                trig = -math.pi * x * sin(math.pi * x) / (sb2 * sin(math.pi * v))
+                hint = abs(s1inv) * exp(abs(a1.imag)) + abs(s2inv) * math.exp(abs(a2.imag))
 
-            def g(u, a, sinv):
-                return kernels.sin_ratio_gap(u, a, sinv, a2, s2inv)
-        else:
-            bi = round(2.0 * b.real) / 2.0  # b's exact integer or half-integer value
-            w = 2.0 * math.pi * bi
-            a1 = 2.0 * math.pi * (x - bi)
-            s1inv = sign / sin(a1)  # so the kernel gives cos(2*pi*b) times the integrand
-            rational = (0.5 + 0j if bi == 0 else
-                        x * x / (2.0 * bi * (x - bi)) + (1.0 if tag == "b_neg_int" else 0.0))
-            px = math.pi * x
-            num, den = (cos(px), sin(px)) if sign > 0 else (-sin(px), cos(px))
-            trig = -(px / 2.0) * num / den  # cot(pi*(x-b)) = num/den
-            hint = abs(s1inv) * exp(abs(a1.imag)) + 1.0 + abs(x.imag) * 7.0
+                def g(u, a, sinv):
+                    return kernels.sin_ratio_gap(u, a, sinv, a2, s2inv)
+            else:
+                bi = round(2.0 * b.real) / 2.0  # b's exact integer or half-integer value
+                w = 2.0 * math.pi * bi
+                a1 = 2.0 * math.pi * (x - bi)
+                s1inv = sign / sin(a1)  # so the kernel gives cos(2*pi*b) times the integrand
+                rational = (0.5 + 0j if bi == 0 else x * x / (2.0 * bi * (x - bi))
+                            + (1.0 if tag == "b_neg_int" else 0.0))
+                px = math.pi * x
+                num, den = (cos(px), sin(px)) if sign > 0 else (-sin(px), cos(px))
+                trig = -(px / 2.0) * num / den  # cot(pi*(x-b)) = num/den
+                hint = abs(s1inv) * exp(abs(a1.imag)) + 1.0 + abs(x.imag) * 7.0
 
-            def g(u, a, sinv):
-                return kernels.sin_ratio_ucos_gap(u, a, sinv, w)
+                def g(u, a, sinv):
+                    return kernels.sin_ratio_ucos_gap(u, a, sinv, w)
 
         if point:  # the kernels take lines of abscissae: u as one line
             quad = integrate_cot_weighted(lambda u: g(u[None], a1, s1inv)[0], spec,
@@ -303,7 +306,7 @@ def _closed_terms(x, b: complex, tag: str, spec: QuadratureSpec):
             a1, s1inv = a1.reshape(-1), s1inv.reshape(-1)
             quad = integrate_cot_weighted(lambda u, rows: g(u, a1[rows], s1inv[rows]), spec,
                                           scale_hint=hint, family=a1.size)
-    except OverflowError:  # cmath's or math's sines and exponentials of a large imaginary part
+    except (OverflowError, FloatingPointError):  # sines and exponentials past double range
         at = f"x = {x}" if point else "the circle nodes"
         raise RangeOverflowError(
             f"the closed form's sines exceed double range at {at}, b = {b}"
@@ -382,14 +385,21 @@ def series_coefficient(k: int, b: complex) -> complex:
 
     Computed as the series oracle at ``b + 1`` (``zeta(k, b+1)``) so no
     cancellation against ``b**-k`` ever happens; exact negative-integer ``b``
-    skips its singular term per the series convention.  The oracle runs at
-    relative tolerance ``COEFFICIENT_TOL``.
+    skips its singular term per the series convention, and sums the
+    ``|b| - 1`` terms of a harmonic number, so past ``SERIES_MAX_TERMS`` of
+    them it raises :class:`CapacityError`, as the oracle does.  The oracle
+    runs at relative tolerance ``COEFFICIENT_TOL``.
     """
     b = check_finite(b, "b")
     if b.imag == 0.0 and float(b.real).is_integer() and b.real < 0.0:
         # skip j = -b: remaining terms are zeta(k) + (-1)**k * H_k(|b|-1)
+        n = -int(b.real) - 1
+        if n > SERIES_MAX_TERMS:
+            raise CapacityError(
+                f"series coefficient at b = {b} would need {n} terms (> {SERIES_MAX_TERMS})"
+            )
         return (hurwitz_series_oracle(k, 1.0, tol=COEFFICIENT_TOL)
-                + (-1.0) ** k * harmonic_number(k, -int(b.real) - 1))
+                + (-1.0) ** k * harmonic_number(k, n))
     return hurwitz_series_oracle(k, b + 1.0, tol=COEFFICIENT_TOL)
 
 
@@ -399,7 +409,10 @@ def genfun_series(x: complex, b: complex, kmax: int) -> GenFunSeries:
     Coefficients come from the series oracle (independent of every closed
     form here).  Requires ``|x| < r(b)*(1 - SERIES_MARGIN)`` so the
     geometric tail estimate ``A * rho**(kmax+1) / (1 - rho)``, ``rho =
-    |x|/r(b)``, is meaningful; it is returned alongside the value.
+    |x|/r(b)``, is meaningful; it is returned alongside the value.  ``A``
+    is the largest ``|a_k| * r**k`` of the last three orders, and each
+    ``|a_k| * r**k * rho**(kmax+1)`` is formed as ``|a_k * x**k| *
+    rho**(kmax+1-k)``, without the ``r**k`` that overflows at large ``|b|``.
     """
     kmax = check_k(kmax, name="kmax")
     x, b = check_finite(x, "x"), check_finite(b, "b")
@@ -413,20 +426,20 @@ def genfun_series(x: complex, b: complex, kmax: int) -> GenFunSeries:
         return GenFunSeries(value=0j, tail_estimate=0.0, kmax=kmax)
     acc = 0j
     xp = x  # x**k tracker, starts at k=1
-    scaled = []  # |a_k| * r**k for the tail's bounded prefactor
+    rho = abs(x) / r
+    tails = []  # |a_k| * r**k * rho**(kmax+1) of the last three orders
     for k in range(2, kmax + 1):
         xp *= x
-        a_k = series_coefficient(k, b)
-        acc += xp * a_k
+        term = xp * series_coefficient(k, b)
+        acc += term
         if k > kmax - 3:
-            scaled.append(abs(a_k) * r**k)
-    rho = abs(x) / r
-    tail = max(scaled) * rho ** (kmax + 1) / (1.0 - rho) if scaled else 0.0
+            tails.append(abs(term) * rho ** (kmax + 1 - k))
+    tail = max(tails) / (1.0 - rho) if tails else 0.0
     return GenFunSeries(value=complex(acc), tail_estimate=float(tail), kmax=kmax)
 
 
 # ---------------------------------------------------------------------------
-# Odd zeta values and the sinh kernel behind them
+# Odd zeta values
 # ---------------------------------------------------------------------------
 
 def _odd_zeta_poly_coeffs(j: int):
@@ -481,73 +494,6 @@ def odd_zeta_integral(j: int, spec: QuadratureSpec | None = None) -> float:
     return -((-1.0) ** j) * (2.0 * math.pi) ** (2 * j + 1) / 2.0 * quad.value.real
 
 
-def sinh_kernel(c: complex, u) -> complex:
-    """``c * sinh(c*u) / sinh(c)``: the closed form of the double series
-    ``sum_j c**(2j+1) sum_p B_{2p}(2-2**(2p)) u**(2j-2p+1)/((2p)!(2j-2p+1)!)``.
-
-    Singular exactly where ``sinh(c) = 0`` (``c = i*pi*m``, including 0);
-    a non-finite ``c``, or a ``u`` that is not a finite real number or an
-    array of them, is a :class:`DomainError`.
-    """
-    c = check_finite(c, "c")
-    u = check_abscissae(u)
-    s = cmath.sinh(c)
-    if s == 0:
-        raise DomainError(
-            f"sinh_kernel is singular at c = {c} (c = i*pi*m or c = 0)"
-        )
-    if u.ndim:
-        return c * np.sinh(c * u) / s
-    return c * cmath.sinh(c * float(u)) / s
-
-
-def sinh_series_depth(c_abs: float, tol: float = 1e-12) -> int:
-    """Number of j-terms of the sinh double series needed so the geometric
-    tail (ratio ``(|c|/pi)**2``) drops below ``tol`` in (0, 1)."""
-    tol = check_real(tol, "tol", 0.0, 1.0)
-    q = (check_real(c_abs, "c_abs", -math.inf, math.inf) / math.pi) ** 2
-    if not q < 1.0:
-        raise DomainError(f"series diverges for |c| >= pi (|c| = {c_abs:g})")
-    if q == 0.0:
-        return 1
-    return max(1, math.ceil(math.log(tol * (1.0 - q) / 2.0) / math.log(q)))
-
-
-def sinh_kernel_series(c: complex, u: float, n_terms: int) -> complex:
-    """Truncation of the double series after ``n_terms`` values of ``j``.
-
-    Rearranged as a convolution so no intermediate overflows: with
-    ``A_p = B_{2p}(2-2**(2p)) c**(2p) / (2p)!`` (magnitude ~ ``2(|c|/pi)**(2p)``)
-    and ``S_m = (c*u)**(2m+1)/(2m+1)!``, the j-th term is
-    ``sum_{p=0..j} A_p S_{j-p}``.  Needs Bernoulli numbers up to
-    ``B_{2(n_terms-1)}``, so ``n_terms`` is at most
-    ``special_functions.BERNOULLI_MAX_INDEX // 2 + 1`` (:class:`CapacityError`
-    beyond).
-    """
-    n_terms = check_k(n_terms, minimum=1, name="n_terms")
-    c, u = check_finite(c, "c"), check_real(u, "u", -math.inf, math.inf)
-    jmax = n_terms - 1
-    # A_p built iteratively through exact Bernoulli ratios: the individual
-    # factors c**(2p) and B_{2p} overflow double long before the product does.
-    a = [1.0 + 0j]  # A_0 = B_0 * (2-1) / 0! = 1
-    t_prev = Fraction(1)
-    for p in range(1, jmax + 1):
-        t_cur = bernoulli(2 * p) * (2 - 4**p) / math.factorial(2 * p)
-        a.append(a[-1] * c * c * float(t_cur / t_prev))
-        t_prev = t_cur
-    cu = c * u
-    s = [cu]  # S_0
-    for m in range(1, jmax + 1):
-        s.append(s[-1] * cu * cu / ((2 * m) * (2 * m + 1)))
-    acc = 0j
-    for j in range(jmax + 1):
-        term = 0j
-        for p in range(j + 1):
-            term += a[p] * s[j - p]
-        acc += term
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Taylor-coefficient recovery of zeta(k, b)
 # ---------------------------------------------------------------------------
@@ -567,8 +513,9 @@ def zeta_from_genfun(k, b: complex, radius: float, nodes: int,
     integrals, made in one quadrature call.  A node at a singular locus
     raises :class:`IllConditionedError`, and a node whose integral does not
     converge raises :class:`EvaluationError`; either names the first such
-    node, the circle at ``radius`` first.  A ``b`` whose sines pass double
-    range raises :class:`RangeOverflowError`, as in :func:`genfun_closed`.
+    node, the circle at ``radius`` first.  A ``b``, or a circle, whose sines
+    pass double range raises :class:`RangeOverflowError`, as in
+    :func:`genfun_closed`.
     """
     scalar = np.ndim(k) == 0
     orders = [check_k(j) for j in ([k] if scalar else k)]
@@ -620,54 +567,3 @@ def zeta_from_genfun(k, b: complex, radius: float, nodes: int,
     zeta = 1.0 / (b.real**ks if b.imag == 0.0 else b**ks) + a[0]
     return complex(zeta[0]) if scalar else zeta
 
-
-# ---------------------------------------------------------------------------
-# Exponential / hyperbolic split of the rotated series (real x, b)
-# ---------------------------------------------------------------------------
-
-def genfun_parts_real_imag(x: float, b: float,
-                           spec: QuadratureSpec | None = None):
-    """Real and imaginary parts of ``F(x,b) = sum_k x**k sum_{j>=1}
-    (i*j + b)**(-k)`` for real ``x``, ``b``:
-
-    ``Re F = x**2/(2b(x-b)) + pi*x*(e**(2*pi*x)-1) /
-    ((e**(-2*pi*b)-1)(e**(2*pi*x)-e**(2*pi*b)))``, and ``Im F = pi*x *
-    integral_0^1 [csch(2pi(x-b)) sinh(2pi(x-b)u) - csch(2pi*b) sinh(2pi*b*u)]
-    cot(pi*u) du``.  This is the rotated-parameter sibling of
-    :func:`genfun_closed` (``F(x, b) = f(-i*x, -i*b)`` on the generic
-    branch), kept separate so the two can be tested against each other.
-    """
-    spec = spec or DEFAULT_SPEC
-    x = check_real(x, "x", -math.inf, math.inf)
-    b = check_real(b, "b", -math.inf, math.inf)
-    if abs(b) < 1e-9:
-        raise IllConditionedError(f"|b| = {abs(b):.2e} < 1e-9", locus="b = 0")
-    if abs(x - b) < 1e-9:
-        raise IllConditionedError(f"|x - b| = {abs(x - b):.2e} < 1e-9", locus="x = b")
-    if abs(2 * math.pi * x) > 700 or abs(2 * math.pi * b) > 700:
-        raise RangeOverflowError("exp/sinh of 2*pi*x or 2*pi*b exceeds double range")
-
-    emb = math.expm1(-2.0 * math.pi * b)  # e**(-2*pi*b) - 1, full precision
-    ex = math.exp(2.0 * math.pi * x)
-    eb = math.exp(2.0 * math.pi * b)
-    if abs(ex - eb) < 1e-9 * max(ex, eb):
-        raise IllConditionedError(
-            f"|e^(2*pi*x) - e^(2*pi*b)| vanishes to {abs(ex - eb):.2e}",
-            locus="exp(2*pi*x) = exp(2*pi*b)",
-        )
-    real_part = x * x / (2.0 * b * (x - b)) + math.pi * x * (ex - 1.0) / (
-        emb * (ex - eb)
-    )
-
-    a1 = 2.0 * math.pi * (x - b)
-    a2 = 2.0 * math.pi * b
-    s1inv = 1.0 / math.sinh(a1)
-    s2inv = 1.0 / math.sinh(a2)
-    # |sinh(a*u)/sinh(a)| <= 1 on [0,1], so the kernel is O(1) by design
-    quad = integrate_cot_weighted(
-        lambda u: kernels.sinh_ratio_gap(u, a1, s1inv, a2, s2inv),
-        spec,
-        scale_hint=2.0,
-    )
-    imag_part = math.pi * x * quad.value.real
-    return real_part, imag_part

@@ -74,7 +74,6 @@ __all__ = [
     "poly_exp_gap",
     "sin_ratio_gap",
     "sin_ratio_ucos_gap",
-    "sinh_ratio_gap",
     "pow_sin_cot",
     "one_minus_cos_cot",
     "decay_one_minus_cos_cot",
@@ -203,11 +202,6 @@ def sin_ratio_ucos_gap(u, a, sinv, w):
     s *= sinv
     s -= u * np.cos(w * u)
     return s
-
-
-def sinh_ratio_gap(u, a1, s1inv, a2, s2inv):
-    """sinh(a1*u)*s1inv - sinh(a2*u)*s2inv, all real."""
-    return np.sinh(a1 * u) * s1inv - np.sinh(a2 * u) * s2inv
 
 
 def _power(u, p):

@@ -139,16 +139,6 @@ class QuadratureResult:
     row_converged: np.ndarray | None = None
     row_warnings: list | None = None
 
-    def row(self, i):
-        """Row ``i`` of a family result, as the result of that integrand alone."""
-        return QuadratureResult(
-            value=complex(self.value[i]),
-            error_estimate=float(self.error_estimate[i]),
-            evaluations=int(self.row_evaluations[i]),
-            converged=bool(self.row_converged[i]),
-            warnings=list(self.row_warnings[i]),
-        )
-
 
 # 15-point Kronrod extension of 7-point Gauss on (-1, 1); standard published
 # abscissae/weights.  Nodes are stored ascending; the Gauss subset sits at

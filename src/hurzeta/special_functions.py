@@ -41,9 +41,9 @@ CATALAN = 0.91596559417721902
 EULER_GAMMA = 0.57721566490153286
 PI = math.pi
 
-# Largest Bernoulli index served: sinh_kernel_series at |c| = 2.9 and the
-# default 1e-12 takes 189 terms, which need B_376.
-BERNOULLI_MAX_INDEX = 380
+# Largest Bernoulli index served: the 12 Euler-Maclaurin terms of the series
+# oracle need B_24, and odd_zeta_integral at j = 10 needs B_20.
+BERNOULLI_MAX_INDEX = 24
 
 # A polylogarithm evaluated within this distance of its pole at z = 1 gets
 # a conditioning note.

@@ -1,13 +1,15 @@
 """Reference implementations the test suite trusts.
 
 Everything here is deliberately primitive: plain summation with explicit
-tail corrections, textbook series acceleration, or one mpmath special
-function at 40 digits.  Nothing imports the package's closed forms, so
-agreement between these and the library is evidence, not circularity.
+tail corrections, textbook series acceleration, or mpmath special functions
+and quadrature at 40 digits.  Nothing here imports ``hurzeta`` (a lint in
+``test_imports.py`` holds that), so agreement between these and the
+library is evidence, not circularity.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 
@@ -107,8 +109,6 @@ def genfun_direct(x: complex, b: complex, n: int = 40_000) -> complex:
     t = n + 0.5
     if x == 0:
         return head
-    import cmath
-
     tail = x * cmath.log((t + b) / (t + b - x))
     return head + tail
 
@@ -127,3 +127,80 @@ def genfun_digamma(x: complex, b: complex) -> complex:
     with mpmath.workdps(40):
         x, b = mpmath.mpc(complex(x)), mpmath.mpc(complex(b))
         return complex(x * (mpmath.digamma(1 + b) - mpmath.digamma(1 + b - x)))
+
+
+def rotated_genfun_parts(x: float, b: float) -> complex:
+    """``F(x, b) = sum_{k>=2} x**k sum_{j>=1} (i*j + b)**(-k)`` for real
+    ``x`` and ``b`` from its exponential / hyperbolic split, at 40 digits:
+
+    ``Re F = x**2/(2b(x-b)) + pi*x*(e**(2*pi*x)-1) /
+    ((e**(-2*pi*b)-1)(e**(2*pi*x)-e**(2*pi*b)))`` and ``Im F = pi*x *
+    integral_0^1 [sinh(2pi(x-b)u)/sinh(2pi(x-b)) - sinh(2pi*b*u)/sinh(2pi*b)]
+    cot(pi*u) du``, the integral by ``mpmath.quad``.  ``F(x, b)`` is the
+    generating function at rotated arguments, ``f(-i*x, -i*b)``.
+    """
+    import mpmath
+
+    with mpmath.workdps(40):
+        x, b = mpmath.mpf(x), mpmath.mpf(b)
+        pi = mpmath.pi
+        ex, eb = mpmath.exp(2 * pi * x), mpmath.exp(2 * pi * b)
+        real = x * x / (2 * b * (x - b)) + pi * x * (ex - 1) / (
+            mpmath.expm1(-2 * pi * b) * (ex - eb))
+        a1, a2 = 2 * pi * (x - b), 2 * pi * b
+
+        def g(u):
+            gap = mpmath.sinh(a1 * u) / mpmath.sinh(a1) - mpmath.sinh(a2 * u) / mpmath.sinh(a2)
+            return gap * mpmath.cot(pi * u)
+
+        imag = pi * x * mpmath.quad(g, [0, 1])
+        return complex(float(real), float(imag))
+
+
+def sinh_kernel(c: complex, u: float) -> complex:
+    """``c * sinh(c*u) / sinh(c)``: the closed form of the double series of
+    :func:`sinh_kernel_series`, the identity behind the odd-zeta integral."""
+    return c * cmath.sinh(c * u) / cmath.sinh(c)
+
+
+def sinh_series_depth(c_abs: float, tol: float = 1e-12) -> int:
+    """Number of j-terms of the sinh double series needed so the geometric
+    tail (ratio ``(|c|/pi)**2``, below 1) drops below ``tol``."""
+    q = (c_abs / math.pi) ** 2
+    if q == 0.0:
+        return 1
+    return max(1, math.ceil(math.log(tol * (1.0 - q) / 2.0) / math.log(q)))
+
+
+def sinh_kernel_series(c: complex, u: float, n_terms: int) -> complex:
+    """The double series ``sum_j c**(2j+1) sum_p B_{2p}(2-2**(2p))
+    u**(2j-2p+1)/((2p)!(2j-2p+1)!)`` after ``n_terms`` values of ``j``.
+
+    Rearranged as a convolution so no intermediate overflows: with
+    ``A_p = B_{2p}(2-2**(2p)) c**(2p) / (2p)!`` (magnitude ~
+    ``2(|c|/pi)**(2p)``) and ``S_m = (c*u)**(2m+1)/(2m+1)!``, the j-th term
+    is ``sum_{p=0..j} A_p S_{j-p}``.  ``A_p`` is built through the ratios
+    ``A_p / A_{p-1}``, from ``mpmath.bernoulli`` at 40 digits: the factors
+    ``c**(2p)`` and ``B_{2p}`` overflow double long before the product does.
+    """
+    import mpmath
+
+    jmax = n_terms - 1
+    with mpmath.workdps(40):
+        t = [mpmath.bernoulli(2 * p) * (2 - 4**p) / mpmath.factorial(2 * p)
+             for p in range(jmax + 1)]
+        ratios = [float(t[p] / t[p - 1]) for p in range(1, jmax + 1)]
+    a = [1.0 + 0j]  # A_0 = B_0 * (2-1) / 0! = 1
+    for r in ratios:
+        a.append(a[-1] * c * c * r)
+    cu = c * u
+    s = [cu]  # S_0
+    for m in range(1, jmax + 1):
+        s.append(s[-1] * cu * cu / ((2 * m) * (2 * m + 1)))
+    acc = 0j
+    for j in range(jmax + 1):
+        term = 0j
+        for p in range(j + 1):
+            term += a[p] * s[j - p]
+        acc += term
+    return acc

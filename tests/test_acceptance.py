@@ -25,9 +25,6 @@ from hurzeta.genfun import (
     genfun_series,
     odd_zeta_integral,
     radius_of_convergence,
-    sinh_kernel,
-    sinh_kernel_series,
-    sinh_series_depth,
     zeta_from_genfun,
 )
 from hurzeta.hurwitz import (
@@ -43,7 +40,14 @@ from hurzeta.validation import (
     zero_integral_scan,
 )
 
-from _oracles import catalan_constant, hurwitz_direct, riemann_zeta
+from _oracles import (
+    catalan_constant,
+    hurwitz_direct,
+    riemann_zeta,
+    sinh_kernel,
+    sinh_kernel_series,
+    sinh_series_depth,
+)
 
 # The routing box: 600 draws of k in [2, 24], Re b in [0.05, 8) and, for
 # seven in ten of them, Im b in [-3, 3).

@@ -8,24 +8,30 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from _oracles import genfun_digamma, genfun_direct, hurwitz_direct, riemann_zeta
+from _oracles import (
+    genfun_digamma,
+    genfun_direct,
+    hurwitz_direct,
+    riemann_zeta,
+    rotated_genfun_parts,
+    sinh_kernel,
+    sinh_kernel_series,
+    sinh_series_depth,
+)
 from hurzeta import (
     QuadratureSpec,
     classify_case,
     genfun_closed,
-    genfun_parts_real_imag,
     genfun_series,
     odd_zeta_integral,
     radius_of_convergence,
     series_coefficient,
-    sinh_kernel,
-    sinh_kernel_series,
-    sinh_series_depth,
     zeta_from_genfun,
 )
 from hurzeta import genfun, kernels
@@ -39,7 +45,6 @@ from hurzeta.errors import (
     RangeOverflowError,
 )
 from hurzeta.quadrature import DEFAULT_SPEC
-from hurzeta.special_functions import BERNOULLI_MAX_INDEX
 
 
 def _draw_generic(rng):
@@ -274,6 +279,19 @@ class TestGuards:
         long = genfun_series(x, b, 140)
         assert abs(short.value - long.value) <= 10 * short.tail_estimate
 
+    def test_series_at_huge_b_is_finite(self):
+        # the tail's prefactor |a_k| * r**k once overflowed at r = 1e200 + 1
+        s = genfun_series(0.3, 1e200, 10)
+        assert s.value == pytest.approx(0.09e-200, rel=1e-12)  # x**2 * a_2, a_2 ~ 1/b
+        assert math.isfinite(s.tail_estimate)
+
+    def test_series_at_huge_negative_integer_b_is_refused_at_once(self):
+        # a_k at b = -m sums the m - 1 terms of H_k(m - 1)
+        t0 = time.perf_counter()
+        with pytest.raises(CapacityError, match="999999999999999 terms"):
+            genfun_series(0.3, -1e15, 5)
+        assert time.perf_counter() - t0 < 1.0
+
 
 def _radius_by_scan(b):
     """r(b) by its first definition: every j from 1 to |b| + 2, skipping
@@ -297,6 +315,11 @@ class TestRadius:
         assert radius_of_convergence(1e15) == 1e15 + 1
         assert radius_of_convergence(-1e15) == 1.0
         assert radius_of_convergence(complex(-1e15, 3.0)) == 3.0
+        # past 2**53, float(j) + b once rounded every distance to 0, and
+        # min() of no distance was a bare ValueError
+        for b in (-1e16, -1e20, -2.0**60):
+            assert radius_of_convergence(b) == 1.0
+            assert radius_of_convergence(complex(b, 3.0)) == 3.0
 
     @pytest.mark.parametrize("b", [math.nan, math.inf, complex(0, -math.inf)])
     def test_non_finite_b_is_a_domain_error(self, b):
@@ -340,15 +363,14 @@ class TestEvalStructure:
 
     def test_a_point_stays_on_its_path(self, monkeypatch):
         # a lone point is classified, guarded and integrated in Python
-        # scalars: the array distances, the array guard and the family-row
-        # unpacking are never reached, on any branch, for a point whose
-        # integral refines, at x = 0 or inside the warning band
+        # scalars: the array distances and the array guard are never
+        # reached, on any branch, for a point whose integral refines, at
+        # x = 0 or inside the warning band
         def reached(*args, **kwargs):
             raise AssertionError("array path reached")
 
         monkeypatch.setattr(genfun, "_array_distances", reached)
         monkeypatch.setattr(genfun, "_first_guard", reached)
-        monkeypatch.setattr(genfun.QuadratureResult, "row", reached)
         for x, b, tag in ((0.2 + 0.1j, 1.3 + 0.2j, "generic"), (0.25 - 0.2j, 0j, "b_zero"),
                           (0.3 + 0.12j, 3, "b_pos_int"), (0.18 - 0.4j, -2, "b_neg_int"),
                           (0.3 + 0.12j, 1.5, "b_half_int")):
@@ -522,8 +544,8 @@ class TestZetaRecovery:
 
 class TestRotatedParts:
     def test_parts_match_rotated_closed_form(self):
-        # F(x,b) = f(-i*x, -i*b): the hyperbolic split must agree with the
-        # trigonometric one evaluated at rotated arguments
+        # F(x,b) = f(-i*x, -i*b): the paper's hyperbolic split, at 40 digits,
+        # must agree with the trigonometric closed form at rotated arguments
         rng = np.random.default_rng(2024)
         checked = 0
         while checked < 8:
@@ -531,18 +553,9 @@ class TestRotatedParts:
             b = float(rng.uniform(0.15, 2.0))
             if abs(x) < 0.02 or abs(x - b) < 0.05 or abs(x - 2 * b) < 1e-3:
                 continue
-            re, im = genfun_parts_real_imag(x, b)
             ref = genfun_closed(-1j * x, -1j * b).total
-            assert abs(complex(re, im) - ref) < 1e-10 * (1 + abs(ref))
+            assert abs(rotated_genfun_parts(x, b) - ref) < 1e-10 * (1 + abs(ref))
             checked += 1
-
-    def test_range_cap(self):
-        with pytest.raises(RangeOverflowError):
-            genfun_parts_real_imag(115.0, 0.5)
-
-    def test_degenerate_exponentials(self):
-        with pytest.raises(IllConditionedError):
-            genfun_parts_real_imag(0.7, 0.7 + 1e-12)
 
 
 class TestOddZeta:
@@ -564,10 +577,18 @@ class TestOddZeta:
 
 
 class TestSinhKernel:
-    def test_closed_form_is_elementary(self):
-        for c, u in [(1.7, 0.3), (0.5 + 2.0j, 0.9), (-2.4, 0.1)]:
-            assert sinh_kernel(c, u) == pytest.approx(
-                c * cmath.sinh(c * u) / cmath.sinh(c), rel=1e-14)
+    # c*sinh(c*u)/sinh(c) = sum_j c**(2j+1) P_j(u), with P_j the polynomial
+    # of odd_zeta_integral; both sides are the oracles' (mpmath's Bernoulli
+    # numbers), and the package's P_j is checked against them
+
+    def test_odd_zeta_polynomials_are_the_series_coefficients(self):
+        mpmath = pytest.importorskip("mpmath")
+        for j in range(1, 11):
+            with mpmath.workdps(40):
+                want = [float(mpmath.bernoulli(2 * p) * (2 - 4**p)
+                              / (mpmath.factorial(2 * p) * mpmath.factorial(2 * j - 2 * p + 1)))
+                        for p in range(j + 1)]
+            assert genfun._odd_zeta_poly_coeffs(j) == pytest.approx(want, rel=1e-15, abs=0)
 
     def test_series_matches_closed_form(self):
         rng = np.random.default_rng(99)
@@ -585,10 +606,3 @@ class TestSinhKernel:
         depths = [sinh_series_depth(c) for c in (0.5, 1.5, 2.5, 2.9)]
         assert depths == sorted(depths)
         assert sinh_series_depth(1.0, tol=1e-6) <= sinh_series_depth(1.0, tol=1e-14)
-
-    def test_degenerate_and_capacity(self):
-        with pytest.raises(DomainError):
-            sinh_kernel(0.0, 0.5)
-        # n_terms needs B_{2(n_terms-1)}
-        with pytest.raises(CapacityError):
-            sinh_kernel_series(2.0, 0.5, BERNOULLI_MAX_INDEX // 2 + 2)

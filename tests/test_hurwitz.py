@@ -17,7 +17,6 @@ from hurzeta import (
     bracket_scale,
     endpoint_residual,
     eulerian_row,
-    genfun_parts_real_imag,
     genfun_series,
     hp_limit_scan,
     hp_partial_sum,
@@ -25,8 +24,6 @@ from hurzeta import (
     hurwitz_zeta,
     imag_part_integral,
     real_part_formula,
-    sinh_kernel_series,
-    sinh_series_depth,
     theorem1_scan,
     zeta_auto,
     zeta_from_genfun,
@@ -440,7 +437,6 @@ class TestOrderValidation:
 COUNT_ENTRY_POINTS = {
     "hp_partial_sum": (0, lambda n: hp_partial_sum(2, 0.5, n)),
     "theorem1_scan": (0, lambda n: theorem1_scan(3, [n, 1000, 10000])),
-    "sinh_kernel_series": (1, lambda n: sinh_kernel_series(1.0, 0.5, n)),
 }
 
 
@@ -460,9 +456,6 @@ NON_FINITE_CALLS = {
     "real_part_formula(3, nan)": lambda: real_part_formula(3, math.nan),
     "imag_part_integral(3, inf)": lambda: imag_part_integral(3, math.inf),
     "imag_part_integral(3, nan)": lambda: imag_part_integral(3, math.nan),
-    "genfun_parts_real_imag(nan, 0.3)": lambda: genfun_parts_real_imag(math.nan, 0.3),
-    "genfun_parts_real_imag(0.3, nan)": lambda: genfun_parts_real_imag(0.3, math.nan),
-    "sinh_series_depth(nan)": lambda: sinh_series_depth(math.nan),
 }
 
 

@@ -17,7 +17,10 @@ package's ``__all__`` is ``__version__`` followed by those lists: each public
 name is declared once.
 
 Only ``errors.py`` imports ``numbers``: integer counts have one validator,
-``errors.check_k``, which every layer uses."""
+``errors.check_k``, which every layer uses.
+
+``tests/_oracles.py`` imports nothing from ``hurzeta``: the references the
+suite checks the package against share none of its code."""
 
 import ast
 import importlib
@@ -149,8 +152,8 @@ def test_bare_spec_calls_are_found():
     assert _bare_spec_calls(tree) == [3, 5, 6, 9]
 
 
-def _numbers_imports(tree):
-    """Lines that import ``numbers`` or a name from it, at any depth."""
+def _imports_of(tree, package):
+    """Lines that import ``package`` or a name or submodule of it, at any depth."""
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -160,13 +163,13 @@ def _numbers_imports(tree):
         else:
             continue
         out += [node.lineno for name in names
-                if name == "numbers" or name.startswith("numbers.")]
+                if name == package or name.startswith(package + ".")]
     return sorted(out)
 
 
 def test_only_errors_imports_numbers():
     importers = [p.name for p in SOURCES
-                 if _numbers_imports(ast.parse(p.read_text(), filename=str(p)))]
+                 if _imports_of(ast.parse(p.read_text(), filename=str(p)), "numbers")]
     assert importers == ["errors.py"]
 
 
@@ -178,7 +181,23 @@ def test_numbers_imports_are_found():
                      "    import numbers as n\n"
                      "import numbersx\n"
                      "import os, numbers.abc\n")
-    assert _numbers_imports(tree) == [1, 2, 5, 7]
+    assert _imports_of(tree, "numbers") == [1, 2, 5, 7]
+
+
+def test_oracles_import_nothing_from_the_package():
+    path = Path(__file__).parent / "_oracles.py"
+    assert _imports_of(ast.parse(path.read_text(), filename=str(path)), "hurzeta") == []
+
+
+def test_package_imports_are_found():
+    tree = ast.parse("import hurzeta\n"
+                     "from hurzeta.genfun import genfun_closed\n"
+                     "from . import hurzeta as local\n"
+                     "def f():\n"
+                     "    import mpmath, hurzeta.kernels as k\n"
+                     "import hurzetax\n"
+                     "from hurzeta import cli\n")
+    assert _imports_of(tree, "hurzeta") == [1, 2, 5, 7]
 
 
 def _module_level_csv_imports(tree):

@@ -16,8 +16,8 @@ _N_PROBE = quadrature._PROBE.size  # the strip points follow the probe grid
 
 KERNELS = {
     "cot_pi", "poly_exp_gap", "sin_ratio_gap", "sin_ratio_ucos_gap",
-    "sinh_ratio_gap", "pow_sin_cot", "one_minus_cos_cot",
-    "decay_one_minus_cos_cot", "inv_power_sum",
+    "pow_sin_cot", "one_minus_cos_cot", "decay_one_minus_cos_cot",
+    "inv_power_sum",
 }
 
 

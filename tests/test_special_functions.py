@@ -20,6 +20,7 @@ from hurzeta.errors import (
     DomainError,
     RangeOverflowError,
 )
+from hurzeta.hurwitz import EM_TERMS
 from hurzeta.special_functions import (
     BERNOULLI_MAX_INDEX,
     CATALAN,
@@ -50,9 +51,10 @@ class TestBernoulli:
         assert bernoulli(2) == Fraction(1, 6)
         assert bernoulli(4) == Fraction(-1, 30)
         assert bernoulli(12) == Fraction(-691, 2730)
+        assert bernoulli(24) == Fraction(-236364091, 2730)
 
     def test_odd_vanish(self):
-        for n in (3, 5, 7, 9, 11, 13, 63, 379):
+        for n in (3, 5, 7, 9, 11, 13, 21, 23):
             assert bernoulli(n) == 0
 
     def test_matches_the_full_recurrence(self):
@@ -69,21 +71,18 @@ class TestBernoulli:
             return [p for p in range(2, n2 + 2)
                     if all(p % d for d in range(2, p)) and n2 % (p - 1) == 0]
 
-        for n2 in (2, 10, 26, 40, 300):
+        for n2 in (2, 10, 12, 20, 24):
             assert bernoulli(n2).denominator == math.prod(primes_dividing(n2))
 
     def test_capacity_contract(self):
+        # the cap is what the package asks for: B_24 for the series oracle's
+        # Euler-Maclaurin terms (odd_zeta_integral at j = 10 needs B_20)
+        assert BERNOULLI_MAX_INDEX == 2 * EM_TERMS == 24
         bernoulli(BERNOULLI_MAX_INDEX)  # the last one served
         with pytest.raises(CapacityError, match=f"B_{BERNOULLI_MAX_INDEX + 1}"):
             bernoulli(BERNOULLI_MAX_INDEX + 1)
         with pytest.raises(DomainError):
             bernoulli(-1)
-
-    def test_past_double_range_stays_exact(self):
-        # B_300 exceeds double range; the exact value stays usable
-        with pytest.raises(OverflowError):
-            float(bernoulli(300))
-        assert abs(bernoulli(300)) > 10**308 and bernoulli(300).denominator > 1
 
 
 class TestEulerian:
