@@ -6,15 +6,12 @@ Everything numeric that can go wrong maps to a subclass of
 itself could not be completed".
 
 It also holds the argument validators that raise :class:`DomainError`, which
-every layer uses: :func:`check_k` for counts, :func:`check_finite` for points,
-:func:`check_real` for real numbers of an open interval and
-:func:`check_abscissae` for a kernel's abscissae, a number or an array.
+every layer uses: :func:`check_k` for counts, :func:`check_finite` for points
+and :func:`check_real` for real numbers of an open interval.
 """
 
 import math
 import numbers
-
-import numpy as np
 
 __all__ = [
     "HurzetaError",
@@ -30,7 +27,6 @@ __all__ = [
     "check_k",
     "check_finite",
     "check_real",
-    "check_abscissae",
 ]
 
 
@@ -144,16 +140,3 @@ def check_real(value, name: str, lo: float, hi: float) -> float:
         raise DomainError(f"{name} must lie in ({lo:g}, {hi:g}), got {value!r}")
     return x
 
-
-def check_abscissae(u):
-    """``u``, a real number or an array of them, as a float64 ndarray (0-d
-    for a number); :class:`DomainError` unless every value is a finite real
-    number (a complex one is not, as for :func:`check_real`)."""
-    try:
-        a = np.asarray(u)
-    except (TypeError, ValueError):  # a ragged sequence, say
-        a = np.asarray(None)
-    if a.dtype.kind not in "iuf" or not np.isfinite(a).all():
-        raise DomainError(
-            f"u must be a finite real number or an array of them, got {u!r}")
-    return a.astype(np.float64, copy=False)

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import kernels
 from .errors import (
-    CapacityError,
     ConditioningWarning,
     DivergenceError,
     DomainError,
@@ -35,14 +34,14 @@ from .errors import (
     check_k,
     check_real,
 )
-from .hurwitz import SERIES_MAX_TERMS, check_b, hurwitz_series_oracle
+from .hurwitz import check_b, hurwitz_series_oracle
 from .quadrature import (
     DEFAULT_SPEC,
     QuadratureResult,
     QuadratureSpec,
     integrate_cot_weighted,
 )
-from .special_functions import bernoulli, harmonic_number
+from .special_functions import bernoulli
 
 __all__ = [
     "ProximityFlags",
@@ -189,8 +188,8 @@ def _admit(b: complex, tag: str, two_b_int: float) -> list:
 
 
 # The guarded loci, in the order they are tried: the message and the locus
-# named.  Locus j is entry j of a point's distances (see _point_distances)
-# and row j of an array's; _guarded says which of them a branch guards.
+# named.  Locus j is entry j of a point's distances (see _point_distances);
+# _guarded says which of them a branch guards.
 _LOCI = (
     ("|x - b| = {d:.2e} < {tol:g}", "x = b"),
     ("x - b within {d:.2e} of an integer", "sin(pi*(x-b)) = 0"),
@@ -200,13 +199,13 @@ _LOCI = (
 )
 
 
-def _guarded(tag: str, far):
-    """Whether the branch ``tag`` guards each locus of ``_LOCI`` at points
-    ``far`` from 0 (``|Re x| > 1/4``) or not, a bool or a bool array.  The
-    generic branch guards rows 0-2, the integer branches rows 0, 3 and 4,
-    the half-integer branch rows 0 and 4: their integer loci count only
-    away from 0 (near an integer, ``|Re x| <= 1/4`` only if that integer is
-    0), as does ``x = b`` only for b != 0."""
+def _guarded(tag: str, far: bool):
+    """Whether the branch ``tag`` guards each locus of ``_LOCI`` at a point
+    ``far`` from 0 (``|Re x| > 1/4``) or not.  The generic branch guards
+    loci 0-2, the integer branches loci 0, 3 and 4, the half-integer branch
+    loci 0 and 4: their integer loci count only away from 0 (near an
+    integer, ``|Re x| <= 1/4`` only if that integer is 0), as does ``x = b``
+    only for b != 0."""
     if tag == "generic":
         return True, True, True, False, False
     if tag == "b_half_int":  # no cot(pi*x) pole: cot(pi*(x-b)) = -tan(pi*x)
@@ -230,22 +229,17 @@ def _first_guard(x, dist, tag: str):
     """``(index, message, locus)`` of the first point of the array ``x`` within
     ``PROX_TOL`` of a singular locus of the branch ``tag``, or None, from the
     points' distances ``dist`` (see :func:`_array_distances`): what
-    :func:`_point_guard` gives at that point.
-
-    A comparison and a count over the array, whatever ``n``, are what a
-    point clear of every locus pays; the masking and the search run only
-    when some distance is below ``PROX_TOL``."""
+    :func:`_point_guard` gives at that point.  It runs, in order, on the
+    points with some distance below ``PROX_TOL`` alone: points clear of
+    every locus pay one comparison and one count over the array."""
     near = dist < PROX_TOL
     if not np.count_nonzero(near):
         return None
-    for row, guarded in zip(near, _guarded(tag, np.abs(x.real) > 0.25)):
-        row &= guarded
-    if not np.count_nonzero(near):
-        return None
-    i = int(np.argmax(near.any(axis=0)))
-    j = int(np.argmax(near[:, i]))
-    text, locus = _LOCI[j]
-    return i, text.format(d=dist[j, i], tol=PROX_TOL), locus
+    for i in np.flatnonzero(near.any(axis=0)).tolist():
+        hit = _point_guard(complex(x[i]), dist[:, i].tolist(), tag)
+        if hit is not None:
+            return i, *hit
+    return None
 
 
 def _closed_terms(x, b: complex, tag: str, spec: QuadratureSpec):
@@ -384,22 +378,18 @@ def series_coefficient(k: int, b: complex) -> complex:
     """``zeta(k, b) - b**-k = sum_{j>=1} (j+b)**(-k)``, by direct summation.
 
     Computed as the series oracle at ``b + 1`` (``zeta(k, b+1)``) so no
-    cancellation against ``b**-k`` ever happens; exact negative-integer ``b``
-    skips its singular term per the series convention, and sums the
-    ``|b| - 1`` terms of a harmonic number, so past ``SERIES_MAX_TERMS`` of
-    them it raises :class:`CapacityError`, as the oracle does.  The oracle
-    runs at relative tolerance ``COEFFICIENT_TOL``.
+    cancellation against ``b**-k`` ever happens.  An exact negative integer
+    ``b = -m`` skips its singular term per the series convention, in two
+    oracle calls whatever ``m``.  The oracle runs at relative tolerance
+    ``COEFFICIENT_TOL``.
     """
     b = check_finite(b, "b")
     if b.imag == 0.0 and float(b.real).is_integer() and b.real < 0.0:
-        # skip j = -b: remaining terms are zeta(k) + (-1)**k * H_k(|b|-1)
-        n = -int(b.real) - 1
-        if n > SERIES_MAX_TERMS:
-            raise CapacityError(
-                f"series coefficient at b = {b} would need {n} terms (> {SERIES_MAX_TERMS})"
-            )
-        return (hurwitz_series_oracle(k, 1.0, tol=COEFFICIENT_TOL)
-                + (-1.0) ** k * harmonic_number(k, n))
+        # skip j = m: the terms left are zeta(k) + (-1)**k * H_k(m - 1), and
+        # H_k(m - 1) = zeta(k) - zeta(k, m); at odd k the zeta(k) cancel exactly
+        sign = (-1.0) ** check_k(k)
+        return ((1.0 + sign) * hurwitz_series_oracle(k, 1.0, tol=COEFFICIENT_TOL)
+                - sign * hurwitz_series_oracle(k, -b, tol=COEFFICIENT_TOL))
     return hurwitz_series_oracle(k, b + 1.0, tol=COEFFICIENT_TOL)
 
 

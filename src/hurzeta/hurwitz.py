@@ -6,7 +6,8 @@ cotangent-weighted integral whose smooth factor (the "bracket") vanishes at
 both endpoints, and estimates its own relative accuracy from the sizes of
 the terms that cancel.  The series route sums the defining series by
 Euler--Maclaurin summation (direct terms, then an asymptotic tail with a
-rigorous remainder bound), for every ``b`` off the poles.
+rigorous remainder bound), for every ``b`` off the poles.  Every
+evaluator takes ``k`` and ``b`` first and checks them itself.
 
 :func:`zeta_auto` chooses between them by one rule: the closed form's value
 when its integral converged and its estimate is within ``ROUTE_RTOL``, the
@@ -20,6 +21,7 @@ recombination agreeing with :func:`hurwitz_zeta` is one of the library's
 standing invariants.
 """
 
+import cmath
 import functools
 import math
 import warnings
@@ -36,7 +38,6 @@ from .errors import (
     RangeOverflowError,
     UnsupportedParameterError,
     CapacityError,
-    check_abscissae,
     check_finite,
     check_k,
     check_real,
@@ -53,11 +54,8 @@ __all__ = [
     "IM_CAP",
     "ROUTE_RTOL",
     "check_b",
-    "ZetaParams",
     "EvalBreakdown",
     "ZetaResult",
-    "bracket_kernel",
-    "bracket_scale",
     "endpoint_residual",
     "real_part_formula",
     "imag_part_integral",
@@ -103,38 +101,37 @@ def check_b(b) -> complex:
     return b
 
 
-@dataclass(frozen=True)
-class ZetaParams:
-    """Validated inputs for the closed-form evaluator.
-
-    ``q = exp(-2*pi*i*b)`` is cached here because every downstream piece
-    (polylog arguments, bracket coefficients) consumes it.
-    """
-
-    k: int
-    b: complex
-    q: complex
-
-    @classmethod
-    def create(cls, k: int, b: complex) -> "ZetaParams":
-        return cls._of(check_k(k), check_b(b))
-
-    @classmethod
-    def _of(cls, k: int, b: complex) -> "ZetaParams":
-        """From ``k`` and ``b`` that passed :func:`check_k` and :func:`check_b`."""
-        if _is_integer_valued(b):
-            raise UnsupportedParameterError(
-                f"b = {int(b.real)} is a positive integer: q = 1 sits on the "
-                "polylogarithm pole; use the series path (zeta_auto routes it)"
-            )
-        if abs(b.imag) > IM_CAP:
-            raise RangeOverflowError(
-                f"|Im b| = {abs(b.imag):g} exceeds im_cap = {IM_CAP:g}; "
-                f"|exp(-2*pi*i*b)| = exp({2 * math.pi * abs(b.imag):.4g}) "
-                "would dominate double precision"
-            )
-        q = complex(np.exp(-2j * math.pi * b))
-        return cls(k=k, b=b, q=q)
+def _closed_form_q(k: int, b: complex) -> complex:
+    """``q = exp(-2*pi*i*b)``, the closed form's input, for a checked ``k``
+    and ``b``.  A positive integer ``b`` (``q = 1`` is the polylogarithms'
+    pole) is an :class:`UnsupportedParameterError`; ``|Im b| > IM_CAP``, and
+    ``k`` or ``|q|**(k+1)`` past double range, a :class:`RangeOverflowError`."""
+    if _is_integer_valued(b):
+        raise UnsupportedParameterError(
+            f"b = {int(b.real)} is a positive integer: q = 1 sits on the "
+            "polylogarithm pole; use the series path (zeta_auto routes it)"
+        )
+    if abs(b.imag) > IM_CAP:
+        raise RangeOverflowError(
+            f"|Im b| = {abs(b.imag):g} exceeds im_cap = {IM_CAP:g}; "
+            f"|exp(-2*pi*i*b)| = exp({2 * math.pi * abs(b.imag):.4g}) "
+            "would dominate double precision"
+        )
+    # (k-1)!, the Eulerian coefficients of Li_{1-k}, and the polylog
+    # numerators ~ |q|**k all must stay in double range.  (2*pi)**k then
+    # does too: 170 * log10(2*pi) is about 136.
+    if k > 170:
+        raise RangeOverflowError(
+            f"k = {k}: (k-1)! and the order-(k-1) Eulerian coefficients "
+            "exceed double range (limit k <= 170)"
+        )
+    q = complex(np.exp(-2j * math.pi * b))
+    aq = abs(q)
+    if aq > 1.0 and (k + 1) * math.log10(aq) > 290:
+        raise RangeOverflowError(
+            f"|q|**(k+1) = {aq:.3e}**{k + 1} overflows double; reduce |Im b| or k"
+        )
+    return q
 
 
 @dataclass
@@ -193,7 +190,7 @@ def _coefficients(values) -> tuple:
     ``|values[j-1]|`` in place of ``values[j-1]``.  With ``values[m] =
     Li_{-m}(q)`` the first are the bracket coefficients ``c_j``, highest
     power of ``u`` first, and the sum is the size of their uncancelled
-    constituents (see :func:`bracket_scale`)."""
+    constituents (see :func:`_bracket_data`)."""
     coeffs, size = [], 0.0
     for j, (v, d) in enumerate(zip(values, _denominators(len(values)))):
         delta = 1.0 if j == 0 else 0.0
@@ -204,15 +201,21 @@ def _coefficients(values) -> tuple:
 
 @functools.lru_cache(maxsize=512)
 def _bracket_data(k: int, q: complex):
-    """Coefficients c_j, the endpoint value B(1) = q * sum_j c_j,
+    """Coefficients c_j of ``B(u) = sum_{j=1..k} c_j * u**(k-j) *
+    exp(-2*pi*i*b*u)``, the endpoint value B(1) = q * sum_j c_j,
     ``Li_{1-k}(q)``, the conditioning note of the polylogarithm evaluation
-    (or None) and :func:`bracket_scale`, for ``q = exp(-2*pi*i*b)``.
+    (or None) and the bracket's scale, for ``q = exp(-2*pi*i*b)``.
 
-    ``q`` fixes all of them, and :class:`ZetaParams` holds it.  Of the
-    polylogarithms only ``Li_{1-k}(q)``, the one the closed form uses on its
-    own, is kept: with all k of them as complex objects, the resident size
-    grew steadily (0.12 MiB per 1266 distinct (k, b) keys, measured over 25
-    passes) although the cache itself is bounded.
+    The scale is the size of the *uncancelled* constituents of the bracket
+    ``B(u) - B(1)``, the delta term and each polylogarithm apart, times
+    ``max(1, |q|)``, plus ``|B(1)|``: the bracket is a difference of
+    quantities this large, so its rounding floor is ``eps * scale``.
+
+    ``q`` fixes all of them.  Of the polylogarithms only ``Li_{1-k}(q)``,
+    the one the closed form uses on its own, is kept: with all k of them as
+    complex objects, the resident size grew steadily (0.12 MiB per 1266
+    distinct (k, b) keys, measured over 25 passes) although the cache
+    itself is bounded.
     """
     li, note = polylog_nonpos_orders(k, q)
     coeffs, total = _coefficients(li)
@@ -222,66 +225,27 @@ def _bracket_data(k: int, q: complex):
     return coeffs, b1, li[-1], note, scale
 
 
-def bracket_kernel(params: ZetaParams, u):
-    """The smooth factor ``B(u) - B(1)`` multiplying ``cot(pi*u)``.
-
-    ``B(u) = sum_{j=1..k} c_j * u**(k-j) * exp(-2*pi*i*b*u)``.  Vanishes at
-    both ``u = 0`` and ``u = 1``; the ``u = 0`` zero is an algebraic identity
-    between the polylogarithms (checked exactly in the tests), not a
-    numerical accident.  Accepts a real number or an array of them
-    (:func:`~hurzeta.errors.check_abscissae`).
-    :func:`hurwitz_zeta` integrates the same :func:`kernels.poly_exp_gap`
-    call on the quadrature's float64 abscissae directly.
-    """
-    coeffs, b1 = _bracket_data(params.k, params.q)[:2]
-    c = -2j * math.pi * params.b
-    u = check_abscissae(u)
-    out = kernels.poly_exp_gap(np.atleast_1d(u), coeffs, c, b1)
-    return complex(out[0]) if u.ndim == 0 else out
-
-
-def bracket_scale(params: ZetaParams) -> float:
-    """Magnitude of the bracket's *uncancelled* constituents: the yardstick
-    the endpoint cancellation ``B(0) = B(1)`` is judged against.
-
-    The delta term and each polylogarithm enter separately (``1 + Li_0(q)``
-    cancels to ~1/|q| for large |q|, but its rounding floor is set by the
-    sizes before that cancellation), and the whole sum is scaled by ``|q|``
-    because ``B(1) = q * sum c_j`` amplifies the summation residue.  The
-    kernel is a difference of quantities this large, so its attainable
-    accuracy is ``eps * bracket_scale``, not ``eps * max|kernel|``.
-    """
-    return _bracket_data(params.k, params.q)[4]
-
-
-def endpoint_residual(params: ZetaParams) -> float:
-    """``|B(0) - B(1)| / bracket_scale(params)``: the endpoint identity's
-    residual in units of its rounding yardstick, from the cached bracket
-    set-up alone.  ``B(0)`` is the constant coefficient ``c_k``: at
-    ``u = 0`` every other power is 0 and ``exp(0) = 1``, so the value has the
-    bits of ``|bracket_kernel(params, 0.0)| / bracket_scale(params)``
-    without a kernel call."""
-    coeffs, b1, _, _, scale = _bracket_data(params.k, params.q)
+def endpoint_residual(k: int, b: complex) -> float:
+    """``|B(0) - B(1)|`` over the bracket's scale (see :func:`_bracket_data`):
+    the endpoint identity's residual in units of its rounding yardstick.
+    ``B(0)`` is the constant coefficient ``c_k``, so the cached set-up
+    gives it without a kernel call.  ``k`` and ``b`` are refused as by
+    :func:`hurwitz_zeta`."""
+    k, b = check_k(k), check_b(b)
+    coeffs, b1, _, _, scale = _bracket_data(k, _closed_form_q(k, b))
     return abs(complex(coeffs[-1]) - b1) / scale
 
 
-def _check_power_range(k: int, q: complex):
-    # (k-1)!, the Eulerian coefficients of Li_{1-k}, and the polylog
-    # numerators ~ |q|**k all must stay in double range.  (2*pi)**k then
-    # does too: 170 * log10(2*pi) is about 136.
-    if k > 170:
-        raise RangeOverflowError(
-            f"k = {k}: (k-1)! and the order-(k-1) Eulerian coefficients "
-            "exceed double range (limit k <= 170)"
-        )
-    aq = abs(q)
-    if aq > 1.0 and (k + 1) * math.log10(aq) > 290:
-        raise RangeOverflowError(
-            f"|q|**(k+1) = {aq:.3e}**{k + 1} overflows double; reduce |Im b| or k"
-        )
+def _half_inv_power(b, k: int):
+    """``1/(2*b**k)``, or 0 where ``b**k`` passes double range (it underflows)."""
+    try:
+        bk = b.real**k if b.imag == 0.0 else b**k
+    except OverflowError:
+        return 0.0
+    return 1.0 / (2.0 * bk)
 
 
-def hurwitz_zeta(params: ZetaParams, spec: QuadratureSpec | None = None) -> EvalBreakdown:
+def hurwitz_zeta(k: int, b: complex, spec: QuadratureSpec | None = None) -> EvalBreakdown:
     """Closed-form evaluation of ``zeta(k, b)`` for non-integer ``b``.
 
     The four terms are, in order: ``1/(2*b**k)``; the single polylogarithm
@@ -295,38 +259,40 @@ def hurwitz_zeta(params: ZetaParams, spec: QuadratureSpec | None = None) -> Eval
 
     ``estimate`` is four times the rounding the terms carry, relative to
     ``|total|``: each term's own ``eps``, and the integral's error estimate
-    plus its kernel noise ``eps * bracket_scale``, both scaled by the
-    integral's prefactor.  On the 1116 seeded cells where it was at most
-    1e-10 (perfbench's zeta_grid at seed 1, and the routing box of the
-    acceptance tests), the measured error was at most 0.60 of it, and
-    above a quarter of it on about one cell in ten.
+    plus its kernel noise ``eps`` times the bracket's scale (see
+    :func:`_bracket_data`), both scaled by the integral's prefactor.  On
+    the 1116 seeded cells where it was at most 1e-10 (perfbench's zeta_grid
+    at seed 1, and the routing box of the acceptance tests), the measured
+    error was at most 0.60 of it, and above a quarter of it on about one
+    cell in ten.
 
     The polylogarithms' conditioning note, if any, is also issued as a
-    :class:`ConditioningWarning`.
+    :class:`ConditioningWarning`.  ``k`` and ``b`` are checked as by
+    :func:`zeta_auto`; a positive integer ``b`` is then an
+    :class:`UnsupportedParameterError`, and ``|Im b| > IM_CAP`` a
+    :class:`RangeOverflowError`.
     """
-    br = _closed_form(params, spec)
+    br = _closed_form(check_k(k), check_b(b), spec)
     for note in br.warnings:
         warnings.warn(note, ConditioningWarning, stacklevel=2)
     return br
 
 
-def _closed_form(params: ZetaParams, spec: QuadratureSpec | None) -> EvalBreakdown:
-    """:func:`hurwitz_zeta` without its warning: the note is only stored."""
+def _closed_form(k: int, b: complex, spec: QuadratureSpec | None) -> EvalBreakdown:
+    """:func:`hurwitz_zeta` of a checked ``k`` and ``b``, without its
+    warning: the note is only stored."""
     spec = spec or DEFAULT_SPEC
-    k, b, q = params.k, params.b, params.q
-    _check_power_range(k, q)
-    coeffs, b1, li_top, note, bscale = _bracket_data(k, q)
+    coeffs, b1, li_top, note, bscale = _bracket_data(k, _closed_form_q(k, b))
 
     ipk = _I_POW[k % 4] * (2.0 * math.pi) ** k  # (2*pi*i)**k, quadrant exact
 
-    bk = b.real**k if b.imag == 0.0 else b**k
-    t1 = 1.0 / (2.0 * bk)
+    t1 = _half_inv_power(b, k)
     t2 = ipk * li_top / (4.0 * _denominators(k)[-1])  # (k-1)!
     t3 = ipk * b1 / 4.0
-    # The integrand is bracket_kernel(params, u) without its scalar and
-    # dtype handling: the driver hands it a float64 array.  It inherits
-    # rounding at the size of the bracket's uncancelled constituents (see
-    # bracket_scale), so that is the gap's noise floor.
+    # The integrand is the bracket B(u) - B(1) on the driver's float64
+    # abscissae.  It inherits rounding at the size of the bracket's
+    # uncancelled constituents (see _bracket_data), so that is the gap's
+    # noise floor.
     c = -2j * math.pi * b
     quad = integrate_cot_weighted(
         lambda u: kernels.poly_exp_gap(u, coeffs, c, b1), spec, scale_hint=bscale
@@ -361,7 +327,8 @@ def real_part_formula(k: int, b: float) -> float:
     Li_{1-k}(p)/(4*(k-1)!) + (2*pi)**k * p/4 * sum_j (delta_{1j} +
     Li_{1-j}(p)) / ((j-1)!(k-j)!)`` -- no quadrature involved.  The
     polylogarithm and the endpoint value ``B(1)`` are the closed form's
-    bracket set-up at ``q = p``, whose real parts they take.
+    bracket set-up at ``q = p``, whose real parts they take.  The first
+    term is 0 where ``b**k`` passes double range, as it then underflows.
     """
     k = check_k(k)
     b = check_real(b, "b", 0.0, math.inf)
@@ -371,7 +338,7 @@ def real_part_formula(k: int, b: float) -> float:
         warnings.warn(note, ConditioningWarning, stacklevel=2)
     twopik = (2.0 * math.pi) ** k
     single = twopik * li_top.real / (4.0 * _denominators(k)[-1])  # (k-1)!
-    return 1.0 / (2.0 * b**k) + single + twopik * b1.real / 4.0
+    return _half_inv_power(b, k) + single + twopik * b1.real / 4.0
 
 
 def imag_part_integral(k: int, b: float, spec: QuadratureSpec | None = None) -> float:
@@ -411,7 +378,9 @@ def hurwitz_series_oracle(k: int, b: complex, tol: float = 1e-12) -> complex:
     arXiv:1309.2877).  ``N`` starts at the least count with ``Re a >= 16``
     and grows until the bound is at most ``tol/4`` of the result: ``tol``
     is relative.  More than ``SERIES_MAX_TERMS`` terms raise
-    :class:`CapacityError` before any summation.
+    :class:`CapacityError` before any summation, and a value that is not
+    finite (a term past double range, as ``b**-k`` is near 0) a
+    :class:`RangeOverflowError`.
     """
     k = check_k(k)
     b = check_b(b)
@@ -431,9 +400,11 @@ def hurwitz_series_oracle(k: int, b: complex, tol: float = 1e-12) -> complex:
         value = head + _em_tail(k, a)
         # log(tol/4 * |value|), floored at the smallest normal double, below
         # which no relative accuracy is left; NaN and infinite values fail
-        # the test below and are returned
+        # the test below and are refused there
         log_target = math.log(max(tol / 4.0 * abs(value), _TINY))
         if not log_c - p * math.log(a.real) > log_target:
+            if not cmath.isfinite(value):
+                raise RangeOverflowError(f"zeta({k}, {b}) = {value} is past double range")
             return value
         n = max(n + 1, math.ceil(math.exp((log_c - log_target) / p) - b.real))
 
@@ -512,7 +483,7 @@ def zeta_auto(k: int, b: complex, spec: QuadratureSpec | None = None) -> ZetaRes
         reason = "integer b"
     else:
         try:
-            br = _closed_form(ZetaParams._of(k, b), spec)
+            br = _closed_form(k, b, spec)
         except HurzetaError as exc:
             reason = f"{type(exc).__name__}: {exc}"
         else:

@@ -21,8 +21,7 @@ operations on arrays of one row.  Their fixed cost, not the arithmetic,
 is what that path spends, and nearly every such row converges on the
 first pass (2286 of the 2290 closed-form cells of the benchmark's rounds
 at seeds 1 and 2, and 471 of their 514 generating-function points).  So a
-one-row family (a plain integrand, or ``family=1``) whose first pass
-converges is finished in Python scalars:
+plain integrand whose first pass converges is finished in Python scalars:
 its scale, endpoint check, strip model, target, convergence test and
 totals, with no refinement loop.  That halves the driver's share of a
 cell, from about 34-39 us to 18-19 us on a shared 2-vCPU x86-64 machine.
@@ -35,7 +34,7 @@ Every other step is the general path's, in the same order, so the
 result is that path's, bit for bit, and of the same types.  A row that
 would refine, fails its endpoint check, has an all-zero or overflowed
 probe or a total that is not finite goes through the general path; so
-does every family of several rows.
+does every family, one of a single row included.
 Elsewhere a default ``spec`` is the one instance ``DEFAULT_SPEC``; the
 ``rows`` column of a first pass is built once per family size;
 two-column sums are single additions; and each check that almost never
@@ -490,15 +489,13 @@ def integrate_open(f, spec=None, initial_panels=8, family=None):
     return _result(*parts, family)
 
 
-def _lone_first_pass(gv, lay, spec, hint, family):
-    """The result of a one-row family whose first pass converges, from
-    Python scalars, or None when the general path must run: an endpoint
-    violation, a probe that is all zero (or overflowed), a row that would
-    refine, a total that is not finite.  Every step is the general path's,
-    in the same order, with numpy calls where they set the bits (see the
-    module docstring).  A plain integrand (``family`` None, as a closed-form
-    cell and a generating-function point pass) gets a scalar result,
-    ``family=1`` the one-row arrays of a family."""
+def _lone_first_pass(gv, lay, spec, hint):
+    """The result of a plain integrand (a closed-form cell's, a generating
+    function point's) whose first pass converges, from Python scalars, or
+    None when the general path must run: an endpoint violation, a probe that
+    is all zero (or overflowed), a row that would refine, a total that is
+    not finite.  Every step is the general path's, in the same order, with
+    numpy calls where they set the bits (see the module docstring)."""
     probe = np.abs(gv[0, :_PROBE.size]).tolist()
     scale = max(probe)
     if not 0.0 < scale < math.inf:
@@ -524,11 +521,7 @@ def _lone_first_pass(gv, lay, spec, hint, family):
               + (size[p] + size[p + 1]) * ENDPOINT_MARGIN**3)
     if not cmath.isfinite(value + error):
         return None
-    first = gv.shape[1]
-    if family is None:
-        return QuadratureResult(complex(value), error, first, True, [])
-    return QuadratureResult(np.array([value]), np.array([error]), first, True, [],
-                            np.full(1, first), np.ones(1, bool), [[]])
+    return QuadratureResult(complex(value), error, gv.shape[1], True, [])
 
 
 def integrate_cot_weighted(g, spec=None, scale_hint=0.0, family=None):
@@ -582,8 +575,8 @@ def integrate_cot_weighted(g, spec=None, scale_hint=0.0, family=None):
     gv = _evaluate(f, lay.u, everyone)
     n_probe = _PROBE.size
     finite = np.count_nonzero(np.isfinite(gv)) == gv.size
-    if rows == 1 and finite:  # finished in scalars if its first pass converges
-        lone = _lone_first_pass(gv, lay, spec, hint.item(), family)
+    if family is None and finite:  # finished in scalars if its first pass converges
+        lone = _lone_first_pass(gv, lay, spec, hint.item())
         if lone is not None:
             return lone
     if not finite:

@@ -1,5 +1,5 @@
 """Exact combinatorial ingredients: Bernoulli numbers, polylogarithms at
-non-positive integer order, harmonic numbers, and pinned constants.
+non-positive integer order, and pinned constants.
 
 Everything in this module is either exact rational arithmetic
 (:func:`bernoulli`, the Eulerian numerator polynomials of
@@ -32,7 +32,6 @@ __all__ = [
     "polylog_nonpos",
     "polylog_nonpos_orders",
     "eulerian_row",
-    "harmonic_number",
 ]
 
 # Pinned to 17 significant digits (unit tests recompute them from their
@@ -168,13 +167,3 @@ def polylog_nonpos(m: int, z: complex) -> complex:
         warnings.warn(note, ConditioningWarning, stacklevel=2)
     return values[m]
 
-
-# ---------------------------------------------------------------------------
-# Harmonic numbers
-# ---------------------------------------------------------------------------
-
-def harmonic_number(k: int, n: int) -> float:
-    """Generalized harmonic number ``H_k(n) = sum_{j=1..n} j**(-k)``."""
-    k = check_k(k, minimum=1)
-    n = check_k(n, minimum=0, name="n")
-    return math.fsum(j ** (-float(k)) for j in range(1, n + 1))

@@ -266,15 +266,14 @@ def _log_asymptotic_report(k, ns, values, notes, spec):
 def _hp_limit(k: int, b: complex) -> complex:
     """The n -> infinity value of hp_partial_sum: sum_{j>=1} (i*j + b)**(-k).
 
-    Real b > 0 uses the dedicated real/imaginary split; complex b is the
-    rotation ``(-i)**k * zeta(k, -i*b)`` that defines the series in the first
-    place, by :func:`zeta_auto`."""
+    Real b > 0 uses the dedicated real/imaginary split, less its j = 0
+    term; complex b is the rotation ``(-i)**k * zeta(k, 1 - i*b)`` that
+    defines the series in the first place, by :func:`zeta_auto`."""
     b = check_finite(b, "b")
     if b.imag == 0.0:  # real_part_formula refuses b <= 0
         full = complex(real_part_formula(k, b.real), imag_part_integral(k, b.real))
-    else:
-        full = (-1j) ** (k % 4) * zeta_auto(k, -1j * b).value
-    return full - 1.0 / b**k
+        return full - 1.0 / b**k
+    return (-1j) ** (k % 4) * zeta_auto(k, complex(1.0 + b.imag, -b.real)).value
 
 
 def hp_limit_scan(k: int, b: complex, n_values) -> ConvergenceReport:

@@ -129,6 +129,18 @@ def genfun_digamma(x: complex, b: complex) -> complex:
         return complex(x * (mpmath.digamma(1 + b) - mpmath.digamma(1 + b - x)))
 
 
+def negative_integer_coefficient(k: int, m: int) -> float:
+    """``sum_{j>=1, j != m} (j - m)**(-k)``, the series coefficient at
+    ``b = -m`` with its singular term skipped, at 40 digits: ``zeta(k)``
+    (the terms j > m) plus ``(-1)**k * H_k(m - 1)`` (the terms j < m, each
+    summed by ``mpmath.fsum``)."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        head = mpmath.fsum(mpmath.mpf(j) ** -k for j in range(1, m))
+        return float(mpmath.zeta(k) + (-1) ** k * head)
+
+
 def rotated_genfun_parts(x: float, b: float) -> complex:
     """``F(x, b) = sum_{k>=2} x**k sum_{j>=1} (i*j + b)**(-k)`` for real
     ``x`` and ``b`` from its exponential / hyperbolic split, at 40 digits:

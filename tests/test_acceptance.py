@@ -28,9 +28,7 @@ from hurzeta.genfun import (
     zeta_from_genfun,
 )
 from hurzeta.hurwitz import (
-    ZetaParams,
-    bracket_kernel,
-    bracket_scale,
+    endpoint_residual,
     hurwitz_zeta,
     zeta_auto,
 )
@@ -82,7 +80,7 @@ class _Budget:
 def test_criterion_01_catalan_closed_form():
     with _Budget(1.0, "criterion 1"):
         exact = -16.0 + math.pi**2 + 8.0 * catalan_constant()
-        v = hurwitz_zeta(ZetaParams.create(2, 1.25)).total
+        v = hurwitz_zeta(2, 1.25).total
         rel = abs(v - exact) / abs(exact)
         print(f"[criterion 1] zeta(2, 5/4) rel error {rel:.2e} (<= 1e-10)")
         assert rel <= 1e-10
@@ -150,9 +148,7 @@ def test_criterion_03_endpoint_identity():
             b = complex(re_b, im_b)
             if abs(1.0 - cmath.exp(-2j * math.pi * b)) < 1e-3:
                 continue
-            params = ZetaParams.create(k, b)
-            g0 = abs(complex(bracket_kernel(params, 0.0)))
-            worst = max(worst, g0 / bracket_scale(params))
+            worst = max(worst, endpoint_residual(k, b))
             checked += 1
         print(f"[criterion 3] 300 draws, worst scaled endpoint residual "
               f"{worst:.2e} (<= 1e-11)")
@@ -165,10 +161,10 @@ def test_criterion_04_realness_and_shift():
         worst_shift = 0.0
         for k in range(2, 9):
             for b in (0.25, 0.5, 1.25, 2.2, 3.75):
-                z1 = hurwitz_zeta(ZetaParams.create(k, b)).total
+                z1 = hurwitz_zeta(k, b).total
                 # shifted companion is an off-grid helper for the recurrence
                 # check only; the realness bound applies to the grid itself
-                z2 = hurwitz_zeta(ZetaParams.create(k, b + 1)).total
+                z2 = hurwitz_zeta(k, b + 1).total
                 worst_im = max(worst_im, abs(z1.imag) / (1.0 + abs(z1)))
                 worst_shift = max(worst_shift, abs(z1 - z2 - b ** float(-k)))
         print(f"[criterion 4] worst scaled |Im| {worst_im:.2e} (<= 1e-10); "

@@ -1,10 +1,9 @@
 """Every count, point and real bound a caller passes goes through the
 shared validators of ``hurzeta.errors``: ``check_k`` for integer counts and
-orders, ``check_finite`` for points, ``check_real`` for real numbers of
-an open interval and ``check_abscissae`` for a kernel's abscissae.  A count
-that is not an integer of its range, a point that is not a finite number,
-a real that is not a number of its interval, or an abscissa that is not a
-finite real number is a :class:`DomainError`, never a bare ``TypeError``/
+orders, ``check_finite`` for points and ``check_real`` for real numbers of
+an open interval.  A count that is not an integer of its range, a point
+that is not a finite number or a real that is not a number of its
+interval is a :class:`DomainError`, never a bare ``TypeError``/
 ``ValueError``, a silently truncated count or a NaN result; an
 integer-valued float or a numpy integer counts as the int it equals."""
 
@@ -17,12 +16,10 @@ from hurzeta import (
     DomainError,
     QuadratureSpec,
     RangeOverflowError,
-    ZetaParams,
     bernoulli,
-    bracket_kernel,
+    endpoint_residual,
     eulerian_row,
     genfun_closed,
-    harmonic_number,
     hp_partial_sum,
     hurwitz_series_oracle,
     imag_part_integral,
@@ -32,12 +29,13 @@ from hurzeta import (
     log_asymptotic_scan,
     polylog_nonpos,
     polylog_nonpos_orders,
+    hurwitz_zeta,
     real_part_formula,
     theorem1_scan,
     zeta_auto,
     zeta_from_genfun,
 )
-from hurzeta.errors import check_abscissae, check_finite, check_real
+from hurzeta.errors import check_finite, check_real
 
 
 def _f(u):
@@ -57,8 +55,6 @@ DOMAIN_ERROR_CALLS = {
     "bernoulli('4')": lambda: bernoulli("4"),
     "eulerian_row(2.5)": lambda: eulerian_row(2.5),
     "polylog_nonpos(1.5, 0.3)": lambda: polylog_nonpos(1.5, 0.3),
-    "harmonic_number(2, 2.5)": lambda: harmonic_number(2, 2.5),
-    "harmonic_number(2.5, 3)": lambda: harmonic_number(2.5, 3),
     "polylog_nonpos_orders(3, nan)": lambda: polylog_nonpos_orders(3, math.nan),
     "polylog_nonpos_orders(3, inf)": lambda: polylog_nonpos_orders(3, math.inf),
     "hp_partial_sum(2, nan, 10)": lambda: hp_partial_sum(2, math.nan, 10),
@@ -74,6 +70,11 @@ DOMAIN_ERROR_CALLS = {
     "zeta_auto(1, 0.5)": lambda: zeta_auto(1, 0.5),
     "zeta_auto(3, nan)": lambda: zeta_auto(3, math.nan),
     "zeta_auto(3, 'abc')": lambda: zeta_auto(3, "abc"),
+    # the closed form and its endpoint residual check k and b as zeta_auto does
+    "hurwitz_zeta(3, 'x')": lambda: hurwitz_zeta(3, "x"),
+    "hurwitz_zeta(3, -2.0)": lambda: hurwitz_zeta(3, -2.0),
+    "endpoint_residual(2.5, 0.3)": lambda: endpoint_residual(2.5, 0.3),
+    "endpoint_residual(3, nan)": lambda: endpoint_residual(3, math.nan),
     "real_part_formula(3, 'x')": lambda: real_part_formula(3, "x"),
     "real_part_formula(3, None)": lambda: real_part_formula(3, None),
     "imag_part_integral(3, 'x')": lambda: imag_part_integral(3, "x"),
@@ -95,13 +96,6 @@ DOMAIN_ERROR_CALLS = {
     "theorem1_scan([], [10, 100])": lambda: theorem1_scan([], [10, 100]),
     "log_asymptotic_scan([2, nan], [10, 100])":
         lambda: log_asymptotic_scan([2, math.nan], [10, 100]),
-    # kernel abscissae, a number or an array: once a bare TypeError or
-    # ValueError, or a NaN result
-    "bracket_kernel(params, 'x')": lambda: bracket_kernel(ZetaParams.create(3, 0.3), "x"),
-    "bracket_kernel(params, [nan])":
-        lambda: bracket_kernel(ZetaParams.create(3, 0.3), [math.nan]),
-    "bracket_kernel(params, [0.5, None])":
-        lambda: bracket_kernel(ZetaParams.create(3, 0.3), [0.5, None]),
 }
 
 
@@ -113,7 +107,7 @@ def test_bad_count_or_point_is_a_domain_error(call):
 
 def test_integer_valued_counts_are_the_int():
     assert bernoulli(4.0) == bernoulli(4)
-    assert harmonic_number(np.int64(2), 3.0) == harmonic_number(2, 3)
+    assert hp_partial_sum(np.int64(2), 0.5, 3.0) == hp_partial_sum(2, 0.5, 3)
     assert (integrate_oscillatory(_f, 3.0).evaluations
             == integrate_oscillatory(_f, 3).evaluations)
     assert type(QuadratureSpec(max_subdivisions=np.int64(50)).max_subdivisions) is int
@@ -131,13 +125,6 @@ def test_check_real_refuses_a_complex():
 def test_check_real_returns_a_python_float():
     x = check_real(np.float64(0.3), "x", 0, 1)
     assert type(x) is float and x == 0.3
-
-
-def test_check_abscissae_returns_float64():
-    assert check_abscissae(3).dtype == np.float64 and check_abscissae(3).ndim == 0
-    u = np.linspace(0.0, 1.0, 5)
-    assert check_abscissae(u) is u
-    assert np.array_equal(check_abscissae([0, 0.5]), [0.0, 0.5])
 
 
 # Finite inputs whose intermediate values leave double range: a

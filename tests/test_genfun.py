@@ -18,6 +18,7 @@ from _oracles import (
     genfun_digamma,
     genfun_direct,
     hurwitz_direct,
+    negative_integer_coefficient,
     riemann_zeta,
     rotated_genfun_parts,
     sinh_kernel,
@@ -36,7 +37,6 @@ from hurzeta import (
 )
 from hurzeta import genfun, kernels
 from hurzeta.errors import (
-    CapacityError,
     ConditioningWarning,
     DomainError,
     EvaluationError,
@@ -285,12 +285,15 @@ class TestGuards:
         assert s.value == pytest.approx(0.09e-200, rel=1e-12)  # x**2 * a_2, a_2 ~ 1/b
         assert math.isfinite(s.tail_estimate)
 
-    def test_series_at_huge_negative_integer_b_is_refused_at_once(self):
-        # a_k at b = -m sums the m - 1 terms of H_k(m - 1)
+    def test_series_at_huge_negative_integer_b_is_finite_at_once(self):
+        # a_k at b = -m is two oracle calls whatever m; summing the m - 1
+        # terms of H_k(m - 1) was once refused past 5e7 of them
         t0 = time.perf_counter()
-        with pytest.raises(CapacityError, match="999999999999999 terms"):
-            genfun_series(0.3, -1e15, 5)
+        s = genfun_series(0.3, -1e15, 5)
         assert time.perf_counter() - t0 < 1.0
+        # zeta(k, 1e15) is below 1e-15: the even orders' 2 zeta(k) remain
+        ref = 0.09 * math.pi**2 / 3 + 0.0081 * math.pi**4 / 45
+        assert s.value == pytest.approx(ref, rel=1e-13)
 
 
 def _radius_by_scan(b):
@@ -412,6 +415,15 @@ class TestSeriesCoefficient:
         )
         ref = head + hurwitz_direct(k, bb + head_n + 1)
         assert abs(series_coefficient(k, b) - ref) < 1e-12
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 1000])
+    def test_negative_integer_b_against_mpmath(self, m):
+        # at odd k the harmonic-number form zeta(k) - H_k(m - 1) cancelled,
+        # to 1e-3 relative at k = 5, m = 1000
+        pytest.importorskip("mpmath")
+        for k in range(2, 9):
+            ref = negative_integer_coefficient(k, m)
+            assert abs(series_coefficient(k, -m) - ref) <= 1e-13 * abs(ref), (k, m)
 
 
 class TestZetaRecovery:

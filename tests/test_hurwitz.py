@@ -1,5 +1,6 @@
 """The zeta evaluator: exact algebra, oracle agreement, error contract."""
 
+import cmath
 import math
 import time
 import warnings
@@ -12,9 +13,6 @@ from hypothesis import strategies as st
 
 from _oracles import catalan_constant, hurwitz_direct, rotated_direct
 from hurzeta import (
-    ZetaParams,
-    bracket_kernel,
-    bracket_scale,
     endpoint_residual,
     eulerian_row,
     genfun_series,
@@ -28,18 +26,21 @@ from hurzeta import (
     zeta_auto,
     zeta_from_genfun,
 )
-from hurzeta import cli
+from hurzeta import cli, kernels
 from hurzeta.errors import (
     CapacityError,
     ConditioningWarning,
     DomainError,
     RangeOverflowError,
+    UnsupportedParameterError,
 )
 from hurzeta.hurwitz import (
     EM_SHIFT,
     EM_TERMS,
     ROUTE_RTOL,
     _I_POW,
+    _bracket_data,
+    _closed_form_q,
     _em_constants,
     _em_tail,
 )
@@ -88,7 +89,7 @@ class TestEndpointIdentityExact:
 class TestClosedFormValues:
     def test_half_integer_b(self):
         # zeta(2, 1/2) = pi**2 / 2
-        v = hurwitz_zeta(ZetaParams.create(2, 0.5)).total
+        v = hurwitz_zeta(2, 0.5).total
         assert v.real == pytest.approx(math.pi**2 / 2, rel=1e-12)
         assert abs(v.imag) < 1e-12
 
@@ -96,20 +97,20 @@ class TestClosedFormValues:
         # zeta(2, 5/4) = -16 + pi**2 + 8*G, with G from an accelerated
         # alternating series rather than a stored constant
         exact = -16.0 + math.pi**2 + 8.0 * catalan_constant()
-        v = hurwitz_zeta(ZetaParams.create(2, 1.25)).total
+        v = hurwitz_zeta(2, 1.25).total
         assert v.real == pytest.approx(exact, rel=1e-12)
 
     def test_three_quarters(self):
         # zeta(2, 3/4) = pi**2 - 8*G: the odd-denominator lattice sum
         # pi**2/8 splits into G plus the 3-mod-4 part
         exact = math.pi**2 - 8.0 * catalan_constant()
-        v = hurwitz_zeta(ZetaParams.create(2, 0.75)).total
+        v = hurwitz_zeta(2, 0.75).total
         assert v.real == pytest.approx(exact, rel=1e-12)
 
     @pytest.mark.parametrize("k,b", [(2, 0.3), (3, 1.7), (4, 2.25),
                                      (5, 0.6 + 0.4j), (7, 1.2 - 0.8j)])
     def test_against_brute_force(self, k, b):
-        v = hurwitz_zeta(ZetaParams.create(k, b)).total
+        v = hurwitz_zeta(k, b).total
         ref = hurwitz_direct(k, b)
         assert abs(v - ref) <= 1e-10 * (1 + abs(ref))
 
@@ -122,12 +123,12 @@ class TestClosedFormValues:
         while drawn < 36:
             k = (16, 20, 24)[drawn % 3]
             b = complex(rng.uniform(0.05, 0.4), rng.uniform(-1.0, 1.0))
-            if abs(1.0 - ZetaParams.create(k, b).q) < 0.5:
+            if abs(1.0 - cmath.exp(-2j * math.pi * b)) < 0.5:
                 continue
             drawn += 1
             with mpmath.workdps(40):
                 ref = complex(mpmath.zeta(k, b))
-            closed = hurwitz_zeta(ZetaParams.create(k, b)).total
+            closed = hurwitz_zeta(k, b).total
             assert abs(closed - ref) <= 1e-9 * abs(ref), (k, b)
             # zeta_auto sends the four draws near |Im b| = 1 whose estimate
             # exceeds ROUTE_RTOL to the series; its value holds either way
@@ -135,7 +136,7 @@ class TestClosedFormValues:
             assert abs(res.value - ref) <= ROUTE_RTOL * abs(ref), (k, b)
 
     def test_breakdown_reassembles(self):
-        br = hurwitz_zeta(ZetaParams.create(3, 0.8))
+        br = hurwitz_zeta(3, 0.8)
         s = (br.term_half_bk + br.term_polylog_single
              + br.term_polylog_sum + br.term_integral)
         assert s == br.total
@@ -144,12 +145,14 @@ class TestClosedFormValues:
     @pytest.mark.parametrize("k, b", [(2, 0.3 + 0.2j), (7, 0.8), (12, 0.35 - 0.4j),
                                       (24, 0.25 + 0.1j), (4, 6.1 - 2.9j)])
     def test_integral_term_is_the_public_kernel_integral_bitwise(self, k, b):
-        # hurwitz_zeta integrates kernels.poly_exp_gap directly; it must be
-        # the integral of bracket_kernel against bracket_scale, bit for bit
-        params = ZetaParams.create(k, b)
-        br = hurwitz_zeta(params)
-        quad = integrate_cot_weighted(lambda u: bracket_kernel(params, u),
-                                      scale_hint=bracket_scale(params))
+        # the integral term is kernels.poly_exp_gap on the cached bracket
+        # set-up, integrated against the bracket's scale, bit for bit
+        b = complex(b)
+        coeffs, b1, _, _, scale = _bracket_data(k, _closed_form_q(k, b))
+        c = -2j * math.pi * b
+        br = hurwitz_zeta(k, b)
+        quad = integrate_cot_weighted(lambda u: kernels.poly_exp_gap(u, coeffs, c, b1),
+                                      scale_hint=scale)
         ipk = _I_POW[k % 4] * (2.0 * math.pi) ** k
         assert _bits(br.quadrature.value) == _bits(quad.value)
         assert _bits(br.term_integral) == _bits(-0.5j * ipk * quad.value)
@@ -200,11 +203,9 @@ class TestBracketEndpoint:
         for _ in range(60):
             k = int(rng.integers(2, 13))
             b = complex(rng.uniform(0.05, 6.0), rng.uniform(-2.5, 2.5))
-            params = ZetaParams.create(k, b)
-            if abs(1.0 - params.q) < 1e-3:
+            if abs(1.0 - cmath.exp(-2j * math.pi * b)) < 1e-3:
                 continue
-            g0 = abs(bracket_kernel(params, np.array([0.0]))[0])
-            assert g0 <= 1e-11 * bracket_scale(params)
+            assert endpoint_residual(k, b) <= 1e-11
 
     @pytest.mark.parametrize("k, b", [(20, 0.5), (24, 0.5), (24, 0.5 + 0.001j)])
     def test_large_k_keeps_half_the_endpoint_allowance(self, k, b):
@@ -212,26 +213,25 @@ class TestBracketEndpoint:
         # max(abs_tol, 64 eps) * scale; here the residual reads 0.17-0.33 of
         # that, so a rewrite of the bracket set-up that loses accuracy at
         # large k near Re b = 1/2 fails here before it refuses sweep cells
-        params = ZetaParams.create(k, b)
         eps = float(np.finfo(np.float64).eps)
-        allowance = max(DEFAULT_SPEC.abs_tol, 64 * eps) * bracket_scale(params)
-        assert abs(bracket_kernel(params, 0.0)) <= 0.5 * allowance
+        assert endpoint_residual(k, b) <= 0.5 * max(DEFAULT_SPEC.abs_tol, 64 * eps)
 
     @pytest.mark.parametrize("seed", [cli.DEFAULT_SEED, 1])
     def test_residual_is_the_kernel_at_zero_bitwise(self, seed):
         # on the endpoint-identity suite's draws: B(0) is the constant
-        # coefficient, so the cached set-up gives the kernel's value
+        # coefficient, so the cached set-up gives the integrand's value at 0
         draws = list(cli._endpoint_draws(seed))
         assert len(draws) == cli.ENDPOINT_DRAWS
-        for params in draws:
-            assert (endpoint_residual(params)
-                    == abs(bracket_kernel(params, 0.0)) / bracket_scale(params)), params
+        for k, b in draws:
+            coeffs, b1, _, _, scale = _bracket_data(k, _closed_form_q(k, b))
+            g0 = kernels.poly_exp_gap(np.zeros(1), coeffs, -2j * math.pi * b, b1)[0]
+            assert endpoint_residual(k, b) == abs(complex(g0)) / scale, (k, b)
 
     def test_scale_tracks_uncancelled_magnitudes(self):
         # large |Im b| => huge |q|; the yardstick must grow with it even
         # though the cancelled coefficients stay O(1/|q|)
-        params = ZetaParams.create(2, 1.3 + 2.4j)
-        assert bracket_scale(params) > abs(params.q)
+        q = _closed_form_q(2, 1.3 + 2.4j)
+        assert _bracket_data(2, q)[4] > abs(q)
 
 
 class TestProperties:
@@ -245,14 +245,14 @@ class TestProperties:
     @settings(max_examples=30, deadline=None)
     def test_shift_identity(self, k, n, f):
         b = n + f
-        z1 = hurwitz_zeta(ZetaParams.create(k, b)).total
-        z2 = hurwitz_zeta(ZetaParams.create(k, b + 1)).total
+        z1 = hurwitz_zeta(k, b).total
+        z2 = hurwitz_zeta(k, b + 1).total
         assert abs(z1 - z2 - b ** (-k)) < 1e-9 * (1 + abs(z1))
 
     @given(k=st.integers(2, 6), n=st.integers(0, 3), f=st.floats(0.2, 0.8))
     @settings(max_examples=30, deadline=None)
     def test_realness_for_real_b(self, k, n, f):
-        v = hurwitz_zeta(ZetaParams.create(k, n + f)).total
+        v = hurwitz_zeta(k, n + f).total
         assert abs(v.imag) <= 1e-10 * (1 + abs(v))
 
     @given(k=st.integers(2, 8), n=st.integers(0, 2), f=st.floats(0.2, 0.8),
@@ -317,7 +317,7 @@ class TestRouting:
         assert res.breakdown.warnings and res.value == pytest.approx(1e26, rel=1e-12)
         # the closed form itself warns whatever it returns
         with pytest.warns(ConditioningWarning, match="of its pole at z=1"):
-            br = hurwitz_zeta(ZetaParams.create(12, 2 - 3e-15 + 1e-15j))
+            br = hurwitz_zeta(12, 2 - 3e-15 + 1e-15j)
         assert br.warnings and not br.estimate <= ROUTE_RTOL
 
     def test_unconverged_integral_falls_back_to_series(self):
@@ -346,11 +346,11 @@ class TestRouting:
         # estimate must confess the degraded relative accuracy, and it must
         # cover the error the value has
         mpmath = pytest.importorskip("mpmath")
-        br = hurwitz_zeta(ZetaParams.create(10, 3.75))
+        br = hurwitz_zeta(10, 3.75)
         ref = complex(mpmath.zeta(10, 3.75))
         assert 1e-8 < abs(br.total - ref) / abs(ref) <= br.estimate
         # and stay small on a benign point
-        assert hurwitz_zeta(ZetaParams.create(2, 1.25)).estimate < 1e-12
+        assert hurwitz_zeta(2, 1.25).estimate < 1e-12
 
 
 class TestErrorContract:
@@ -361,11 +361,11 @@ class TestErrorContract:
 
     def test_k_below_two(self):
         with pytest.raises(DomainError):
-            ZetaParams.create(1, 0.5)
+            hurwitz_zeta(1, 0.5)
 
     def test_factorial_range_cap(self):
         with pytest.raises(RangeOverflowError):
-            hurwitz_zeta(ZetaParams.create(200, 0.5))
+            hurwitz_zeta(200, 0.5)
         # 171! overflows a float; this once escaped as a bare OverflowError
         with pytest.raises(RangeOverflowError):
             real_part_formula(172, 1.3)
@@ -377,27 +377,29 @@ class TestErrorContract:
 
     def test_imaginary_cap(self):
         with pytest.raises(RangeOverflowError):
-            ZetaParams.create(2, 1 + 9j)
+            hurwitz_zeta(2, 1 + 9j)
+        with pytest.raises(RangeOverflowError):
+            endpoint_residual(2, 1 + 9j)
 
     def test_near_integer_b_warns(self):
         with pytest.warns(ConditioningWarning):
-            hurwitz_zeta(ZetaParams.create(2, 1.0 + 1e-13))
+            hurwitz_zeta(2, 1.0 + 1e-13)
 
     def test_polylog_past_double_range_is_typed(self):
         # |1 - q| = 2e-14: (1 - q)**24 underflows and Li_{-23}(q) is past
         # double range; this once escaped as a ZeroDivisionError
         with pytest.raises(RangeOverflowError):
-            hurwitz_zeta(ZetaParams.create(24, 2 - 3e-15 + 1e-15j))
+            hurwitz_zeta(24, 2 - 3e-15 + 1e-15j)
 
     def test_infinite_polylog_is_typed(self):
         # |1 - q| = 6e-14: (1 - q)**24 stays normal but Li_{-21}(q) is inf;
         # this once surfaced as "DomainError: scale_hint must be finite"
         with pytest.raises(RangeOverflowError, match=r"Li_\(-21\)"):
-            hurwitz_zeta(ZetaParams.create(24, 1 + 1e-14))
+            hurwitz_zeta(24, 1 + 1e-14)
 
     def test_pole_note_is_given_once(self):
         with pytest.warns(ConditioningWarning):
-            br = hurwitz_zeta(ZetaParams.create(12, 2 - 3e-15 + 1e-15j))
+            br = hurwitz_zeta(12, 2 - 3e-15 + 1e-15j)
         assert sum("pole" in w for w in br.warnings) == 1
 
     @pytest.mark.parametrize("k", [10**16, 10**30])
@@ -406,11 +408,49 @@ class TestErrorContract:
         with pytest.raises(RangeOverflowError, match=f"k = {k}"):
             hurwitz_series_oracle(k, 2.0)
 
+    def test_positive_integer_b_is_unsupported_by_the_closed_form(self):
+        # q = 1 is the polylogarithms' pole; zeta_auto sums the series there
+        for call in (hurwitz_zeta, endpoint_residual):
+            with pytest.raises(UnsupportedParameterError, match="b = 3 is a positive integer"):
+                call(2, 3.0)
+
+
+class TestRangeEdges:
+    """Values at or past the ends of double range: a finite value or a
+    typed error, never a bare OverflowError or ZeroDivisionError."""
+
+    @pytest.mark.parametrize("k, b", [(2, 1e-300), (24, 1e-15)])
+    def test_infinite_series_value_is_typed(self, k, b):
+        # b**-k is past double range; the series once returned inf+0j with
+        # an estimate of 1e-10
+        with pytest.raises(RangeOverflowError, match="past double range"):
+            hurwitz_series_oracle(k, b)
+        with pytest.raises(RangeOverflowError, match="past double range"):
+            zeta_auto(k, b)
+
+    def test_huge_complex_b_takes_the_series(self):
+        # b**k overflows: the closed form's 1/(2 b**k) once escaped as a bare
+        # OverflowError; zeta(3, b) ~ b**-2 / 2 underflows to 0
+        res = zeta_auto(3, 3.530404533830089e218 - 9.639729199583802e-58j)
+        assert res.route == "series" and res.value == 0
+
+    def test_real_part_where_b_power_overflows(self):
+        # 1/(2 b**k) underflows, and so do the polylogarithm terms
+        assert real_part_formula(2, 1e200) == 0.0
+
+    def test_rotated_limit_near_zero_b(self):
+        # the limit once subtracted 1/b**k and divided by zero; sum_{j>=1}
+        # (i*j)**-2 = -zeta(2)
+        rep = hp_limit_scan(2, 1e-300j, (10, 100, 1000))
+        assert rep.target == pytest.approx(-math.pi**2 / 6, rel=1e-12)
+        assert rep.verdict == "pass"
+
 
 # Every entry point that takes an order k, with its minimum and a call
 # that is valid at k = 3.
 K_ENTRY_POINTS = {
-    "ZetaParams.create": (2, lambda k: ZetaParams.create(k, 0.3)),
+    "hurwitz_zeta": (2, lambda k: hurwitz_zeta(k, 0.3)),
+    "endpoint_residual": (2, lambda k: endpoint_residual(k, 0.3)),
     "real_part_formula": (2, lambda k: real_part_formula(k, 0.3)),
     "imag_part_integral": (2, lambda k: imag_part_integral(k, 0.3)),
     "hurwitz_series_oracle": (2, lambda k: hurwitz_series_oracle(k, 0.3)),

@@ -774,15 +774,19 @@ class TestLoneFirstPass:
         assert "('converged', ('bool', 'False'))" in fast[2] and "total overflowed" in fast[4]
 
     def test_converged_lone_row_never_reaches_adapt(self, monkeypatch):
+        # a family of one takes the general path, with the same bits and types
+        fam = integrate_cot_weighted(lambda u, rows: np.sin(2 * np.pi * u), family=1)
+
         def adapt(*args):
             raise AssertionError("_adapt reached")
 
         monkeypatch.setattr(quadrature, "_adapt", adapt)
         r = integrate_cot_weighted(lambda u: np.sin(2 * np.pi * u))
         assert r.converged and r.evaluations == 189 and r.value.real == pytest.approx(1.0)
-        fam = integrate_cot_weighted(lambda u, rows: np.sin(2 * np.pi * u), family=1)
         assert _row(fam, 0) == r
         assert fam.value.shape == fam.error_estimate.shape == (1,)
         assert fam.row_evaluations.tolist() == [189] and fam.row_warnings == [[]]
-        with pytest.raises(AssertionError, match="_adapt reached"):  # a family of two
-            integrate_cot_weighted(lambda u, rows: np.sin(2 * np.pi * u) + 0 * rows, family=2)
+        for m in (1, 2):  # every family runs the general path
+            with pytest.raises(AssertionError, match="_adapt reached"):
+                integrate_cot_weighted(lambda u, rows: np.sin(2 * np.pi * u) + 0 * rows,
+                                       family=m)

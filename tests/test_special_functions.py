@@ -11,7 +11,6 @@ from _oracles import catalan_constant, euler_gamma
 from hurzeta import (
     bernoulli,
     eulerian_row,
-    harmonic_number,
     polylog_nonpos,
 )
 from hurzeta.errors import (
@@ -180,9 +179,3 @@ class TestPolylog:
         assert _horner_rows(5)[4] == (1.0, 11.0, 11.0, 1.0)
         assert _horner_rows(5)[0] == (1.0,)
 
-
-def test_harmonic_number_matches_direct_sum():
-    for k in (1, 2, 5):
-        for n in (0, 1, 7, 100):
-            direct = math.fsum(j ** (-float(k)) for j in range(1, n + 1))
-            assert harmonic_number(k, n) == pytest.approx(direct, rel=5e-15, abs=1e-15)
